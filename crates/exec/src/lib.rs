@@ -22,15 +22,19 @@
 //! CET emission-CDF knot fit, most prominently) are computed once per
 //! distinct key and shared behind an [`std::sync::Arc`].
 //!
-//! Thread counts come from `DH_NUM_THREADS`, then `RAYON_NUM_THREADS`
-//! (honoured for familiarity), then the machine's available parallelism;
-//! [`set_max_threads`] overrides all three at runtime.
+//! Every parallel call runs on its calling thread plus helpers from one
+//! lazily started, process-wide pool of parked threads, so a call costs a
+//! wake-up rather than a thread spawn. Thread counts come from
+//! `DH_NUM_THREADS`, then `RAYON_NUM_THREADS` (honoured for familiarity),
+//! then the machine's available parallelism; [`set_max_threads`]
+//! overrides all three at runtime.
 
 #![warn(missing_docs)]
 
 mod memo;
 mod pool;
 mod supervise;
+mod workers;
 
 pub use memo::{Memo, MEMO_DEFAULT_CAPACITY};
 pub use pool::{

@@ -1,17 +1,21 @@
-//! Self-scheduling scoped-thread parallel maps.
+//! Self-scheduling parallel maps on the process-wide worker pool.
 //!
-//! No external thread-pool dependency is available offline, so the
-//! engine runs each call on `std::thread::scope` workers that pop item
-//! indices from a shared atomic counter (self-scheduling: the classic
-//! fix for skewed per-item cost). Results carry their item index and are
-//! reassembled in index order, which — together with per-item RNG
-//! streams — is what makes output independent of thread count and
-//! scheduling.
+//! No external thread-pool dependency is available offline, so each call
+//! runs on the calling thread plus parked helpers from [`crate::workers`],
+//! all popping item indices from a shared atomic counter (self-scheduling:
+//! the classic fix for skewed per-item cost). Results carry their item
+//! index and are reassembled in index order, which — together with
+//! per-item RNG streams — is what makes output independent of thread
+//! count and scheduling. A panicking item aborts its call with the item's
+//! own panic payload once every participant has stopped.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
+
+use crate::workers;
 
 /// Runtime thread-count override; 0 means "not set".
 static MAX_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -34,6 +38,14 @@ fn env_threads(var: &str) -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
+/// The machine's available parallelism, detected once per process: on
+/// Linux the detection reads cgroup files, which costs more than a short
+/// parallel call.
+fn hardware_threads() -> usize {
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The worker count parallel calls will use: the [`set_max_threads`]
 /// override, else `DH_NUM_THREADS`, else `RAYON_NUM_THREADS`, else the
 /// machine's available parallelism.
@@ -44,11 +56,11 @@ pub fn max_threads() -> usize {
     }
     env_threads("DH_NUM_THREADS")
         .or_else(|| env_threads("RAYON_NUM_THREADS"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .unwrap_or_else(hardware_threads)
 }
 
-/// Workers to spawn for `n_items` items: never more than items, and
-/// below a handful of items the spawn cost outweighs the parallelism.
+/// Threads (the caller included) that work on a call over `n_items`
+/// items: never more than items.
 fn worker_count(n_items: usize) -> usize {
     max_threads().min(n_items)
 }
@@ -66,6 +78,51 @@ static ITEMS_PER_WORKER: dh_obs::HistogramCell =
     dh_obs::HistogramCell::new("exec.pool.items_per_worker");
 static CHUNKS_PER_WORKER: dh_obs::HistogramCell =
     dh_obs::HistogramCell::new("exec.pool.chunks_per_worker");
+
+/// Runs `f` over `0..n` on `threads` participants that self-schedule from
+/// one atomic counter, returning the `(index, value)` pairs in no
+/// particular order. Hand-out stops early once a value satisfies `halt`;
+/// the indices handed out always form a prefix of `0..n`, and every one
+/// of them is in the result.
+fn self_scheduled<U, F>(
+    n: usize,
+    threads: usize,
+    shares: &dh_obs::HistogramCell,
+    f: F,
+    halt: fn(&U) -> bool,
+) -> Vec<(usize, U)>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    let fair_share = n.div_ceil(threads);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let tagged = Mutex::new(Vec::with_capacity(n));
+    let work = &|| {
+        let mut local = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            let value = f(index);
+            if halt(&value) {
+                stop.store(true, Ordering::Relaxed);
+            }
+            local.push((index, value));
+        }
+        observe_worker_share(shares, local.len(), fair_share);
+        tagged
+            .lock()
+            .expect("result list poisoned: a worker panicked while appending")
+            .extend(local);
+    };
+    workers::call(threads, work, work);
+    tagged
+        .into_inner()
+        .expect("result list poisoned: a worker panicked while appending")
+}
 
 /// Reassembles `(index, value)` pairs produced by the workers into a
 /// dense index-ordered vector.
@@ -96,32 +153,10 @@ where
         observe_worker_share(&ITEMS_PER_WORKER, n, n);
         return (0..n).map(f).collect();
     }
-    let fair_share = n.div_ceil(workers);
-    let next = AtomicUsize::new(0);
-    let tagged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        local.push((index, f(index)));
-                    }
-                    observe_worker_share(&ITEMS_PER_WORKER, local.len(), fair_share);
-                    local
-                })
-            })
-            .collect();
-        let mut tagged = Vec::with_capacity(n);
-        for handle in handles {
-            tagged.extend(handle.join().expect("worker panicked"));
-        }
-        tagged
-    });
-    assemble(n, tagged)
+    assemble(
+        n,
+        self_scheduled(n, workers, &ITEMS_PER_WORKER, f, |_| false),
+    )
 }
 
 /// Parallel map over a slice; `out[i] == f(&items[i])`.
@@ -147,20 +182,81 @@ where
     })
 }
 
+/// The reorder window of [`par_map_fold`], shared by its participants.
+struct Window<U> {
+    state: Mutex<WindowState<U>>,
+    /// The caller waits here for the item at the window's front.
+    landed: Condvar,
+    /// Workers wait here for the fold cursor to advance.
+    advanced: Condvar,
+}
+
+struct WindowState<U> {
+    /// `slots[k]` parks the value of item `base + k` until every earlier
+    /// item has been taken for folding. Unlike a map keyed by index, the
+    /// ring's backing buffer is reused for the whole run — zero
+    /// allocations in steady state, one growth per high-water mark
+    /// (bounded by the backpressure window, not by `n`).
+    slots: VecDeque<Option<U>>,
+    base: usize,
+    /// Items folded so far, as last published by the caller.
+    folded: usize,
+    /// A participant panicked: everyone stops.
+    stopped: bool,
+}
+
+impl<U> Window<U> {
+    fn lock(&self) -> MutexGuard<'_, WindowState<U>> {
+        // Every update below is a single field or slot write, so the state
+        // is valid even after a participant died holding the lock.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks `value` for `index` and wakes the caller if it completes the
+    /// window's front.
+    fn land(&self, index: usize, value: U) {
+        let mut state = self.lock();
+        let offset = index - state.base;
+        if offset >= state.slots.len() {
+            state.slots.resize_with(offset + 1, || None);
+        }
+        debug_assert!(state.slots[offset].is_none(), "item {index} produced twice");
+        state.slots[offset] = Some(value);
+        if offset == 0 {
+            self.landed.notify_one();
+        }
+    }
+}
+
+/// Stops a fold's participants and wakes every waiter when dropped by a
+/// panicking thread.
+struct StopOnUnwind<'a, U>(&'a Window<U>);
+
+impl<U> Drop for StopOnUnwind<'_, U> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().stopped = true;
+            self.0.landed.notify_all();
+            self.0.advanced.notify_all();
+        }
+    }
+}
+
 /// Parallel map over `0..n` whose results are folded **in index order**
 /// on the calling thread: returns the accumulator after
 /// `fold(fold(init, 0, f(0)), 1, f(1)) …` exactly as the serial loop
 /// would produce it, at any thread count.
 ///
 /// Unlike [`par_map_indexed`] the mapped values are never collected into
-/// a `Vec`: workers stream `(index, value)` pairs over a channel and the
-/// caller holds only the out-of-order window (typically a few items, at
-/// worst the items produced while the slowest item blocks the fold).
-/// This is the streaming-aggregation primitive the fleet layer leans on:
-/// a million mapped shards fold into O(1) accumulator state.
+/// a `Vec`: the caller holds only the out-of-order window (typically a
+/// few items, at worst the items produced while the slowest item blocks
+/// the fold). This is the streaming-aggregation primitive the fleet
+/// layer leans on: a million mapped shards fold into O(1) accumulator
+/// state.
 ///
 /// `fold` runs on the calling thread, so it may freely capture `&mut`
 /// state (checkpoint writers, streaming accumulators) without `Sync`.
+/// Between folds the caller maps items itself.
 pub fn par_map_fold<U, A, F, G>(n: usize, f: F, init: A, mut fold: G) -> A
 where
     U: Send,
@@ -178,103 +274,104 @@ where
     }
     let fair_share = n.div_ceil(workers);
     let next = AtomicUsize::new(0);
-    // Reorder-window backpressure: a worker may start an item at most
+    // Reorder-window backpressure: nobody may start an item more than
     // `ahead` indices past the fold cursor. Without this, one slow
     // low-index item lets the fast workers race through the entire
     // remaining range and park every result in the reorder window —
     // O(n) buffering on exactly the skewed workloads the
-    // self-scheduling exists for. With it, the window (plus the channel)
-    // holds O(workers) values no matter how skewed the item costs are.
+    // self-scheduling exists for. With it, the window holds O(workers)
+    // values no matter how skewed the item costs are.
     let ahead = workers * 2;
-    let cursor = Mutex::new((0usize, false)); // (items folded, receiver gone)
-    let advanced = std::sync::Condvar::new();
-    let relock = std::sync::PoisonError::into_inner;
-    std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, U)>(workers * 2);
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            let cursor = &cursor;
-            let advanced = &advanced;
-            scope.spawn(move || {
-                let mut taken = 0usize;
+    let window = Window {
+        state: Mutex::new(WindowState {
+            slots: VecDeque::new(),
+            base: 0,
+            folded: 0,
+            stopped: false,
+        }),
+        landed: Condvar::new(),
+        advanced: Condvar::new(),
+    };
+    let helper = || {
+        let _stop = StopOnUnwind(&window);
+        let mut taken = 0usize;
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            if index >= ahead {
+                let mut state = window.lock();
+                while !state.stopped && index >= state.folded + ahead {
+                    state = window
+                        .advanced
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if state.stopped {
+                    break;
+                }
+            }
+            taken += 1;
+            window.land(index, f(index));
+        }
+        observe_worker_share(&ITEMS_PER_WORKER, taken, fair_share);
+    };
+    let caller = || {
+        let _stop = StopOnUnwind(&window);
+        let mut acc = init;
+        let mut folded = 0usize;
+        let mut taken = 0usize;
+        // An index the caller claimed but may not start yet.
+        let mut claimed = None;
+        let mut ready = Vec::new();
+        while folded < n {
+            {
+                let mut state = window.lock();
+                if state.folded != folded {
+                    state.folded = folded;
+                    window.advanced.notify_all();
+                }
                 loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
+                    while let Some(Some(_)) = state.slots.front() {
+                        ready.push(state.slots.pop_front().flatten().expect("front checked"));
+                    }
+                    state.base += ready.len();
+                    if !ready.is_empty() || state.stopped {
                         break;
                     }
-                    if index >= ahead {
-                        let mut state = cursor.lock().unwrap_or_else(relock);
-                        while !state.1 && index >= state.0 + ahead {
-                            state = advanced.wait(state).unwrap_or_else(relock);
-                        }
-                        if state.1 {
-                            // The receiver is gone: the caller's fold
-                            // panicked. Stop working.
-                            break;
-                        }
+                    if claimed.is_none() {
+                        claimed = Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
                     }
-                    taken += 1;
-                    // A send fails only when the receiver is gone, which
-                    // means the caller's fold panicked; just stop working.
-                    if tx.send((index, f(index))).is_err() {
-                        break;
+                    match claimed {
+                        Some(index) if index < folded + ahead => break,
+                        _ => {
+                            state = window
+                                .landed
+                                .wait(state)
+                                .unwrap_or_else(PoisonError::into_inner);
+                        }
                     }
                 }
-                observe_worker_share(&ITEMS_PER_WORKER, taken, fair_share);
-            });
-        }
-        drop(tx);
-
-        // Wakes every backpressure-parked worker when the receiver exits,
-        // normally or by unwinding out of a panicked fold.
-        struct ReceiverGone<'a>(&'a Mutex<(usize, bool)>, &'a std::sync::Condvar);
-        impl Drop for ReceiverGone<'_> {
-            fn drop(&mut self) {
-                self.0
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .1 = true;
-                self.1.notify_all();
+                if state.stopped {
+                    // A worker panicked; the pool re-raises its panic.
+                    break;
+                }
+            }
+            if ready.is_empty() {
+                let index = claimed.take().expect("the caller claimed an item");
+                taken += 1;
+                window.land(index, f(index));
+            }
+            for value in ready.drain(..) {
+                acc = fold(acc, folded, value);
+                folded += 1;
             }
         }
-        let _gone = ReceiverGone(&cursor, &advanced);
-
-        // Reorder window: a ring of slots where `window[index − expect]`
-        // parks the value for `index` until every earlier index has been
-        // folded. Unlike a map keyed by index, the ring's backing buffer
-        // is reused for the whole run — zero allocations in steady state,
-        // one growth per high-water mark (bounded by `ahead` plus the
-        // channel depth, not by `n`).
-        let mut acc = init;
-        let mut window: std::collections::VecDeque<Option<U>> = std::collections::VecDeque::new();
-        let mut expect = 0usize;
-        let mut published = 0usize;
-        for (index, value) in rx {
-            let offset = index - expect;
-            if offset >= window.len() {
-                window.resize_with(offset + 1, || None);
-            }
-            debug_assert!(window[offset].is_none(), "item {index} produced twice");
-            window[offset] = Some(value);
-            while let Some(Some(_)) = window.front() {
-                let value = window.pop_front().flatten().expect("front checked");
-                acc = fold(acc, expect, value);
-                expect += 1;
-            }
-            if expect != published {
-                cursor.lock().unwrap_or_else(relock).0 = expect;
-                advanced.notify_all();
-                published = expect;
-            }
-        }
-        debug_assert!(
-            window.iter().all(Option::is_none),
-            "worker skipped an index"
-        );
+        observe_worker_share(&ITEMS_PER_WORKER, taken, fair_share);
         acc
-    })
+    };
+    workers::call(workers, &helper, caller)
 }
 
 /// Fallible parallel map: `Ok(out)` with `out[i] == f(&items[i])?`, or
@@ -296,35 +393,13 @@ where
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut tagged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let result = f(&items[index]);
-                        if result.is_err() {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        local.push((index, result));
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut tagged = Vec::with_capacity(n);
-        for handle in handles {
-            tagged.extend(handle.join().expect("worker panicked"));
-        }
-        tagged
-    });
-
+    let mut tagged = self_scheduled(
+        n,
+        workers,
+        &ITEMS_PER_WORKER,
+        |i| f(&items[i]),
+        Result::is_err,
+    );
     tagged.sort_by_key(|(index, _)| *index);
     let mut out = Vec::with_capacity(n);
     for (index, result) in tagged {
@@ -363,38 +438,26 @@ where
             .map(|(i, c)| f(i, c))
             .collect();
     }
-    let fair_share = n_chunks.div_ceil(workers);
-    type ChunkQueue<'a, T> = Mutex<Vec<Option<(usize, &'a mut [T])>>>;
-    let queue: ChunkQueue<T> =
-        Mutex::new(items.chunks_mut(chunk_size).enumerate().map(Some).collect());
-    let next = AtomicUsize::new(0);
-    let tagged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= n_chunks {
-                            break;
-                        }
-                        let (index, chunk) = queue.lock().expect("chunk queue poisoned")[slot]
-                            .take()
-                            .expect("chunk taken twice");
-                        local.push((index, f(index, chunk)));
-                    }
-                    observe_worker_share(&CHUNKS_PER_WORKER, local.len(), fair_share);
-                    local
-                })
-            })
-            .collect();
-        let mut tagged = Vec::with_capacity(n_chunks);
-        for handle in handles {
-            tagged.extend(handle.join().expect("worker panicked"));
-        }
-        tagged
-    });
+    let queue: Mutex<Vec<Option<&mut [T]>>> =
+        Mutex::new(items.chunks_mut(chunk_size).map(Some).collect());
+    let tagged = self_scheduled(
+        n_chunks,
+        workers,
+        &CHUNKS_PER_WORKER,
+        |index| {
+            let chunk = take_chunk(&queue, index);
+            f(index, chunk)
+        },
+        |_| false,
+    );
     assemble(n_chunks, tagged)
+}
+
+/// Hands out chunk `index` of a chunk queue; each is taken exactly once.
+fn take_chunk<C>(queue: &Mutex<Vec<Option<C>>>, index: usize) -> C {
+    queue.lock().expect("chunk queue poisoned")[index]
+        .take()
+        .expect("chunk taken twice")
 }
 
 /// Runs `f` over paired fixed-size chunks of two equal-length columns in
@@ -427,56 +490,37 @@ where
             .map(|(i, (ca, cb))| f(i, ca, cb))
             .collect();
     }
-    let fair_share = n_chunks.div_ceil(workers);
-    type PairQueue<'a, A, B> = Mutex<Vec<Option<(usize, (&'a mut [A], &'a mut [B]))>>>;
+    type PairQueue<'a, A, B> = Mutex<Vec<Option<(&'a mut [A], &'a mut [B])>>>;
     let queue: PairQueue<A, B> = Mutex::new(
         a.chunks_mut(chunk_size)
             .zip(b.chunks_mut(chunk_size))
-            .enumerate()
             .map(Some)
             .collect(),
     );
-    let next = AtomicUsize::new(0);
-    let tagged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= n_chunks {
-                            break;
-                        }
-                        let (index, (chunk_a, chunk_b)) =
-                            queue.lock().expect("chunk queue poisoned")[slot]
-                                .take()
-                                .expect("chunk taken twice");
-                        local.push((index, f(index, chunk_a, chunk_b)));
-                    }
-                    observe_worker_share(&CHUNKS_PER_WORKER, local.len(), fair_share);
-                    local
-                })
-            })
-            .collect();
-        let mut tagged = Vec::with_capacity(n_chunks);
-        for handle in handles {
-            tagged.extend(handle.join().expect("worker panicked"));
-        }
-        tagged
-    });
+    let tagged = self_scheduled(
+        n_chunks,
+        workers,
+        &CHUNKS_PER_WORKER,
+        |index| {
+            let (chunk_a, chunk_b) = take_chunk(&queue, index);
+            f(index, chunk_a, chunk_b)
+        },
+        |_| false,
+    );
     assemble(n_chunks, tagged)
+}
+
+/// Serializes tests that mutate the global thread-count override.
+#[cfg(test)]
+pub(crate) fn override_guard() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
-
-    /// Serializes tests that mutate the global thread-count override.
-    fn override_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn par_map_matches_serial() {
@@ -539,39 +583,44 @@ mod tests {
         set_max_threads(Some(workers));
         // Worst case for the reorder window: item 0 stalls the fold while
         // every other item is instant. Count values that exist but have
-        // not been folded (channel + window occupancy); without the
-        // fold-cursor backpressure the fast workers would race through
-        // all 63 remaining items and the peak would be ~n.
+        // not been folded (window occupancy); without the fold-cursor
+        // backpressure the fast workers would race through all 63
+        // remaining items and the peak would be ~n. The supervised fold
+        // shares the window, so it must hold the same bound.
         let n = 64usize;
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let sum = par_map_fold(
-            n,
-            |i| {
+        for supervised in [false, true] {
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let map = |i: usize| {
                 if i == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(40));
                 }
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 i
-            },
-            0usize,
-            |acc, _, v| {
+            };
+            let fold = |acc: usize, _: usize, v: usize| {
                 live.fetch_sub(1, Ordering::SeqCst);
                 acc + v
-            },
-        );
+            };
+            let sum = if supervised {
+                let retry = crate::RetryPolicy::immediate(1);
+                crate::par_map_fold_supervised(n, |i, _| map(i), 0, fold, &retry).acc
+            } else {
+                par_map_fold(n, map, 0, fold)
+            };
+            assert_eq!(sum, n * (n - 1) / 2);
+            // Every unfolded value was started while its index was within
+            // `ahead = workers * 2` of the fold cursor, so at most `ahead`
+            // values can be live at once (+1 slop for the count/fold race).
+            let bound = workers * 2 + 1;
+            let seen = peak.load(Ordering::SeqCst);
+            assert!(
+                seen <= bound,
+                "reorder window buffered {seen} values (bound {bound}, supervised {supervised})"
+            );
+        }
         set_max_threads(None);
-        assert_eq!(sum, n * (n - 1) / 2);
-        // Every unfolded value was started while its index was within
-        // `ahead = workers * 2` of the fold cursor, so at most `ahead`
-        // values can be live at once (+1 slop for the count/fold race).
-        let bound = workers * 2 + 1;
-        let seen = peak.load(Ordering::SeqCst);
-        assert!(
-            seen <= bound,
-            "reorder window buffered {seen} values (bound {bound})"
-        );
     }
 
     #[test]
@@ -672,6 +721,106 @@ mod tests {
         let mut nothing: Vec<u8> = Vec::new();
         assert!(par_chunks_mut(&mut nothing, 8, |_, c| c.len()).is_empty());
         set_max_threads(None);
+    }
+
+    /// Restores thread-count detection when dropped, also by a panicking
+    /// test.
+    struct RestoreThreads;
+
+    impl Drop for RestoreThreads {
+        fn drop(&mut self) {
+            set_max_threads(None);
+        }
+    }
+
+    /// An item body that panics with "exploded on a helper" on every
+    /// thread but the one that built it. On that (calling) thread it
+    /// waits until a helper has panicked, so a two-item call at two
+    /// threads always raises its panic on a pool helper.
+    fn exploding_item() -> impl Fn(usize) + Sync {
+        let caller = std::thread::current().id();
+        let (exploded, wait) = std::sync::mpsc::channel::<()>();
+        let wait = Mutex::new(wait);
+        move |_| {
+            if std::thread::current().id() == caller {
+                let wait = wait.lock().expect("the caller runs one item");
+                let _ = wait.recv_timeout(std::time::Duration::from_secs(5));
+            } else {
+                let _ = exploded.send(());
+                panic!("exploded on a helper");
+            }
+        }
+    }
+
+    /// The message of the panic `run` raises.
+    fn panic_message(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the call must re-raise the item's panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    type PanickingCall = dyn Fn();
+
+    #[test]
+    #[should_panic(expected = "exploded on a helper")]
+    fn item_panic_reaches_the_caller_with_its_own_payload() {
+        let _guard = override_guard();
+        let _restore = RestoreThreads;
+        set_max_threads(Some(2));
+        par_map_indexed(2, exploding_item());
+    }
+
+    #[test]
+    fn item_panics_keep_their_payload_and_the_next_call_succeeds() {
+        let _guard = override_guard();
+        let _restore = RestoreThreads;
+        set_max_threads(Some(2));
+        let calls: [(&str, Box<PanickingCall>); 5] = [
+            (
+                "par_map_indexed",
+                Box::new(|| drop(par_map_indexed(2, exploding_item()))),
+            ),
+            (
+                "par_try_map",
+                Box::new(|| {
+                    let item = exploding_item();
+                    let _ = par_try_map(&[0usize, 1], |&i| {
+                        item(i);
+                        Ok::<_, ()>(())
+                    });
+                }),
+            ),
+            (
+                "par_chunks_mut",
+                Box::new(|| {
+                    let item = exploding_item();
+                    par_chunks_mut(&mut [0u8; 2], 1, |i, _| item(i));
+                }),
+            ),
+            (
+                "par_chunks_mut2",
+                Box::new(|| {
+                    let item = exploding_item();
+                    par_chunks_mut2(&mut [0u8; 2], &mut [0u8; 2], 1, |i, _, _| item(i));
+                }),
+            ),
+            (
+                "par_map_fold",
+                Box::new(|| par_map_fold(2, exploding_item(), (), |(), _, ()| ())),
+            ),
+        ];
+        for (name, call) in calls {
+            assert_eq!(panic_message(call), "exploded on a helper", "{name}");
+            assert_eq!(
+                par_map_indexed(100, |i| i * 3),
+                (0..100).map(|i| i * 3).collect::<Vec<_>>(),
+                "the call after a panicking {name}"
+            );
+        }
     }
 
     #[test]

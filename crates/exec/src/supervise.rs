@@ -3,16 +3,15 @@
 //! that keep failing are quarantined so the run completes degraded
 //! instead of aborting.
 //!
-//! The fold structure is identical to [`crate::par_map_fold`] — workers
-//! stream `(index, result)` pairs and the caller folds successes in
-//! index order — so a supervised run whose tasks never panic performs
-//! *exactly* the same fold sequence and produces bit-identical
-//! accumulator state. That property is what lets the fleet layer route
-//! every run (chaos or production) through one code path.
+//! The supervised fold *is* [`crate::par_map_fold`] over each item's
+//! supervised attempts — same hand-out, reorder window and backpressure,
+//! with successes folded in index order — so a supervised run whose tasks
+//! never panic performs *exactly* the same fold sequence and produces
+//! bit-identical accumulator state. That property is what lets the fleet
+//! layer route every run (chaos or production) through one code path.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 use std::time::Duration;
 
@@ -196,104 +195,23 @@ where
     G: FnMut(A, usize, U) -> A,
 {
     install_quiet_hook();
-    dh_obs::counter!("exec.pool.par_map_folds").incr();
-    let workers = crate::max_threads().min(n);
     let mut failures = Vec::new();
     let mut retries = 0u64;
-
-    let acc = if workers <= 1 {
-        let mut acc = init;
-        for index in 0..n {
-            let (result, retried) = run_attempts(&f, index, retry);
+    let acc = crate::par_map_fold(
+        n,
+        |index| run_attempts(&f, index, retry),
+        init,
+        |acc, index, (result, retried)| {
             retries += retried;
             match result {
-                Ok(value) => acc = fold(acc, index, value),
-                Err(error) => failures.push(error),
-            }
-        }
-        acc
-    } else {
-        let next = AtomicUsize::new(0);
-        // Reorder backpressure, mirroring `par_map_fold`: a worker may
-        // start an item at most `ahead` indices past the fold cursor, so
-        // one slow (or retrying) low-index shard cannot make the fast
-        // workers buffer the whole remaining range in `pending`.
-        let ahead = workers * 2;
-        let cursor = std::sync::Mutex::new((0usize, false)); // (folded, receiver gone)
-        let advanced = std::sync::Condvar::new();
-        let relock = std::sync::PoisonError::into_inner;
-        std::thread::scope(|scope| {
-            type Tagged<U> = (usize, Result<U, ShardError>, u64);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Tagged<U>>(workers * 2);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                let cursor = &cursor;
-                let advanced = &advanced;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    if index >= ahead {
-                        let mut state = cursor.lock().unwrap_or_else(relock);
-                        while !state.1 && index >= state.0 + ahead {
-                            state = advanced.wait(state).unwrap_or_else(relock);
-                        }
-                        if state.1 {
-                            break;
-                        }
-                    }
-                    let (result, retried) = run_attempts(f, index, retry);
-                    // A send fails only when the caller's fold panicked;
-                    // just stop working.
-                    if tx.send((index, result, retried)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            // Wakes backpressure-parked workers when the receiver exits,
-            // normally or by unwinding out of a panicked fold.
-            struct ReceiverGone<'a>(&'a std::sync::Mutex<(usize, bool)>, &'a std::sync::Condvar);
-            impl Drop for ReceiverGone<'_> {
-                fn drop(&mut self) {
-                    self.0
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .1 = true;
-                    self.1.notify_all();
+                Ok(value) => fold(acc, index, value),
+                Err(error) => {
+                    failures.push(error);
+                    acc
                 }
             }
-            let _gone = ReceiverGone(&cursor, &advanced);
-
-            let mut acc = init;
-            let mut pending: std::collections::BTreeMap<usize, Result<U, ShardError>> =
-                std::collections::BTreeMap::new();
-            let mut expect = 0usize;
-            let mut published = 0usize;
-            for (index, result, retried) in rx {
-                retries += retried;
-                pending.insert(index, result);
-                while let Some(result) = pending.remove(&expect) {
-                    match result {
-                        Ok(value) => acc = fold(acc, expect, value),
-                        Err(error) => failures.push(error),
-                    }
-                    expect += 1;
-                }
-                if expect != published {
-                    cursor.lock().unwrap_or_else(relock).0 = expect;
-                    advanced.notify_all();
-                    published = expect;
-                }
-            }
-            debug_assert!(pending.is_empty(), "worker skipped an index");
-            acc
-        })
-    };
+        },
+    );
 
     dh_obs::counter!("exec.supervisor.quarantined").add(failures.len() as u64);
     SupervisedOutcome {
@@ -306,14 +224,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::override_guard;
     use crate::{par_map_fold, set_max_threads};
-    use std::sync::Mutex;
-
-    /// Serializes tests that mutate the global thread-count override.
-    fn override_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn clean_run_matches_unsupervised_fold_bit_for_bit() {
