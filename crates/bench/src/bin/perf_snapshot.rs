@@ -38,10 +38,6 @@
 //!   (one epoch), both with device·epochs/s and shards sized by
 //!   `auto_shard_size` from the worker count (the PR 6 fixed 8,192-chip
 //!   shards are what regressed the 10^6 parallel row to 0.89×).
-//! * Checkpointed fleet run: the synchronous per-shard writer vs the
-//!   double-buffered async writer thread — fingerprints equal and the
-//!   final checkpoint **bytes identical**, the DHFL v2 compatibility
-//!   criterion.
 //! * `dh-serve` daemon row: an in-process server driven by concurrent
 //!   HTTP clients over real sockets — sustained jobs/sec and the p99
 //!   submit→first-event latency, with every job's fingerprint checked
@@ -63,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use deep_healing::bti::calibration::TableOneTargets;
-use deep_healing::fleet::{run_fleet_checkpointed_with, run_fleet_reference, CheckpointMode};
+use deep_healing::fleet::run_fleet_reference;
 use deep_healing::prelude::*;
 use dh_serve::{client as serve_client, ServeConfig, Server};
 
@@ -546,53 +542,6 @@ fn main() {
             throughput(&deca, deca_serial_s),
             throughput(&deca, deca_s),
             deca_report.fingerprint(),
-        ),
-    });
-
-    // --- Checkpointing: sync writer vs async writer thread --------------------
-    let ckpt_config = FleetConfig {
-        devices: 65_536,
-        years: 0.25,
-        shard_size: 2_048,
-        ..FleetConfig::default()
-    };
-    let dir = std::env::temp_dir().join("dh-perf-snapshot-ckpt");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let path = dir.join("run.dhfl");
-
-    let (sync_s, sync_report) = timed(|| {
-        run_fleet_checkpointed_with(&ckpt_config, &path, 1, CheckpointMode::Sync).unwrap()
-    });
-    let sync_bytes = std::fs::read(&path).expect("read sync checkpoint");
-    std::fs::remove_file(&path).expect("reset checkpoint");
-    let (async_s, async_report) = timed(|| {
-        run_fleet_checkpointed_with(&ckpt_config, &path, 1, CheckpointMode::Async).unwrap()
-    });
-    let async_bytes = std::fs::read(&path).expect("read async checkpoint");
-    assert_eq!(
-        sync_report.fingerprint(),
-        async_report.fingerprint(),
-        "checkpoint writer mode must not change the report"
-    );
-    assert_eq!(
-        sync_bytes, async_bytes,
-        "final checkpoint bytes must be identical sync vs async"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    rows.push(Row {
-        name: "checkpoint_async",
-        baseline_s: sync_s,
-        optimized_s: async_s,
-        note: format!(
-            "{} devices x {} epochs, checkpoint every shard ({} shards): sync \
-             writer vs double-buffered async writer thread; {:.2e} vs {:.2e} \
-             device-epochs/s; reports and final checkpoint bytes identical",
-            ckpt_config.devices,
-            ckpt_config.total_epochs(),
-            ckpt_config.shard_count(),
-            throughput(&ckpt_config, sync_s),
-            throughput(&ckpt_config, async_s),
         ),
     });
 

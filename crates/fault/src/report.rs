@@ -2,23 +2,7 @@
 
 use core::fmt;
 
-/// FNV-1a 64-bit offset basis (kept local: this crate sits below the
-/// fleet wire module on purpose).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-fn fnv1a_u64(hash: u64, v: u64) -> u64 {
-    fnv1a(hash, &v.to_le_bytes())
-}
+use crate::wire::{fnv1a, fnv1a_u64, put_str, put_u64, take_str, take_u64, WireError, FNV_OFFSET};
 
 /// The ways an aging sensor misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,6 +234,88 @@ impl DegradedReport {
         }
         h = fnv1a_u64(h, self.retention_trims);
         h
+    }
+
+    /// Appends the report as the degraded-state section every checkpoint
+    /// format embeds, so a kill/resume cycle cannot launder a degraded
+    /// run into a clean one.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.retries);
+        put_u64(buf, self.rejected_samples);
+        put_u64(buf, self.quarantined.len() as u64);
+        for q in &self.quarantined {
+            put_u64(buf, q.shard);
+            put_u64(buf, u64::from(q.attempts));
+            put_str(buf, &q.error);
+        }
+        put_u64(buf, self.sensor_incidents.len() as u64);
+        for s in &self.sensor_incidents {
+            put_u64(buf, s.chip);
+            put_u64(buf, u64::from(s.kind.discriminant()));
+            put_u64(buf, s.kind.payload().to_bits());
+            put_u64(buf, s.epoch);
+        }
+        put_u64(buf, self.checkpoint_fallbacks.len() as u64);
+        for c in &self.checkpoint_fallbacks {
+            put_u64(buf, c.generation);
+            put_str(buf, &c.reason);
+        }
+        put_u64(buf, self.disk_incidents.len() as u64);
+        for i in &self.disk_incidents {
+            put_u64(buf, u64::from(i.kind.discriminant()));
+            put_u64(buf, i.write_index);
+        }
+        put_u64(buf, self.retention_trims);
+    }
+
+    /// Reads a section written by [`DegradedReport::encode`] back from
+    /// the front of `bytes`. Sections written before disk-fault tracking
+    /// end after the fallback list; their disk fields read as empty.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncation or an unknown fault discriminant.
+    pub fn decode(bytes: &mut &[u8]) -> Result<Self, WireError> {
+        let mut d = Self {
+            retries: take_u64(bytes, "degraded.retries")?,
+            rejected_samples: take_u64(bytes, "degraded.rejected")?,
+            ..Self::default()
+        };
+        for _ in 0..take_u64(bytes, "degraded.quarantined.len")? {
+            d.quarantined.push(ShardFailure {
+                shard: take_u64(bytes, "degraded.quarantined.shard")?,
+                attempts: take_u64(bytes, "degraded.quarantined.attempts")? as u32,
+                error: take_str(bytes, "degraded.quarantined.error")?,
+            });
+        }
+        for _ in 0..take_u64(bytes, "degraded.incidents.len")? {
+            let chip = take_u64(bytes, "degraded.incidents.chip")?;
+            let disc = take_u64(bytes, "degraded.incidents.kind")?;
+            let payload = f64::from_bits(take_u64(bytes, "degraded.incidents.payload")?);
+            let epoch = take_u64(bytes, "degraded.incidents.epoch")?;
+            let kind = SensorFaultKind::from_wire(disc as u8, payload)
+                .ok_or_else(|| WireError(format!("unknown sensor-fault discriminant {disc}")))?;
+            d.sensor_incidents
+                .push(SensorIncident { chip, kind, epoch });
+        }
+        for _ in 0..take_u64(bytes, "degraded.fallbacks.len")? {
+            d.checkpoint_fallbacks.push(CheckpointFallback {
+                generation: take_u64(bytes, "degraded.fallbacks.generation")?,
+                reason: take_str(bytes, "degraded.fallbacks.reason")?,
+            });
+        }
+        if bytes.is_empty() {
+            return Ok(d);
+        }
+        for _ in 0..take_u64(bytes, "degraded.disk.len")? {
+            let disc = take_u64(bytes, "degraded.disk.kind")?;
+            let write_index = take_u64(bytes, "degraded.disk.write_index")?;
+            let kind = DiskFaultKind::from_wire(disc as u8)
+                .ok_or_else(|| WireError(format!("unknown disk-fault discriminant {disc}")))?;
+            d.disk_incidents.push(DiskIncident { kind, write_index });
+        }
+        d.retention_trims = take_u64(bytes, "degraded.trims")?;
+        Ok(d)
     }
 
     /// Renders the report as the human-readable block the bench CLI and

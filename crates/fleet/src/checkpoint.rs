@@ -29,37 +29,27 @@
 //! The per-slab checksums localize corruption (a flipped bit names the
 //! slab it hit, under the whole-file checksum that already rejects the
 //! file) and let the writer assemble the payload as straight memcpys of
-//! pre-encoded state through the [`AsyncCheckpointer`] double buffer.
+//! pre-encoded state.
 //!
 //! **Version 2** (the legacy format this build still resumes from) holds
 //! the same two sections bare: [`FleetAccumulator`] state immediately
-//! followed by the degraded-state section, no slab framing. The
-//! degraded-state section carries retry and rejected-sample counts,
-//! quarantined shards (with their panic messages), sensor incidents, and
-//! checkpoint fallbacks, so a kill/resume cycle cannot launder a
-//! degraded run into a clean one — the quarantine record survives the
-//! process.
+//! followed by the degraded-state section ([`DegradedReport::encode`]),
+//! no slab framing. The degraded-state section carries retry and
+//! rejected-sample counts, quarantined shards (with their panic
+//! messages), sensor incidents, and checkpoint fallbacks, so a
+//! kill/resume cycle cannot launder a degraded run into a clean one — the
+//! quarantine record survives the process.
 //!
-//! Writes go through a temp file + atomic rename, so a kill mid-write
-//! leaves the previous checkpoint intact — the property the
-//! kill-and-resume acceptance test leans on. [`CheckpointStore`] layers
-//! generation keeping on top: writes rotate `base ← base.1 ← base.2 …`
-//! before landing, and [`CheckpointStore::read_newest_valid`] walks the
-//! generations newest-first, skipping (and recording) any that fail
-//! validation, so one corrupted write costs a replay window, never the
-//! run.
+//! Snapshots land through [`dh_fault::CheckpointStore`]: fsynced atomic
+//! writes into rotated generations, with newest-valid fallback on resume
+//! ([`crate::FleetRun::resume_from_store`]), so one corrupted write costs
+//! a replay window, never the run.
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-use dh_fault::{
-    CheckpointFallback, DegradedReport, DiskFaultKind, DiskIncident, SensorFaultKind,
-    SensorIncident, ShardFailure,
-};
+use dh_fault::wire::{fnv1a, put_u64, take_u64, FNV_OFFSET};
+use dh_fault::{Checkpoint, DegradedReport};
 
 use crate::error::FleetError;
 use crate::sim::FleetAccumulator;
-use crate::wire::{fnv1a, put_str, put_u64, take_str, take_u64, FNV_OFFSET};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"DHFL";
@@ -85,88 +75,6 @@ pub struct Snapshot {
     pub(crate) acc: FleetAccumulator,
     /// Everything the run has survived so far (empty for a clean run).
     pub degraded: DegradedReport,
-}
-
-/// Appends the degraded-state section to the payload.
-fn encode_degraded(buf: &mut Vec<u8>, d: &DegradedReport) {
-    put_u64(buf, d.retries);
-    put_u64(buf, d.rejected_samples);
-    put_u64(buf, d.quarantined.len() as u64);
-    for q in &d.quarantined {
-        put_u64(buf, q.shard);
-        put_u64(buf, u64::from(q.attempts));
-        put_str(buf, &q.error);
-    }
-    put_u64(buf, d.sensor_incidents.len() as u64);
-    for s in &d.sensor_incidents {
-        put_u64(buf, s.chip);
-        put_u64(buf, u64::from(s.kind.discriminant()));
-        put_u64(buf, s.kind.payload().to_bits());
-        put_u64(buf, s.epoch);
-    }
-    put_u64(buf, d.checkpoint_fallbacks.len() as u64);
-    for c in &d.checkpoint_fallbacks {
-        put_u64(buf, c.generation);
-        put_str(buf, &c.reason);
-    }
-    put_u64(buf, d.disk_incidents.len() as u64);
-    for i in &d.disk_incidents {
-        put_u64(buf, u64::from(i.kind.discriminant()));
-        put_u64(buf, i.write_index);
-    }
-    put_u64(buf, d.retention_trims);
-}
-
-/// Reads the degraded-state section back from the front of `bytes`.
-fn decode_degraded(bytes: &mut &[u8]) -> Result<DegradedReport, FleetError> {
-    let mut d = DegradedReport {
-        retries: take_u64(bytes, "degraded.retries")?,
-        rejected_samples: take_u64(bytes, "degraded.rejected")?,
-        ..DegradedReport::default()
-    };
-    let n = take_u64(bytes, "degraded.quarantined.len")?;
-    for _ in 0..n {
-        d.quarantined.push(ShardFailure {
-            shard: take_u64(bytes, "degraded.quarantined.shard")?,
-            attempts: take_u64(bytes, "degraded.quarantined.attempts")? as u32,
-            error: take_str(bytes, "degraded.quarantined.error")?,
-        });
-    }
-    let n = take_u64(bytes, "degraded.incidents.len")?;
-    for _ in 0..n {
-        let chip = take_u64(bytes, "degraded.incidents.chip")?;
-        let disc = take_u64(bytes, "degraded.incidents.kind")?;
-        let payload = f64::from_bits(take_u64(bytes, "degraded.incidents.payload")?);
-        let epoch = take_u64(bytes, "degraded.incidents.epoch")?;
-        let kind = SensorFaultKind::from_wire(disc as u8, payload).ok_or_else(|| {
-            FleetError::Corrupt(format!("unknown sensor-fault discriminant {disc}"))
-        })?;
-        d.sensor_incidents
-            .push(SensorIncident { chip, kind, epoch });
-    }
-    let n = take_u64(bytes, "degraded.fallbacks.len")?;
-    for _ in 0..n {
-        d.checkpoint_fallbacks.push(CheckpointFallback {
-            generation: take_u64(bytes, "degraded.fallbacks.generation")?,
-            reason: take_str(bytes, "degraded.fallbacks.reason")?,
-        });
-    }
-    // Files written before disk-fault tracking end here; their disk
-    // section is empty rather than corrupt.
-    if bytes.is_empty() {
-        return Ok(d);
-    }
-    let n = take_u64(bytes, "degraded.disk.len")?;
-    for _ in 0..n {
-        let disc = take_u64(bytes, "degraded.disk.kind")?;
-        let write_index = take_u64(bytes, "degraded.disk.write_index")?;
-        let kind = DiskFaultKind::from_wire(disc as u8).ok_or_else(|| {
-            FleetError::Corrupt(format!("unknown disk-fault discriminant {disc}"))
-        })?;
-        d.disk_incidents.push(DiskIncident { kind, write_index });
-    }
-    d.retention_trims = take_u64(bytes, "degraded.trims")?;
-    Ok(d)
 }
 
 /// Appends one v3 slab to `buf`: tag, body length (patched after the
@@ -206,35 +114,6 @@ fn take_slab<'a>(bytes: &mut &'a [u8]) -> Result<(u64, &'a [u8]), FleetError> {
     Ok((tag, body))
 }
 
-/// Writes `bytes` to `path` atomically *and durably*: temp file,
-/// fsync, rename, then fsync of the parent directory. Without the two
-/// fsyncs the rename can be persisted before the data (a torn write) or
-/// the new directory entry lost entirely on power failure — "atomic"
-/// would only hold against process death, not against the crashes the
-/// checkpoint format exists for.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FleetError> {
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| FleetError::Io(format!("{}: {e}", path.display()));
-    let mut file = std::fs::File::create(&tmp).map_err(io)?;
-    file.write_all(bytes).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(io)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        // Persist the directory entry itself. Directories cannot be
-        // fsynced on some platforms (e.g. Windows); treat that as
-        // best-effort there, but surface real failures on unix.
-        match std::fs::File::open(dir).and_then(|d| d.sync_all()) {
-            Ok(()) => {}
-            Err(e) if cfg!(unix) => return Err(io(e)),
-            Err(_) => {}
-        }
-    }
-    dh_obs::counter!("fleet.checkpoint_bytes").add(bytes.len() as u64);
-    dh_obs::counter!("fleet.checkpoints_written").incr();
-    Ok(())
-}
-
 impl Snapshot {
     /// Serializes to the wire format described in the module docs.
     pub fn encode(&self) -> Vec<u8> {
@@ -258,7 +137,7 @@ impl Snapshot {
         let payload_start = buf.len();
         put_u64(buf, 2); // slab count
         encode_slab(buf, SLAB_ACC, |b| self.acc.encode(b));
-        encode_slab(buf, SLAB_DEGRADED, |b| encode_degraded(b, &self.degraded));
+        encode_slab(buf, SLAB_DEGRADED, |b| self.degraded.encode(b));
         let payload_len = (buf.len() - payload_start) as u64;
         buf[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
         let checksum = fnv1a(FNV_OFFSET, buf);
@@ -315,7 +194,7 @@ impl Snapshot {
             // v2: the two sections bare, back to back, no slab framing.
             (
                 FleetAccumulator::decode(&mut view)?,
-                decode_degraded(&mut view)?,
+                DegradedReport::decode(&mut view)?,
             )
         } else {
             let count = take_u64(&mut view, "slab count")?;
@@ -329,7 +208,7 @@ impl Snapshot {
                         true
                     }
                     SLAB_DEGRADED if degraded.is_none() => {
-                        degraded = Some(decode_degraded(&mut slab)?);
+                        degraded = Some(DegradedReport::decode(&mut slab)?);
                         true
                     }
                     _ => false,
@@ -368,446 +247,18 @@ impl Snapshot {
             degraded,
         })
     }
-
-    /// Writes atomically (temp file + rename) and returns the byte count.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] on any filesystem failure.
-    pub fn write(&self, path: &Path) -> Result<u64, FleetError> {
-        let bytes = self.encode();
-        write_atomic(path, &bytes)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads and validates a checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] when the file cannot be read; decode errors as
-    /// in [`Snapshot::decode`].
-    pub fn read(path: &Path) -> Result<Self, FleetError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))?;
-        Self::decode(&bytes)
-    }
-
-    /// [`Snapshot::read`], but a missing file is `Ok(None)` (fresh start)
-    /// while an unreadable or corrupt file stays an error — silently
-    /// restarting over a damaged checkpoint would discard real work.
-    pub fn read_if_exists(path: &Path) -> Result<Option<Self>, FleetError> {
-        match std::fs::read(path) {
-            Ok(bytes) => Self::decode(&bytes).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(FleetError::Io(format!("{}: {e}", path.display()))),
-        }
-    }
 }
 
-/// How long an injected slow write stalls the writing thread — long
-/// enough for heartbeat watchdogs to notice a pattern of them, short
-/// enough not to dominate a chaos campaign.
-const SLOW_WRITE_STALL: std::time::Duration = std::time::Duration::from_millis(100);
-
-/// Bumps the per-kind injected-disk-fault counter.
-fn count_disk_fault(kind: DiskFaultKind) {
-    match kind {
-        DiskFaultKind::Enospc => dh_obs::counter!("fleet.disk_fault_enospc").incr(),
-        DiskFaultKind::TornWrite => dh_obs::counter!("fleet.disk_fault_torn").incr(),
-        DiskFaultKind::FsyncFail => dh_obs::counter!("fleet.disk_fault_fsync").incr(),
-        DiskFaultKind::SlowWrite => dh_obs::counter!("fleet.disk_fault_slow").incr(),
-    }
-}
-
-/// What one injected checkpoint write did: how many bytes landed (0
-/// when the write was suppressed), the content-corruption note, and the
-/// disk incidents (plus retention trims) the write survived.
-#[derive(Debug, Default)]
-pub struct WriteOutcome {
-    /// Bytes that reached the disk (0 for ENOSPC / failed fsync).
-    pub bytes: u64,
-    /// Human-readable description of injected content corruption.
-    pub corruption: Option<String>,
-    /// Disk incidents and retention trims, ready to absorb into the
-    /// run's [`DegradedReport`]. Empty when the disk behaved.
-    pub disk: DegradedReport,
-}
-
-/// A checkpoint file plus its last `keep - 1` predecessor generations:
-/// `base` is the newest, `base.1` the one before it, and so on. One
-/// corrupted (or torn, or truncated) write then costs a replay from the
-/// previous generation instead of the whole run.
-#[derive(Debug, Clone)]
-pub struct CheckpointStore {
-    base: PathBuf,
-    keep: usize,
-}
-
-impl CheckpointStore {
-    /// A store at `base` keeping `keep` generations (clamped to ≥ 1;
-    /// `keep == 1` degenerates to the plain single-file behavior).
-    pub fn new(base: impl Into<PathBuf>, keep: usize) -> Self {
-        Self {
-            base: base.into(),
-            keep: keep.max(1),
-        }
-    }
-
-    /// The newest generation's path.
-    pub fn base_path(&self) -> &Path {
-        &self.base
-    }
-
-    /// Generations kept.
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
-    /// The path of generation `generation` (0 = newest).
-    pub fn generation_path(&self, generation: usize) -> PathBuf {
-        if generation == 0 {
-            self.base.clone()
-        } else {
-            PathBuf::from(format!("{}.{generation}", self.base.display()))
-        }
-    }
-
-    /// Shifts every generation one slot older (the oldest falls off),
-    /// making room for a fresh newest write. Missing generations are
-    /// skipped.
-    fn rotate(&self) -> Result<(), FleetError> {
-        for generation in (0..self.keep.saturating_sub(1)).rev() {
-            let from = self.generation_path(generation);
-            let to = self.generation_path(generation + 1);
-            match std::fs::rename(&from, &to) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return Err(FleetError::Io(format!("{}: {e}", from.display())));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rotates the generations and writes `snapshot` as the newest.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] on any filesystem failure.
-    pub fn write(&self, snapshot: &Snapshot) -> Result<u64, FleetError> {
-        self.rotate()?;
-        snapshot.write(&self.base)
-    }
-
-    /// Deletes the oldest on-disk generation (never the newest) to
-    /// relieve disk pressure. Returns whether anything was removed.
-    fn trim_oldest(&self) -> bool {
-        for generation in (1..self.keep).rev() {
-            if std::fs::remove_file(self.generation_path(generation)).is_ok() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// [`CheckpointStore::write`] with fault injection: after encoding,
-    /// the plan may flip a bit or truncate the bytes before they land on
-    /// disk. Returns the byte count and the corruption description (if
-    /// one was injected).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] on any filesystem failure.
-    pub fn write_injected(
-        &self,
-        snapshot: &Snapshot,
-        plan: Option<&dh_fault::FaultPlan>,
-        write_index: u64,
-    ) -> Result<(u64, Option<String>), FleetError> {
-        let outcome = self.write_injected_with(snapshot, plan, write_index, &mut Vec::new())?;
-        Ok((outcome.bytes, outcome.corruption))
-    }
-
-    /// [`CheckpointStore::write_injected`] encoding into a caller-owned
-    /// scratch buffer, so a checkpoint cadence (in particular the
-    /// [`AsyncCheckpointer`] writer thread) reuses one allocation across
-    /// every write of the run.
-    ///
-    /// On top of content corruption the plan may inject a *disk* fault
-    /// for this write index, each contained rather than fatal:
-    ///
-    /// - **ENOSPC**: nothing lands; the previous generation stays
-    ///   newest and the oldest generation is trimmed to relieve
-    ///   pressure.
-    /// - **Torn write**: only a seeded prefix of the file reaches the
-    ///   disk (resume-time generation fallback absorbs it).
-    /// - **Failed fsync**: the write is abandoned before rename; the
-    ///   previous generation stays newest.
-    /// - **Slow write**: the write stalls briefly, then lands intact.
-    ///
-    /// Every injected fault is recorded in the returned
-    /// [`WriteOutcome::disk`] report instead of surfacing as an error;
-    /// only *real* filesystem failures abort.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] on any genuine filesystem failure.
-    pub fn write_injected_with(
-        &self,
-        snapshot: &Snapshot,
-        plan: Option<&dh_fault::FaultPlan>,
-        write_index: u64,
-        scratch: &mut Vec<u8>,
-    ) -> Result<WriteOutcome, FleetError> {
-        let mut outcome = WriteOutcome::default();
-        snapshot.encode_into(scratch);
-        outcome.corruption = plan.and_then(|p| p.corrupt_checkpoint(write_index, scratch));
-        let fault = plan.and_then(|p| p.disk_fault(write_index));
-        if let Some(kind) = fault {
-            outcome
-                .disk
-                .disk_incidents
-                .push(DiskIncident { kind, write_index });
-            count_disk_fault(kind);
-        }
-        match fault {
-            Some(DiskFaultKind::Enospc) => {
-                if self.trim_oldest() {
-                    outcome.disk.retention_trims += 1;
-                    dh_obs::counter!("fleet.retention_trims").incr();
-                }
-                return Ok(outcome);
-            }
-            Some(DiskFaultKind::FsyncFail) => return Ok(outcome),
-            Some(DiskFaultKind::TornWrite) => {
-                let keep = plan
-                    .expect("torn write implies a plan")
-                    .torn_length(write_index, scratch.len());
-                scratch.truncate(keep);
-            }
-            Some(DiskFaultKind::SlowWrite) => {
-                std::thread::sleep(SLOW_WRITE_STALL);
-            }
-            None => {}
-        }
-        self.rotate()?;
-        write_atomic(&self.base, scratch)?;
-        outcome.bytes = scratch.len() as u64;
-        Ok(outcome)
-    }
-
-    /// Walks the generations newest-first and returns the first snapshot
-    /// that fully validates, together with a [`CheckpointFallback`]
-    /// record for every newer generation that had to be skipped.
-    ///
-    /// All generations missing (a fresh start) or all invalid both
-    /// return `Ok(None)` — the latter with the fallback records that say
-    /// why the run is starting over. A snapshot for a *different* config
-    /// still validates here; [`crate::FleetRun::resume`] rejects it.
-    pub fn read_newest_valid(
-        &self,
-    ) -> Result<(Option<Snapshot>, Vec<CheckpointFallback>), FleetError> {
-        let mut fallbacks = Vec::new();
-        for generation in 0..self.keep {
-            let path = self.generation_path(generation);
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => {
-                    fallbacks.push(CheckpointFallback {
-                        generation: generation as u64,
-                        reason: format!("unreadable: {e}"),
-                    });
-                    continue;
-                }
-            };
-            match Snapshot::decode(&bytes) {
-                Ok(snapshot) => {
-                    dh_obs::counter!("fleet.checkpoint_fallbacks").add(fallbacks.len() as u64);
-                    return Ok((Some(snapshot), fallbacks));
-                }
-                Err(e) => fallbacks.push(CheckpointFallback {
-                    generation: generation as u64,
-                    reason: e.to_string(),
-                }),
-            }
-        }
-        dh_obs::counter!("fleet.checkpoint_fallbacks").add(fallbacks.len() as u64);
-        Ok((None, fallbacks))
-    }
-}
-
-/// How checkpoint writes are scheduled relative to the shard-folding
-/// loop.
-///
-/// Both modes produce the same sequence of `(snapshot, write index)`
-/// pairs through the same rotate-then-atomic-write path, so the on-disk
-/// generations — and therefore every kill/resume trajectory — are
-/// byte-identical; the only difference is *which thread* pays for the
-/// encode, checksum, and I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointMode {
-    /// Encode, checksum, and write on the folding thread between shard
-    /// batches (the pre-async behavior).
-    Sync,
-    /// Hand each snapshot to a dedicated writer thread over a bounded
-    /// double-buffer channel: the folding loop never blocks on disk
-    /// unless it laps the writer by two checkpoints.
-    #[default]
-    Async,
-}
-
-impl CheckpointMode {
-    /// Parses `"sync"` / `"async"` (CLI flag value).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sync" => Some(Self::Sync),
-            "async" => Some(Self::Async),
-            _ => None,
-        }
-    }
-}
-
-/// The snapshot a writer-thread job carries, plus its position in the
-/// write sequence (fault plans key corruption on the write index, so it
-/// must be assigned on the submitting side, in submission order).
-struct WriteJob {
-    snapshot: Snapshot,
-    write_index: u64,
-}
-
-/// A dedicated checkpoint writer thread: [`AsyncCheckpointer::submit`]
-/// hands over a cheap O(aggregate-state) snapshot clone and returns
-/// immediately; the thread does the encode, checksum, generation
-/// rotation, and atomic write off the folding hot path, reusing one
-/// encode buffer for the whole run.
-///
-/// Jobs flow through a bounded channel of depth 1 — a double buffer:
-/// one checkpoint in flight on the writer plus one queued. Submitting a
-/// third before the first lands blocks (backpressure), so a crashed
-/// process has lost at most the last two submitted checkpoints, exactly
-/// like a sync writer that was two batches behind. Writes happen
-/// strictly in submission order with the same write indices a sync loop
-/// would use, so the on-disk generation history is byte-identical to
-/// [`CheckpointMode::Sync`].
-///
-/// I/O errors surface at the next [`AsyncCheckpointer::submit`] or at
-/// [`AsyncCheckpointer::finish`], which must be called to guarantee the
-/// final snapshot is durable before the run's report is trusted.
-#[derive(Debug)]
-pub struct AsyncCheckpointer {
-    tx: Option<std::sync::mpsc::SyncSender<WriteJob>>,
-    handle: Option<std::thread::JoinHandle<Result<DegradedReport, FleetError>>>,
-    next_index: u64,
-}
-
-impl std::fmt::Debug for WriteJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteJob")
-            .field("write_index", &self.write_index)
-            .finish_non_exhaustive()
-    }
-}
-
-impl AsyncCheckpointer {
-    /// Spawns the writer thread for `store`, threading an optional fault
-    /// plan through to [`CheckpointStore::write_injected_with`] so
-    /// injected corruption hits the same write indices as in sync mode.
-    pub fn spawn(store: CheckpointStore, plan: Option<dh_fault::FaultPlan>) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<WriteJob>(1);
-        let handle = std::thread::Builder::new()
-            .name("dh-fleet-ckpt".into())
-            .spawn(move || {
-                let mut scratch = Vec::new();
-                let mut disk = DegradedReport::default();
-                for job in rx {
-                    let outcome = store.write_injected_with(
-                        &job.snapshot,
-                        plan.as_ref(),
-                        job.write_index,
-                        &mut scratch,
-                    )?;
-                    disk.absorb(outcome.disk);
-                }
-                Ok(disk)
-            })
-            .expect("failed to spawn checkpoint writer thread");
-        Self {
-            tx: Some(tx),
-            handle: Some(handle),
-            next_index: 0,
-        }
-    }
-
-    /// Enqueues `snapshot` as the next write. Blocks only when both
-    /// double-buffer slots are full.
-    ///
-    /// # Errors
-    ///
-    /// The writer thread's [`FleetError::Io`] if it has already died; the
-    /// snapshot that triggered the discovery is lost with it (the run
-    /// should abort — its durability guarantee is gone).
-    pub fn submit(&mut self, snapshot: Snapshot) -> Result<(), FleetError> {
-        let job = WriteJob {
-            snapshot,
-            write_index: self.next_index,
-        };
-        let tx = self.tx.as_ref().expect("submit after finish");
-        if tx.send(job).is_err() {
-            // The receiver is gone: the writer bailed on an I/O error.
-            // Join it and surface that error instead of a channel error.
-            return Err(self.join_writer());
-        }
-        self.next_index += 1;
-        Ok(())
-    }
-
-    /// Closes the queue, waits for every submitted write to land, and
-    /// returns the disk incidents the writer survived (empty without an
-    /// injecting plan).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] from any submitted write.
-    pub fn finish(mut self) -> Result<DegradedReport, FleetError> {
-        self.tx = None; // close the channel; the writer drains and exits
-        match self.handle.take() {
-            Some(handle) => match handle.join() {
-                Ok(result) => result,
-                Err(_) => Err(FleetError::Io("checkpoint writer panicked".into())),
-            },
-            None => Ok(DegradedReport::default()),
-        }
-    }
-
-    /// Joins the (already dead) writer and converts its exit into an
-    /// error for the caller.
-    fn join_writer(&mut self) -> FleetError {
-        match self.handle.take().map(std::thread::JoinHandle::join) {
-            Some(Ok(Err(e))) => e,
-            Some(Err(_)) => FleetError::Io("checkpoint writer panicked".into()),
-            // A clean exit with the channel closed cannot happen while
-            // `tx` is still held; treat it as the writer vanishing.
-            _ => FleetError::Io("checkpoint writer exited early".into()),
-        }
-    }
-}
-
-impl Drop for AsyncCheckpointer {
-    fn drop(&mut self) {
-        // Close the queue and wait for in-flight writes so a dropped
-        // (not `finish`ed) checkpointer still leaves a consistent disk
-        // state; errors here have nowhere to go and are dropped with it.
-        self.tx = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+impl Checkpoint for Snapshot {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        Snapshot::encode_into(self, buf);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use dh_fault::{DiskFaultKind, DiskIncident, SensorFaultKind};
+
     use super::*;
     use crate::sim::{FleetConfig, FleetRun};
 
@@ -820,15 +271,22 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut run = FleetRun::new(config.clone()).unwrap();
-        run.step(1).unwrap();
+        run.step_supervised(1, None, &dh_exec::RetryPolicy::immediate(1));
         (config, run.snapshot())
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dh-fleet-ckpt-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Re-computes the whole-file checksum after a deliberate edit.
+    fn refix_checksum(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(FNV_OFFSET, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -888,9 +346,7 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = VERSION + 1;
         // Fix the checksum so only the version differs.
-        let body_len = wrong_version.len() - 8;
-        let sum = crate::wire::fnv1a(crate::wire::FNV_OFFSET, &wrong_version[..body_len]);
-        wrong_version[body_len..].copy_from_slice(&sum.to_le_bytes());
+        refix_checksum(&mut wrong_version);
         assert!(matches!(
             Snapshot::decode(&wrong_version),
             Err(FleetError::Version { found, expected })
@@ -909,11 +365,11 @@ mod tests {
         put_u64(&mut buf, 0);
         let start = buf.len();
         snap.acc.encode(&mut buf);
-        encode_degraded(&mut buf, &snap.degraded);
+        snap.degraded.encode(&mut buf);
         let payload_len = (buf.len() - start) as u64;
         buf[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a(FNV_OFFSET, &buf);
-        put_u64(&mut buf, sum);
+        put_u64(&mut buf, 0);
+        refix_checksum(&mut buf);
         buf
     }
 
@@ -949,9 +405,7 @@ mod tests {
         // re-fix the *file* checksum so only the slab checksum can catch
         // it.
         bytes[29 + 24 + 4] ^= 0x10;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(FNV_OFFSET, &bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        refix_checksum(&mut bytes);
         let err = Snapshot::decode(&bytes).unwrap_err();
         assert!(
             matches!(&err, FleetError::Corrupt(m) if m.contains("slab")),
@@ -962,15 +416,14 @@ mod tests {
     #[test]
     fn files_round_trip_and_missing_files_are_none() {
         let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("single");
-        let path = dir.join("snap.dhfl");
-        let bytes = snap.write(&path).unwrap();
+        let store = dh_fault::CheckpointStore::new(temp_dir("single").join("snap.dhfl"), 1);
+        let bytes = store.write(&snap).unwrap();
         assert_eq!(bytes, snap.encode().len() as u64);
-        let back = Snapshot::read(&path).unwrap();
-        assert_eq!(back.acc, snap.acc);
-        assert!(Snapshot::read_if_exists(&path).unwrap().is_some());
-        std::fs::remove_file(&path).unwrap();
-        assert!(Snapshot::read_if_exists(&path).unwrap().is_none());
+        let (back, fallbacks) = store.read_newest_valid(Snapshot::decode);
+        assert_eq!(back.unwrap().acc, snap.acc);
+        assert!(fallbacks.is_empty());
+        std::fs::remove_file(store.base_path()).unwrap();
+        assert!(store.read_newest_valid(Snapshot::decode).0.is_none());
     }
 
     #[test]
@@ -982,225 +435,6 @@ mod tests {
             FleetRun::resume(other, snap),
             Err(FleetError::ConfigMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn store_rotates_generations_oldest_off_the_end() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("rotate");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 3);
-        // Three writes with distinct cursors: 5, 6, 7.
-        for cursor in 5..8 {
-            let mut s = snap.clone();
-            s.cursor = cursor;
-            store.write(&s).unwrap();
-        }
-        assert_eq!(Snapshot::read(&store.generation_path(0)).unwrap().cursor, 7);
-        assert_eq!(Snapshot::read(&store.generation_path(1)).unwrap().cursor, 6);
-        assert_eq!(Snapshot::read(&store.generation_path(2)).unwrap().cursor, 5);
-        // A fourth write drops cursor 5 off the end.
-        let mut s = snap.clone();
-        s.cursor = 8;
-        store.write(&s).unwrap();
-        assert_eq!(Snapshot::read(&store.generation_path(2)).unwrap().cursor, 6);
-        assert!(!store.generation_path(3).exists());
-    }
-
-    #[test]
-    fn async_rotation_retains_exactly_keep_generations() {
-        // The `--keep k` contract, across the async writer: after any
-        // number of writes, exactly k generations exist — `base` plus
-        // `base.1 ..= base.{k-1}` — holding the k newest snapshots in
-        // order, and `base.k` never appears (the off-by-one this test
-        // pins down).
-        let (_config, snap) = snapshot_after_one_step();
-        let keep = 3;
-        let dir = temp_dir("async-retention");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), keep);
-        let mut writer = AsyncCheckpointer::spawn(store.clone(), None);
-        for cursor in 1..=7 {
-            let mut s = snap.clone();
-            s.cursor = cursor;
-            writer.submit(s).unwrap();
-        }
-        writer.finish().unwrap();
-        for generation in 0..keep {
-            let snap = Snapshot::read(&store.generation_path(generation)).unwrap();
-            assert_eq!(
-                snap.cursor,
-                7 - generation as u64,
-                "generation {generation} holds the wrong write"
-            );
-        }
-        assert!(
-            !store.generation_path(keep).exists(),
-            "a {keep}-generation store must never leave a generation {keep} file"
-        );
-        assert!(!store.generation_path(keep + 1).exists());
-    }
-
-    #[test]
-    fn truncated_newest_generation_falls_back_to_the_previous() {
-        // A torn write that truncates the newest generation (as opposed
-        // to flipping a bit inside it) must cost one replay window, not
-        // the run.
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("truncated-newest");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 3);
-        for cursor in 1..3 {
-            let mut s = snap.clone();
-            s.cursor = cursor;
-            store.write(&s).unwrap();
-        }
-        let newest = store.generation_path(0);
-        let bytes = std::fs::read(&newest).unwrap();
-        std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
-        assert_eq!(found.unwrap().cursor, 1, "fell back to generation 1");
-        assert_eq!(fallbacks.len(), 1);
-        assert_eq!(fallbacks[0].generation, 0);
-    }
-
-    #[test]
-    fn read_newest_valid_falls_back_over_corruption() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("fallback");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 3);
-        for cursor in 1..4 {
-            let mut s = snap.clone();
-            s.cursor = cursor;
-            store.write(&s).unwrap();
-        }
-        // Corrupt the newest generation on disk.
-        let newest = store.generation_path(0);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        bytes[10] ^= 0xff;
-        std::fs::write(&newest, &bytes).unwrap();
-
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
-        assert_eq!(found.unwrap().cursor, 2, "fell back to generation 1");
-        assert_eq!(fallbacks.len(), 1);
-        assert_eq!(fallbacks[0].generation, 0);
-        assert!(fallbacks[0].reason.contains("checksum"));
-    }
-
-    #[test]
-    fn all_generations_invalid_restarts_with_the_record() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("all-bad");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 2);
-        store.write(&snap).unwrap();
-        store.write(&snap).unwrap();
-        for generation in 0..2 {
-            std::fs::write(store.generation_path(generation), b"garbage").unwrap();
-        }
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
-        assert!(found.is_none());
-        assert_eq!(fallbacks.len(), 2);
-    }
-
-    #[test]
-    fn missing_generations_are_not_fallbacks() {
-        let dir = temp_dir("fresh");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 3);
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
-        assert!(found.is_none());
-        assert!(fallbacks.is_empty(), "a fresh start is not a fallback");
-    }
-
-    #[test]
-    fn async_and_sync_checkpointing_are_byte_identical_on_disk() {
-        let config = FleetConfig {
-            devices: 96,
-            years: 0.3,
-            shard_size: 16,
-            group_size: 16,
-            ..FleetConfig::default()
-        };
-        let dir = temp_dir("mode-parity");
-        let sync_path = dir.join("sync.dhfl");
-        let async_path = dir.join("async.dhfl");
-        let sync_report =
-            crate::sim::run_fleet_checkpointed_with(&config, &sync_path, 1, CheckpointMode::Sync)
-                .unwrap();
-        let async_report =
-            crate::sim::run_fleet_checkpointed_with(&config, &async_path, 1, CheckpointMode::Async)
-                .unwrap();
-        assert_eq!(sync_report.fingerprint(), async_report.fingerprint());
-        assert_eq!(
-            std::fs::read(&sync_path).unwrap(),
-            std::fs::read(&async_path).unwrap(),
-            "final checkpoints must match byte for byte"
-        );
-    }
-
-    #[test]
-    fn async_supervised_matches_sync_under_injected_corruption() {
-        let config = FleetConfig {
-            devices: 96,
-            years: 0.3,
-            shard_size: 16,
-            group_size: 16,
-            ..FleetConfig::default()
-        };
-        let dir = temp_dir("mode-parity-injected");
-        let retry = dh_exec::RetryPolicy::immediate(2);
-        let run = |tag: &str, mode: CheckpointMode| {
-            let store = CheckpointStore::new(dir.join(format!("{tag}.dhfl")), 3);
-            let plan = dh_fault::FaultPlan::parse("ckpt-flip=2", 23).unwrap();
-            let out = crate::sim::run_fleet_supervised_with(
-                &config,
-                Some(&plan),
-                &retry,
-                Some((&store, 1)),
-                mode,
-            )
-            .unwrap();
-            (store, out)
-        };
-        let (sync_store, (sync_report, sync_degraded)) = run("sync", CheckpointMode::Sync);
-        let (async_store, (async_report, async_degraded)) = run("async", CheckpointMode::Async);
-        assert_eq!(sync_report.fingerprint(), async_report.fingerprint());
-        assert_eq!(sync_degraded, async_degraded);
-        for generation in 0..3 {
-            assert_eq!(
-                std::fs::read(sync_store.generation_path(generation)).unwrap(),
-                std::fs::read(async_store.generation_path(generation)).unwrap(),
-                "generation {generation} diverged between modes"
-            );
-        }
-        // The plan flipped a bit in write 2 of both histories; the
-        // fallback walk lands on the same snapshot either way.
-        let (sync_snap, sync_fb) = sync_store.read_newest_valid().unwrap();
-        let (async_snap, async_fb) = async_store.read_newest_valid().unwrap();
-        assert_eq!(sync_snap.unwrap().cursor, async_snap.unwrap().cursor);
-        assert_eq!(sync_fb.len(), async_fb.len());
-    }
-
-    #[test]
-    fn async_writer_surfaces_io_errors() {
-        let dir = temp_dir("async-io-error");
-        let missing = dir.join("no-such-subdir").join("snap.dhfl");
-        let (_config, snap) = snapshot_after_one_step();
-        let mut writer = AsyncCheckpointer::spawn(CheckpointStore::new(&missing, 2), None);
-        // The first submit is accepted into the queue; the failure lands
-        // on a later submit or on the final drain.
-        let mut saw_error = writer.submit(snap.clone()).is_err();
-        for _ in 0..4 {
-            if writer.submit(snap.clone()).is_err() {
-                saw_error = true;
-                break;
-            }
-        }
-        let finish = writer.finish();
-        assert!(
-            saw_error || finish.is_err(),
-            "a doomed write path must produce an error before the run is declared durable"
-        );
-        if let Err(e) = finish {
-            assert!(matches!(e, FleetError::Io(_)), "unexpected error: {e}");
-        }
     }
 
     #[test]
@@ -1221,17 +455,19 @@ mod tests {
     #[test]
     fn injected_writes_corrupt_exactly_the_planned_generations() {
         let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("inject");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 2);
+        let store = dh_fault::CheckpointStore::new(temp_dir("inject").join("snap.dhfl"), 2);
         let plan = dh_fault::FaultPlan::parse("ckpt-flip=2", 5).unwrap();
-        let (_, note0) = store.write_injected(&snap, Some(&plan), 0).unwrap();
-        assert!(note0.is_none());
-        assert!(Snapshot::read(&store.generation_path(0)).is_ok());
-        let (_, note1) = store.write_injected(&snap, Some(&plan), 1).unwrap();
-        assert!(note1.unwrap().contains("flipped bit"));
-        assert!(Snapshot::read(&store.generation_path(0)).is_err());
+        let newest = || Snapshot::decode(&std::fs::read(store.base_path()).unwrap());
+        store
+            .write_bytes(&mut snap.encode(), Some(&plan), 0)
+            .unwrap();
+        assert!(newest().is_ok());
+        store
+            .write_bytes(&mut snap.encode(), Some(&plan), 1)
+            .unwrap();
+        assert!(newest().is_err(), "write 1 is flipped");
         // The previous (clean) generation still resumes the run.
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
+        let (found, fallbacks) = store.read_newest_valid(Snapshot::decode);
         assert!(found.is_some());
         assert_eq!(fallbacks.len(), 1);
     }
@@ -1247,103 +483,11 @@ mod tests {
         put_u64(&mut buf, 0); // sensor incidents
         put_u64(&mut buf, 0); // checkpoint fallbacks
         let mut view = buf.as_slice();
-        let d = decode_degraded(&mut view).unwrap();
+        let d = DegradedReport::decode(&mut view).unwrap();
         assert!(view.is_empty());
         assert_eq!(d.retries, 2);
         assert_eq!(d.rejected_samples, 1);
         assert!(d.disk_incidents.is_empty());
         assert_eq!(d.retention_trims, 0);
-    }
-
-    #[test]
-    fn enospc_keeps_the_previous_generation_and_trims_the_oldest() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("enospc");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 3);
-        for cursor in 1..4 {
-            let mut s = snap.clone();
-            s.cursor = cursor;
-            store.write(&s).unwrap();
-        }
-        let plan = dh_fault::FaultPlan::parse("disk-full=1", 7).unwrap();
-        let mut failed = snap.clone();
-        failed.cursor = 99;
-        let outcome = store
-            .write_injected_with(&failed, Some(&plan), 0, &mut Vec::new())
-            .unwrap();
-        assert_eq!(outcome.bytes, 0, "nothing must land under ENOSPC");
-        assert_eq!(outcome.disk.disk_incidents.len(), 1);
-        assert_eq!(outcome.disk.disk_incidents[0].kind, DiskFaultKind::Enospc);
-        assert_eq!(outcome.disk.retention_trims, 1);
-        // Newest generation untouched; the oldest was trimmed away.
-        assert_eq!(Snapshot::read(&store.generation_path(0)).unwrap().cursor, 3);
-        assert_eq!(Snapshot::read(&store.generation_path(1)).unwrap().cursor, 2);
-        assert!(!store.generation_path(2).exists());
-    }
-
-    #[test]
-    fn failed_fsync_abandons_the_write_cleanly() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("fsync-fail");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 2);
-        let mut first = snap.clone();
-        first.cursor = 1;
-        store.write(&first).unwrap();
-        let plan = dh_fault::FaultPlan::parse("disk-fsync=1", 7).unwrap();
-        let outcome = store
-            .write_injected_with(&snap, Some(&plan), 0, &mut Vec::new())
-            .unwrap();
-        assert_eq!(outcome.bytes, 0);
-        assert_eq!(
-            outcome.disk.disk_incidents[0].kind,
-            DiskFaultKind::FsyncFail
-        );
-        // No rotation happened: the previous write is still newest and
-        // generation 1 never appeared.
-        assert_eq!(Snapshot::read(&store.generation_path(0)).unwrap().cursor, 1);
-        assert!(!store.generation_path(1).exists());
-    }
-
-    #[test]
-    fn torn_write_costs_one_generation_not_the_run() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("torn");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 2);
-        let mut first = snap.clone();
-        first.cursor = 1;
-        store.write(&first).unwrap();
-        let plan = dh_fault::FaultPlan::parse("disk-torn=1", 7).unwrap();
-        let outcome = store
-            .write_injected_with(&snap, Some(&plan), 0, &mut Vec::new())
-            .unwrap();
-        assert_eq!(
-            outcome.disk.disk_incidents[0].kind,
-            DiskFaultKind::TornWrite
-        );
-        assert!(outcome.bytes < snap.encode().len() as u64);
-        // The torn newest generation fails validation; resume falls back
-        // to the intact previous write.
-        let (found, fallbacks) = store.read_newest_valid().unwrap();
-        assert_eq!(found.unwrap().cursor, 1);
-        assert_eq!(fallbacks.len(), 1);
-        assert_eq!(fallbacks[0].generation, 0);
-    }
-
-    #[test]
-    fn async_writer_reports_disk_incidents_at_finish() {
-        let (_config, snap) = snapshot_after_one_step();
-        let dir = temp_dir("async-disk");
-        let store = CheckpointStore::new(dir.join("snap.dhfl"), 2);
-        let plan = dh_fault::FaultPlan::parse("disk-fsync=1", 7).unwrap();
-        let mut writer = AsyncCheckpointer::spawn(store, Some(plan));
-        for _ in 0..3 {
-            writer.submit(snap.clone()).unwrap();
-        }
-        let disk = writer.finish().unwrap();
-        assert_eq!(disk.disk_incidents.len(), 3);
-        assert!(disk
-            .disk_incidents
-            .iter()
-            .all(|i| i.kind == DiskFaultKind::FsyncFail));
     }
 }

@@ -36,16 +36,11 @@ pub enum FleetError {
         /// Fingerprint of the config attempting to resume.
         expected: u64,
     },
-    /// A chip produced a NaN/Inf sample that would silently poison the
-    /// streaming quantile estimators. Strict runs abort with this error;
-    /// supervised runs reject the sample and record it in the
-    /// [`dh_fault::DegradedReport`].
-    NonFiniteSample {
-        /// The shard that produced the sample.
-        shard: u64,
-        /// The global chip index of the offending outcome.
-        chip: u64,
-    },
+    /// A run with no fault plan still degraded — a real shard panic or a
+    /// chip's NaN/Inf sample — so its report is not the clean run's.
+    /// [`crate::run_fleet`] returns this where the supervised entry
+    /// points would hand back the report.
+    Degraded(Box<dh_fault::DegradedReport>),
 }
 
 impl fmt::Display for FleetError {
@@ -67,12 +62,21 @@ impl fmt::Display for FleetError {
                 f,
                 "checkpoint fingerprint {found:#018x} does not match config {expected:#018x}"
             ),
-            Self::NonFiniteSample { shard, chip } => write!(
-                f,
-                "chip {chip} (shard {shard}) produced a non-finite sample"
-            ),
+            Self::Degraded(report) => write!(f, "fleet run degraded:\n{}", report.render()),
         }
     }
 }
 
 impl std::error::Error for FleetError {}
+
+impl From<dh_fault::wire::WireError> for FleetError {
+    fn from(e: dh_fault::wire::WireError) -> Self {
+        Self::Corrupt(e.0)
+    }
+}
+
+impl From<dh_fault::CheckpointError> for FleetError {
+    fn from(e: dh_fault::CheckpointError) -> Self {
+        Self::Io(e.to_string())
+    }
+}

@@ -21,14 +21,14 @@
 //!   O(devices), and the final [`FleetReport`] is bit-identical however
 //!   the work was partitioned.
 //! * [`checkpoint::Snapshot`] is a versioned, hand-rolled binary image of
-//!   the shard cursor plus the aggregate state, written atomically at
-//!   shard boundaries: a million-device run can be killed and resumed
-//!   with a byte-identical final report.
-//! * [`run_fleet_supervised`] is the hardened flavor of all of the above:
-//!   shard panics are retried and quarantined, non-finite samples
-//!   rejected, bad wear sensors degraded to conservative always-heal, and
-//!   corrupt checkpoint generations fallen back over — the run completes
-//!   with a [`dh_fault::DegradedReport`] instead of aborting.
+//!   the shard cursor plus the aggregate state, written at shard
+//!   boundaries into a [`dh_fault::CheckpointStore`]: a million-device
+//!   run can be killed and resumed with a byte-identical final report.
+//! * Every run is supervised ([`run_fleet_supervised`]): shard panics are
+//!   retried and quarantined, non-finite samples rejected, bad wear
+//!   sensors degraded to conservative always-heal, and corrupt checkpoint
+//!   generations fallen back over — the run completes with a
+//!   [`dh_fault::DegradedReport`] instead of aborting.
 //! * [`MaintenanceBudget`] caps how many chips per maintenance group may
 //!   enter active recovery each epoch and [`FleetPolicy`] selects which —
 //!   a fixed set ([`FleetPolicy::Static`]), a rotating window
@@ -59,16 +59,15 @@ pub mod policy;
 pub mod sim;
 pub mod stats;
 pub(crate) mod store;
-pub(crate) mod wire;
 
-pub use checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot, WriteOutcome};
+pub use checkpoint::Snapshot;
 pub use chip::{ChipOutcome, ChipSpec, VariationModel, SENSOR_STALE_EPOCHS};
+pub use dh_fault::CheckpointStore;
 pub use error::FleetError;
 pub use policy::{FleetPolicy, MaintenanceBudget};
 pub use sim::{
-    run_fleet, run_fleet_checkpointed, run_fleet_checkpointed_with, run_fleet_reference,
-    run_fleet_supervised, run_fleet_supervised_with, FleetConfig, FleetProgress, FleetReport,
-    FleetRun,
+    run_fleet, run_fleet_reference, run_fleet_supervised, FleetConfig, FleetProgress, FleetReport,
+    FleetRun, SupervisedFleet,
 };
 pub use stats::{NonFinite, P2Quantile, StreamingMoments, StreamingSummary, SummaryStats};
 pub use store::StoreView;

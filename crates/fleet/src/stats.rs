@@ -18,15 +18,15 @@
 //! had never stopped.
 
 use crate::error::FleetError;
-use crate::wire::{put_f64, put_u64, take_f64, take_u64};
+use dh_fault::wire::{put_f64, put_u64, take_f64, take_u64};
 
 /// A rejected non-finite observation (carries the offending value).
 ///
 /// NaN in particular is insidious here: `NaN.min(x)` propagates, a NaN
 /// mean never recovers, and a NaN P² marker height silently corrupts
 /// every later quantile estimate. The `try_push` guards turn that into
-/// a structured rejection; the fleet layer maps it to
-/// [`FleetError::NonFiniteSample`] with shard/chip attribution.
+/// a structured rejection; the fleet layer counts it as a rejected
+/// sample in the run's degraded report.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonFinite(pub f64);
 
@@ -438,7 +438,7 @@ impl SummaryStats {
     /// Folds every field's exact bit pattern into a running FNV-1a hash
     /// (the byte-identity handle reports are compared by).
     pub fn fingerprint(&self, hash: u64) -> u64 {
-        use crate::wire::{fnv1a_f64, fnv1a_u64};
+        use dh_fault::wire::{fnv1a_f64, fnv1a_u64};
         let mut h = fnv1a_u64(hash, self.count);
         for v in [
             self.mean,

@@ -83,6 +83,21 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl From<dh_fault::wire::WireError> for ScenarioError {
+    fn from(e: dh_fault::wire::WireError) -> Self {
+        Self::Corrupt(e.0)
+    }
+}
+
+impl From<dh_fault::CheckpointError> for ScenarioError {
+    fn from(e: dh_fault::CheckpointError) -> Self {
+        Self::Io {
+            path: e.path.display().to_string(),
+            why: e.source.to_string(),
+        }
+    }
+}
+
 /// Shorthand constructor for [`ScenarioError::Schema`].
 pub(crate) fn schema(field: impl Into<String>, why: impl Into<String>) -> ScenarioError {
     ScenarioError::Schema {

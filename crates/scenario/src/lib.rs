@@ -25,8 +25,9 @@
 //! [`run_pack_supervised`] is the hardened flavor: a [`dh_fault::FaultPlan`]
 //! injects shard panics, sample poisoning, stuck sensors, checkpoint
 //! corruption, and disk faults, all contained by retry, quarantine, and
-//! multi-generation [`ScenarioCheckpointStore`] fallback so the run
-//! completes with a [`dh_fault::DegradedReport`] instead of aborting.
+//! the multi-generation fallback of the shared [`dh_fault::CheckpointStore`]
+//! so the run completes with a [`dh_fault::DegradedReport`] instead of
+//! aborting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,6 @@ pub mod models;
 mod pack;
 mod registry;
 mod run;
-mod wire;
 
 pub use error::ScenarioError;
 pub use models::{
@@ -48,6 +48,6 @@ pub use pack::{
 };
 pub use registry::{load_pack_file, PackSource, RegisteredPack, ScenarioRegistry};
 pub use run::{
-    run_pack, run_pack_supervised, CheckpointWrite, GroupReport, Progress, ScenarioCheckpointStore,
-    ScenarioReport, ScenarioRun,
+    run_pack, run_pack_supervised, GroupReport, Progress, ScenarioCheckpointStore, ScenarioReport,
+    ScenarioRun, SupervisedScenario,
 };

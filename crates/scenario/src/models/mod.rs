@@ -27,6 +27,8 @@ pub use multiplier::{AgedMultiplier, MultiplierStore};
 pub use sram::{SramDecoder, SramStore};
 pub use weight::{WeightMemory, WeightStore};
 
+use dh_fault::wire::{fnv1a, fnv1a_u64, FNV_OFFSET};
+
 /// Boltzmann constant in eV/K.
 const BOLTZMANN_EV: f64 = 8.617_333_262e-5;
 /// Arrhenius reference temperature: rates are calibrated at 300 K.
@@ -135,20 +137,27 @@ pub struct GroupCtx {
     pub maintenance_bias_v: f64,
 }
 
+/// A deterministic per-element unit draw in `[0, 1)`: hash of
+/// `(seed, label, index)` through FNV-1a, top 53 bits as the mantissa.
+/// This is how packs spread process variation, duty jitter, and corner
+/// assignment across a population without an RNG stream.
+fn unit_hash(seed: u64, label: &str, index: u64) -> f64 {
+    let h = fnv1a_u64(fnv1a(fnv1a_u64(FNV_OFFSET, seed), label.as_bytes()), index);
+    (h >> 11) as f64 * 2f64.powi(-53)
+}
+
 impl GroupCtx {
     /// The deterministic process-variation multiplier of element
     /// `index`: uniform in `1 ± variability`, drawn from the
     /// `(seed, group)` hash stream.
     pub fn variation(&self, index: u64) -> f64 {
-        let s = crate::wire::fnv1a_u64(self.seed, self.group_index);
-        1.0 + self.variability * (2.0 * crate::wire::unit_hash(s, "variation", index) - 1.0)
+        1.0 + self.variability * (2.0 * self.draw("variation", index) - 1.0)
     }
 
     /// A per-element unit draw in `[0, 1)` for model-specific columns
     /// (duty jitter, corner assignment), decorrelated by `label`.
     pub(crate) fn draw(&self, label: &str, index: u64) -> f64 {
-        let s = crate::wire::fnv1a_u64(self.seed, self.group_index);
-        crate::wire::unit_hash(s, label, index)
+        unit_hash(fnv1a_u64(self.seed, self.group_index), label, index)
     }
 
     /// The group's operating point as a [`dh_bti::StressCondition`] —
@@ -210,6 +219,19 @@ pub(crate) fn note_failure(failed: &mut u64, metric_mv: f64, ctx: EpochCtx) {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn unit_hash_is_deterministic_and_in_range() {
+        use super::unit_hash;
+        for i in 0..1_000 {
+            let u = unit_hash(42, "rate", i);
+            assert!((0.0..1.0).contains(&u), "u = {u}");
+            assert_eq!(u.to_bits(), unit_hash(42, "rate", i).to_bits());
+        }
+        // Different labels and seeds decorrelate.
+        assert_ne!(unit_hash(42, "rate", 7), unit_hash(42, "duty", 7));
+        assert_ne!(unit_hash(42, "rate", 7), unit_hash(43, "rate", 7));
+    }
+
     use super::*;
 
     #[test]

@@ -9,11 +9,11 @@
 //! validation is a separate pass with its own error variant so callers
 //! can distinguish "not a pack" from "an impossible pack".
 
+use dh_fault::wire::{fnv1a, FNV_OFFSET};
 use dh_json::{escape, num, Json};
 
 use crate::error::{invalid, schema, ScenarioError};
 use crate::models::{EpochCtx, GroupCtx};
-use crate::wire::{fnv1a, FNV_OFFSET};
 
 /// Temperatures a pack may ask for, °C (military range plus margin).
 const TEMP_MIN_C: f64 = -55.0;

@@ -16,8 +16,8 @@
 use dh_bti::WearModel;
 use dh_scenario::{
     AgedMultiplier, BlockGroup, BlockModel, Corner, EpochCtx, GroupCtx, Maintenance,
-    MaintenancePolicy, MultiplierStore, ScenarioError, ScenarioPack, ScenarioRegistry, ScenarioRun,
-    SramDecoder, SramStore, WeightMemory, WeightStore, Workload,
+    MaintenancePolicy, MultiplierStore, ScenarioCheckpointStore, ScenarioError, ScenarioPack,
+    ScenarioRegistry, ScenarioRun, SramDecoder, SramStore, WeightMemory, WeightStore, Workload,
 };
 use proptest::prelude::*;
 
@@ -399,23 +399,26 @@ fn builtin_packs_are_thread_count_invariant() {
 fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
     let dir = std::env::temp_dir().join(format!("dh-scenario-props-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let retry = dh_exec::RetryPolicy::immediate(1);
+    let to_end =
+        |run: &mut ScenarioRun| while !run.step_supervised(usize::MAX, None, &retry).done {};
     for pack in shrunk_builtins() {
         let mut straight = ScenarioRun::new(pack.clone());
-        straight.run_to_end();
+        to_end(&mut straight);
 
         // "Kill" mid-epoch: step an odd shard count, checkpoint to disk,
         // drop the run, resume from the file, finish.
         let mut stepped = ScenarioRun::new(pack.clone());
-        stepped.step(usize::MAX);
-        stepped.step(1);
-        let path = dir.join(format!("{}.dhsp", pack.name));
-        stepped.save_checkpoint(&path).unwrap();
+        stepped.step_supervised(usize::MAX, None, &retry);
+        stepped.step_supervised(1, None, &retry);
+        let store = ScenarioCheckpointStore::new(dir.join(format!("{}.dhsp", pack.name)), 1);
+        store.write(&stepped).unwrap();
         let interrupted = stepped.progress();
         drop(stepped);
 
-        let mut resumed = ScenarioRun::resume_from(pack.clone(), &path).unwrap();
+        let mut resumed = ScenarioRun::resume_from_store(pack.clone(), &store).unwrap();
         assert_eq!(resumed.progress(), interrupted, "{}", pack.name);
-        resumed.run_to_end();
+        to_end(&mut resumed);
         assert_eq!(resumed.report(), straight.report(), "{}", pack.name);
         assert_eq!(
             resumed.encode_checkpoint(),

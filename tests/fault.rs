@@ -5,9 +5,9 @@
 //!   falls back to the newest generation that validates, replays the lost
 //!   shards, and the final report is **fingerprint-identical** to an
 //!   uninterrupted run.
-//! * **Supervised parity**: with no faults injected the supervised engine
-//!   folds the exact same values in the exact same order as the strict
-//!   one — reports are bit-identical, the degraded report is clean.
+//! * **Supervised parity**: with no faults injected — no plan or a no-op
+//!   plan — every entry point folds the exact same values in the exact
+//!   same order — reports are bit-identical, the degraded report is clean.
 //! * **Graceful degradation**: killed shards are quarantined after the
 //!   retry budget, poisoned samples are rejected at the fold, stuck
 //!   sensors are flagged and reported — and in every case the run
@@ -17,10 +17,11 @@
 
 use std::path::PathBuf;
 
+use deep_healing::fault::wire::{fnv1a, FNV_OFFSET};
 use deep_healing::fault::{FaultPlan, SensorFaultKind};
 use deep_healing::fleet::{
-    run_fleet, run_fleet_supervised, run_fleet_supervised_with, CheckpointMode, CheckpointStore,
-    FleetConfig, FleetPolicy, FleetRun, MaintenanceBudget, SENSOR_STALE_EPOCHS,
+    run_fleet, run_fleet_supervised, CheckpointStore, FleetConfig, FleetPolicy, FleetRun,
+    MaintenanceBudget, SENSOR_STALE_EPOCHS,
 };
 use dh_exec::RetryPolicy;
 use dh_scenario::{
@@ -54,7 +55,10 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn seed_generations(config: &FleetConfig, store: &CheckpointStore) {
     let mut run = FleetRun::new(config.clone()).unwrap();
     for _ in 0..3 {
-        assert!(!run.step(1).unwrap(), "three shards must not finish");
+        assert!(
+            !run.step_supervised(1, None, &RetryPolicy::immediate(1)),
+            "three shards must not finish"
+        );
         store.write(&run.snapshot()).unwrap();
     }
 }
@@ -65,17 +69,13 @@ proptest! {
     /// Damage any one retained generation, any way: the resume still
     /// reproduces the uninterrupted run bit for bit, and records a
     /// fallback exactly when the newest generation was the victim.
-    /// Resumes alternate between the sync and async checkpoint writers —
-    /// multi-generation fallback must hold under both.
     #[test]
     fn corrupted_generations_fall_back_to_fingerprint_identical_resume(
         generation in 0usize..3,
         mode in 0u8..2,
-        async_writer in 0u8..2,
         damage in 0u64..u64::MAX,
     ) {
         let truncate = mode == 1;
-        let ckpt_mode = if async_writer == 1 { CheckpointMode::Async } else { CheckpointMode::Sync };
         let config = small_fleet();
         let baseline = run_fleet(&config).unwrap();
 
@@ -96,12 +96,11 @@ proptest! {
         }
         std::fs::write(&victim, &bytes).unwrap();
 
-        let (resumed, degraded) = run_fleet_supervised_with(
+        let (resumed, degraded) = run_fleet_supervised(
             &config,
             None,
             &RetryPolicy::immediate(1),
             Some((&store, 1)),
-            ckpt_mode,
         )
         .unwrap();
 
@@ -152,7 +151,11 @@ fn small_pack(name: &str) -> ScenarioPack {
 fn seed_scenario_generations(pack: &ScenarioPack, store: &ScenarioCheckpointStore) {
     let mut run = ScenarioRun::new(pack.clone());
     for _ in 0..3 {
-        assert!(!run.step(1).done, "three shards must not finish the run");
+        let retry = RetryPolicy::immediate(1);
+        assert!(
+            !run.step_supervised(1, None, &retry).done,
+            "three shards must not finish the run"
+        );
         store.write(&run).unwrap();
     }
 }
@@ -306,18 +309,6 @@ fn stuck_sensor_is_flagged_and_reported() {
     assert_eq!(report.devices, 96);
 }
 
-/// FNV-1a, re-implemented here so the test can forge a valid *file*
-/// checksum around a corrupted slab (the wire helpers are crate-private
-/// on purpose).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn slab_checksum_catches_corruption_the_file_checksum_misses() {
     let config = small_fleet();
@@ -334,7 +325,7 @@ fn slab_checksum_catches_corruption_the_file_checksum_misses() {
     let mut bytes = std::fs::read(&victim).unwrap();
     bytes[29 + 24 + 4] ^= 0x08;
     let body_len = bytes.len() - 8;
-    let sum = fnv1a(&bytes[..body_len]);
+    let sum = fnv1a(FNV_OFFSET, &bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&victim, &bytes).unwrap();
 

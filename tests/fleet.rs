@@ -15,9 +15,8 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use deep_healing::fleet::{
-    run_fleet_checkpointed, run_fleet_checkpointed_with, AsyncCheckpointer, CheckpointMode,
-    CheckpointStore, FleetConfig, FleetPolicy, FleetReport, FleetRun, MaintenanceBudget, Snapshot,
-    StreamingSummary,
+    run_fleet_supervised, CheckpointStore, FleetConfig, FleetPolicy, FleetReport, FleetRun,
+    MaintenanceBudget, Snapshot, StreamingSummary,
 };
 use deep_healing::prelude::*;
 use proptest::prelude::*;
@@ -145,6 +144,26 @@ fn fleet_report_is_identical_serial_one_shard_vs_parallel_many_shards() {
     assert_eq!(serial.devices, 96);
 }
 
+/// Clean supervision: one attempt per shard, no backoff.
+fn retry() -> dh_exec::RetryPolicy {
+    dh_exec::RetryPolicy::immediate(1)
+}
+
+/// Resumes `config` from `store` and finishes it, checkpointing every
+/// `every` shards.
+fn resume(config: &FleetConfig, store: &CheckpointStore, every: u64) -> FleetReport {
+    let (report, degraded) =
+        run_fleet_supervised(config, None, &retry(), Some((store, every))).unwrap();
+    assert!(!degraded.is_degraded(), "{}", degraded.render());
+    report
+}
+
+/// The cursor of the newest generation in `store`.
+fn newest_cursor(store: &CheckpointStore) -> u64 {
+    let bytes = std::fs::read(store.base_path()).unwrap();
+    Snapshot::decode(&bytes).unwrap().cursor
+}
+
 #[test]
 fn killed_and_resumed_run_reports_byte_identically() {
     let _g = lock();
@@ -152,77 +171,33 @@ fn killed_and_resumed_run_reports_byte_identically() {
     let uninterrupted = run_fleet(&config).unwrap();
 
     let dir = std::env::temp_dir().join("dh-fleet-resume-test");
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.dhfl");
-    let _ = std::fs::remove_file(&path);
+    let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
 
     // "Kill" a run partway: fold two of the six shards, checkpoint, and
     // drop the run without finishing it.
     {
         let mut run = FleetRun::new(config.clone()).unwrap();
         assert!(
-            !run.step(2).unwrap(),
+            !run.step_supervised(2, None, &retry()),
             "two of six shards must not finish the run"
         );
-        run.snapshot().write(&path).unwrap();
+        store.write(&run.snapshot()).unwrap();
     }
-    let snap = Snapshot::read(&path).unwrap();
-    assert_eq!(snap.cursor, 2, "checkpoint records the shard boundary");
+    assert_eq!(
+        newest_cursor(&store),
+        2,
+        "checkpoint records the shard boundary"
+    );
 
-    // A fresh process resumes from the file and finishes.
-    let resumed = run_fleet_checkpointed(&config, &path, 1).unwrap();
+    // A fresh process resumes from the store and finishes.
+    let resumed = resume(&config, &store, 1);
     assert_reports_identical(&uninterrupted, &resumed, "uninterrupted vs killed+resumed");
 
-    // The final checkpoint left on disk is the completed run.
-    let final_snap = Snapshot::read(&path).unwrap();
-    assert_eq!(final_snap.cursor, config.shard_count());
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn checkpoint_mode_is_invisible_to_kill_and_resume() {
-    let _g = lock();
-    let config = small_fleet();
-    let uninterrupted = run_fleet(&config).unwrap();
-
-    let dir = std::env::temp_dir().join("dh-fleet-resume-mode-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.dhfl");
-    let _ = std::fs::remove_file(&path);
-
-    // "Kill" mid-run with the checkpoint written through the async
-    // writer thread (submit + drop — the drop drains the queue, like a
-    // process that dies after its last write landed)...
-    {
-        let mut run = FleetRun::new(config.clone()).unwrap();
-        assert!(!run.step(2).unwrap());
-        let mut writer = AsyncCheckpointer::spawn(CheckpointStore::new(&path, 1), None);
-        writer.submit(run.snapshot()).unwrap();
-        writer.finish().unwrap();
-    }
-    // ...then resume with the sync writer: the modes must be fully
-    // interchangeable across the kill boundary.
-    let resumed_sync =
-        run_fleet_checkpointed_with(&config, &path, 1, CheckpointMode::Sync).unwrap();
-    assert_reports_identical(&uninterrupted, &resumed_sync, "async kill, sync resume");
-    let after_sync = std::fs::read(&path).unwrap();
-
-    // The reverse: sync mid-kill write, async resume.
-    let _ = std::fs::remove_file(&path);
-    {
-        let mut run = FleetRun::new(config.clone()).unwrap();
-        assert!(!run.step(2).unwrap());
-        run.snapshot().write(&path).unwrap();
-    }
-    let resumed_async =
-        run_fleet_checkpointed_with(&config, &path, 1, CheckpointMode::Async).unwrap();
-    assert_reports_identical(&uninterrupted, &resumed_async, "sync kill, async resume");
-    let after_async = std::fs::read(&path).unwrap();
-    assert_eq!(
-        after_sync, after_async,
-        "final checkpoint bytes must not depend on the writer mode"
-    );
-    std::fs::remove_file(&path).unwrap();
+    // The newest checkpoint left on disk is the completed run.
+    assert_eq!(newest_cursor(&store), config.shard_count());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -239,11 +214,12 @@ fn legacy_v2_checkpoint_fixture_resumes_to_the_pinned_report() {
     );
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/fleet_v2.dhfl");
-    let snap = Snapshot::read(&fixture).expect("checked-in v2 checkpoint decodes");
+    let bytes = std::fs::read(&fixture).expect("checked-in v2 checkpoint");
+    let snap = Snapshot::decode(&bytes).expect("checked-in v2 checkpoint decodes");
     assert_eq!(snap.cursor, 2, "fixture holds two of six folded shards");
 
     let mut run = FleetRun::resume(config.clone(), snap).unwrap();
-    while !run.step(1).unwrap() {}
+    while !run.step_supervised(1, None, &retry()) {}
     let resumed = run.report().unwrap();
     let whole = run_fleet(&config).unwrap();
     assert_reports_identical(&whole, &resumed, "v2 fixture resume vs fresh run");
@@ -263,15 +239,14 @@ fn resume_is_thread_count_invariant() {
 
     // Start serially, checkpoint, then resume on the full worker pool —
     // the partitioning of work before and after the kill is irrelevant.
-    let path = dir.join("run.dhfl");
-    let _ = std::fs::remove_file(&path);
+    let store = CheckpointStore::new(dir.join("run.dhfl"), 1);
     with_threads(Some(1), || {
         let mut run = FleetRun::new(config.clone()).unwrap();
-        run.step(3).unwrap();
-        run.snapshot().write(&path).unwrap();
+        run.step_supervised(3, None, &retry());
+        store.write(&run.snapshot()).unwrap();
     });
-    let resumed = with_threads(None, || run_fleet_checkpointed(&config, &path, 2).unwrap());
+    let resumed = with_threads(None, || resume(&config, &store, 2));
     let whole = with_threads(None, || run_fleet(&config).unwrap());
     assert_reports_identical(&whole, &resumed, "serial start, parallel finish");
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(store.base_path()).unwrap();
 }
