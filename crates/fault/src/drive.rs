@@ -13,10 +13,13 @@ use crate::{DegradedReport, FaultPlan};
 
 /// A resumable run the driver can step and checkpoint.
 pub trait Run: Checkpoint {
-    /// Steps up to `stride` more shards under supervision and returns
-    /// whether the run is complete. Stepping a complete run is a no-op
-    /// that returns `true`.
-    fn step(&mut self, stride: u64) -> bool;
+    /// Takes up to `steps` steps of up to `stride` more shards each under
+    /// supervision, stopping early when the run completes, and returns
+    /// whether it is complete. [`drive`] asks its `cancel` and calls its
+    /// `on_step` once per call, so nothing observes the run between the
+    /// steps of one call and a run may fuse them. Stepping a complete run
+    /// is a no-op that returns `true`.
+    fn step(&mut self, stride: u64, steps: u64) -> bool;
 
     /// The faults injected into the run's steps and checkpoint writes.
     fn plan(&self) -> Option<&FaultPlan>;
@@ -40,12 +43,15 @@ pub struct Checkpoints<'a> {
 }
 
 /// Steps `run` `stride` shards at a time until it completes or `cancel`
-/// (asked before every step) returns `true`, calling `on_step` after
-/// every step. With `checkpoints`, a write-behind writer thread lands a
-/// checkpoint after steps `every`, `2·every`, … and once after the final
-/// step, with [`Run::plan`]'s checkpoint corruption and disk faults
-/// injected. Write indices count from 0 on every call, so a fault plan
-/// hits the same writes on every identically seeded process.
+/// returns `true`. Without `checkpoints` every [`Run::step`] call takes
+/// one step. With them, every call takes the `every` steps up to the next
+/// write (fewer when the run ends first), and a write-behind writer
+/// thread lands a checkpoint after each call: after steps `every`,
+/// `2·every`, … and once after the final step, with [`Run::plan`]'s
+/// checkpoint corruption and disk faults injected. `cancel` is asked
+/// before, and `on_step` called after, every call — once per write
+/// window. Write indices count from 0 on every call of `drive`, so a
+/// fault plan hits the same writes on every identically seeded process.
 ///
 /// Once the writer has drained — on completion and on cancel — its
 /// report goes to [`Run::absorb`]. No checkpoint written by this call
@@ -63,30 +69,22 @@ pub fn drive<R: Run>(
     mut cancel: impl FnMut() -> bool,
     mut on_step: impl FnMut(&R),
 ) -> Result<bool, CheckpointError> {
-    let mut writer = checkpoints.map(|c| {
-        (
-            Writer::spawn(c.store.clone(), run.plan().cloned()),
-            c.every.max(1),
-        )
-    });
-    let mut steps = 0u64;
+    let steps = checkpoints.map_or(1, |c| c.every.max(1));
+    let mut writer = checkpoints.map(|c| Writer::spawn(c.store.clone(), run.plan().cloned()));
     let finished = loop {
         if cancel() {
             break false;
         }
-        let done = run.step(stride);
-        steps += 1;
-        if let Some((writer, every)) = &mut writer {
-            if done || steps.is_multiple_of(*every) {
-                writer.submit(|buf| run.encode_into(buf))?;
-            }
+        let done = run.step(stride, steps);
+        if let Some(writer) = &mut writer {
+            writer.submit(|buf| run.encode_into(buf))?;
         }
         on_step(run);
         if done {
             break true;
         }
     };
-    if let Some((writer, _)) = writer {
+    if let Some(writer) = writer {
         run.absorb(writer.finish()?);
     }
     Ok(finished)
@@ -108,6 +106,8 @@ mod tests {
         steps: u64,
         plan: Option<FaultPlan>,
         degraded: DegradedReport,
+        /// The `steps` of every [`Run::step`] call, in order.
+        calls: Vec<u64>,
         /// The step count at every encode, in order.
         encoded: RefCell<Vec<u64>>,
         absorbed: Option<Written>,
@@ -123,8 +123,9 @@ mod tests {
     }
 
     impl Run for Fake {
-        fn step(&mut self, stride: u64) -> bool {
-            self.steps = (self.steps + stride).min(self.total);
+        fn step(&mut self, stride: u64, steps: u64) -> bool {
+            self.calls.push(steps);
+            self.steps = (self.steps + stride * steps).min(self.total);
             self.steps == self.total
         }
 
@@ -175,6 +176,14 @@ mod tests {
             .collect()
     }
 
+    /// The step after which each write landed when the driver took one
+    /// step per call: every `every`-th step and the final one.
+    fn one_step_per_call(total: u64, every: u64) -> Vec<u64> {
+        (1..=total)
+            .filter(|s| s.is_multiple_of(every.max(1)) || *s == total)
+            .collect()
+    }
+
     #[test]
     fn writes_land_every_stride_and_once_after_the_final_step() {
         let store = temp_store("drive-cadence", 8);
@@ -192,8 +201,11 @@ mod tests {
             };
             let mut seen = 0;
             assert!(drive(&mut run, 1, Some(checkpoints), || false, |_| seen += 1).unwrap());
-            assert_eq!(seen, total, "on_step runs after every step");
             assert_eq!(*run.encoded.borrow(), expect, "{total} steps every {every}");
+            // One call per write window, each asking for the `every` steps
+            // up to the next write; the last window ends with the run.
+            assert_eq!(run.calls, vec![every.max(1); expect.len()]);
+            assert_eq!(seen, run.calls.len(), "on_step runs once per call");
             let written = run.absorbed.expect("absorbed once the writer drained");
             assert_eq!(written.writes, expect.len() as u64);
             assert_eq!(generations(&store, 1), vec![(total, 0)]);
@@ -203,6 +215,43 @@ mod tests {
         done.steps = 2;
         assert!(drive_into(&mut done, &store, 4, "", || false).unwrap());
         assert_eq!(*done.encoded.borrow(), vec![2]);
+    }
+
+    #[test]
+    fn fused_windows_write_after_the_same_steps_with_the_same_indices() {
+        let store = temp_store("drive-fused", 2);
+        for total in 1..=9 {
+            for every in 1..=4 {
+                let mut run = fake(total);
+                assert!(drive_into(&mut run, &store, every, "disk-torn=2", || false).unwrap());
+                let expect = one_step_per_call(total, every);
+                assert_eq!(*run.encoded.borrow(), expect, "{total} steps every {every}");
+                // Every second write (indices 1, 3, …) is torn, as it was
+                // when every call took one step.
+                let torn: Vec<u64> = run
+                    .degraded
+                    .disk_incidents
+                    .iter()
+                    .map(|i| i.write_index)
+                    .collect();
+                let odd: Vec<u64> = (0..expect.len() as u64).filter(|i| i % 2 == 1).collect();
+                assert_eq!(torn, odd, "{total} steps every {every}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_without_checkpoints_take_one_step_per_call() {
+        let mut run = fake(5);
+        let mut asked = 0;
+        let cancel = || {
+            asked += 1;
+            false
+        };
+        assert!(drive(&mut run, 2, None, cancel, |_| {}).unwrap());
+        assert_eq!(run.calls, vec![1, 1, 1]);
+        assert_eq!(asked, 3, "cancel is asked once per call");
+        assert!(run.encoded.borrow().is_empty());
     }
 
     #[test]
@@ -236,18 +285,23 @@ mod tests {
     #[test]
     fn cancel_stops_before_the_next_step_and_drains_the_writer() {
         let store = temp_store("drive-cancel", 2);
-        let mut run = fake(10);
-        let asked = Cell::new(0);
-        let cancel = || {
-            asked.set(asked.get() + 1);
-            asked.get() > 3
-        };
-        assert!(!drive_into(&mut run, &store, 1, "disk-slow=1", cancel).unwrap());
-        assert_eq!(run.steps, 3, "no step after the cancel");
-        // The third (slow) write landed before `drive` returned.
-        assert_eq!(generations(&store, 2), vec![(3, 0), (2, 0)]);
-        let written = run.absorbed.expect("a cancelled call still absorbs");
-        assert_eq!((written.writes, written.disk.disk_incidents.len()), (3, 3));
+        for (every, stopped_at) in [(1, 3), (4, 12)] {
+            let mut run = fake(20);
+            let asked = Cell::new(0);
+            let cancel = || {
+                asked.set(asked.get() + 1);
+                asked.get() > 3
+            };
+            assert!(!drive_into(&mut run, &store, every, "disk-slow=1", cancel).unwrap());
+            assert_eq!(asked.get(), 4, "asked once per call, then the cancel");
+            assert_eq!(run.calls, vec![every; 3]);
+            assert_eq!(run.steps, stopped_at, "no step after the cancel");
+            // The third (slow) write landed before `drive` returned.
+            let previous = stopped_at - every;
+            assert_eq!(generations(&store, 2), vec![(stopped_at, 0), (previous, 0)]);
+            let written = run.absorbed.expect("a cancelled call still absorbs");
+            assert_eq!((written.writes, written.disk.disk_incidents.len()), (3, 3));
+        }
     }
 
     #[test]

@@ -1098,8 +1098,11 @@ impl Checkpoint for SupervisedFleet<'_> {
 }
 
 impl Run for SupervisedFleet<'_> {
-    fn step(&mut self, stride: u64) -> bool {
-        self.run.step_supervised(stride, self.plan, self.retry)
+    /// A fleet step folds whole shards across every epoch, so `steps`
+    /// steps of `stride` shards are one step of their product.
+    fn step(&mut self, stride: u64, steps: u64) -> bool {
+        self.run
+            .step_supervised(stride.saturating_mul(steps), self.plan, self.retry)
     }
 
     fn plan(&self) -> Option<&FaultPlan> {

@@ -19,6 +19,8 @@
 //! unsupervised run. Checkpoints land through the shared
 //! [`dh_fault::CheckpointStore`] ([`ScenarioCheckpointStore`]), and every
 //! surface runs a [`SupervisedScenario`] through [`dh_fault::drive`].
+//! Nothing observes a plain run between two writes, so the plain path
+//! steps a whole write window in one parallel call, shard by shard.
 
 use std::collections::BTreeSet;
 
@@ -285,32 +287,75 @@ impl ScenarioRun {
         }
     }
 
-    /// Steps up to `max_shards` shards of the in-flight epoch in
-    /// parallel (a no-op once done). Shard boundaries are safe
-    /// cancel/checkpoint points at any granularity.
-    fn step(&mut self, max_shards: usize) -> Progress {
-        if self.epoch >= self.pack.epochs {
+    /// Moves the run to the position `steps` plain steps reach, where a
+    /// step covers up to `max_shards` shards of the in-flight epoch and
+    /// stops at its end (a no-op once done). It gets there in one
+    /// parallel call, shard-major: each shard runs all of its epochs in
+    /// the window back to back while its columns stay in cache. No shard
+    /// reads another's columns, so the state is the one step-at-a-time
+    /// stepping reaches, and a one-step window steps exactly one step's
+    /// shards. Shard boundaries are safe cancel/checkpoint points at any
+    /// granularity.
+    fn advance(&mut self, max_shards: usize, steps: u64) -> Progress {
+        let (from_epoch, from_cursor) = (self.epoch, self.shard_cursor);
+        let (epoch, cursor) = self.position_after(max_shards, steps);
+        if (epoch, cursor) == (from_epoch, from_cursor) {
             return self.progress();
         }
-        let ctx = self.pack.epoch_ctx(self.epoch + 1);
-        let hi = self
-            .shard_cursor
-            .saturating_add(max_shards.max(1))
-            .min(self.shards.len());
-        let batch = &mut self.shards[self.shard_cursor..hi];
-        dh_exec::par_chunks_mut(batch, 1, |_, chunk| {
+        // Shard `s` has integrated `from_epoch + (s < from_cursor)` epochs
+        // and ends the window at `epoch + (s < cursor)`. Only a window that
+        // wraps into a later epoch reaches the shards before `from_cursor`.
+        let n = self.shards.len();
+        let lo = if epoch == from_epoch || (epoch == from_epoch + 1 && cursor == 0) {
+            from_cursor
+        } else {
+            0
+        };
+        let hi = if epoch == from_epoch { cursor } else { n };
+        let pack = &self.pack;
+        dh_exec::par_chunks_mut(&mut self.shards[lo..hi], 1, |i, chunk| {
+            let s = lo + i;
+            let first = from_epoch + 1 + u64::from(s < from_cursor);
+            let last = epoch + u64::from(s < cursor);
             for shard in chunk.iter_mut() {
-                shard.store.step_epoch(ctx);
+                for e in first..=last {
+                    shard.store.step_epoch(pack.epoch_ctx(e));
+                }
             }
         });
-        dh_obs::counter!("scenario.shard_steps").add((hi - self.shard_cursor) as u64);
-        self.shard_cursor = hi;
-        if self.shard_cursor == self.shards.len() {
-            self.shard_cursor = 0;
-            self.epoch += 1;
-            dh_obs::counter!("scenario.epochs").incr();
+        let at = |epoch: u64, cursor: usize| epoch * n as u64 + cursor as u64;
+        dh_obs::counter!("scenario.shard_steps")
+            .add(at(epoch, cursor) - at(from_epoch, from_cursor));
+        if epoch > from_epoch {
+            dh_obs::counter!("scenario.epochs").add(epoch - from_epoch);
         }
+        self.epoch = epoch;
+        self.shard_cursor = cursor;
         self.progress()
+    }
+
+    /// The `(epoch, shard cursor)` that `steps` steps of up to
+    /// `max_shards` shards reach from here, each step stopping at the end
+    /// of its epoch, clipped at the end of the run. One iteration per
+    /// epoch crossed, so the cost is bounded by the run's remaining steps
+    /// however large `steps` is.
+    fn position_after(&self, max_shards: usize, steps: u64) -> (u64, usize) {
+        let n = self.shards.len();
+        let per_step = max_shards.max(1);
+        let (mut epoch, mut cursor, mut steps) = (self.epoch, self.shard_cursor, steps);
+        while steps > 0 && epoch < self.pack.epochs {
+            let to_epoch_end = (n - cursor).div_ceil(per_step) as u64;
+            if steps < to_epoch_end {
+                // `steps · per_step < n - cursor`, so this neither
+                // overflows nor reaches the epoch's end.
+                cursor += steps as usize * per_step;
+                break;
+            }
+            steps -= to_epoch_end;
+            epoch += 1;
+            cursor = 0;
+        }
+        (epoch, cursor)
     }
 
     /// Mixes `(epoch, shard)` into one fault-plan index so the same
@@ -347,7 +392,7 @@ impl ScenarioRun {
     ) -> Progress {
         let plan = plan.filter(|p| !p.is_noop());
         if plan.is_none() && self.quarantined.is_empty() {
-            return self.step(max_shards);
+            return self.advance(max_shards, 1);
         }
         if self.epoch >= self.pack.epochs {
             return self.progress();
@@ -683,10 +728,11 @@ pub fn run_pack(pack: ScenarioPack) -> ScenarioReport {
 /// a store is given) are written every `every` steps of
 /// [`dh_exec::max_threads`] shards through the disk-fault-injecting
 /// writer, and a corrupt newest generation falls back to an older one on
-/// resume. A run with neither a plan nor checkpoints steps a whole epoch
-/// per parallel call instead. Returns the report plus the accumulated
-/// [`DegradedReport`]; a no-op plan with no checkpoints produces a report
-/// bit-identical to [`run_pack`].
+/// resume. Without faults to inject, a checkpointed run steps each window
+/// between two writes in one parallel call, shard-major, and a run with
+/// no checkpoints steps a whole epoch per parallel call. Returns the
+/// report plus the accumulated [`DegradedReport`]; a no-op plan with no
+/// checkpoints produces a report bit-identical to [`run_pack`].
 ///
 /// # Errors
 ///
@@ -706,6 +752,7 @@ pub fn run_pack_supervised(
     // A checkpointed run's cadence counts steps of `max_threads` shards,
     // and a faulted run's supervised step copies the shards it steps, so
     // both go `max_threads` at a time; a plain run steps whole epochs.
+    // `drive` hands a checkpointed run a whole write window per call.
     let plain = checkpoints.is_none() && plan.is_none_or(FaultPlan::is_noop);
     let stride = if plain {
         u64::MAX
@@ -747,9 +794,22 @@ impl Checkpoint for SupervisedScenario<'_> {
 }
 
 impl Run for SupervisedScenario<'_> {
-    fn step(&mut self, stride: u64) -> bool {
+    /// Without faults to inject or quarantined shards to skip, the whole
+    /// window goes through `ScenarioRun::advance` in one parallel call;
+    /// otherwise every step is its own supervised step.
+    fn step(&mut self, stride: u64, steps: u64) -> bool {
         let stride = usize::try_from(stride).unwrap_or(usize::MAX);
-        self.run.step_supervised(stride, self.plan, self.retry).done
+        if self.plan.is_none_or(FaultPlan::is_noop) && self.run.quarantined.is_empty() {
+            return self.run.advance(stride, steps).done;
+        }
+        let mut progress = self.run.progress();
+        for _ in 0..steps {
+            progress = self.run.step_supervised(stride, self.plan, self.retry);
+            if progress.done {
+                break;
+            }
+        }
+        progress.done
     }
 
     fn plan(&self) -> Option<&FaultPlan> {
@@ -803,7 +863,7 @@ mod tests {
 
     /// Steps every remaining epoch to completion.
     fn step_to_end(run: &mut ScenarioRun) {
-        while !run.step(usize::MAX).done {}
+        while !run.advance(usize::MAX, 1).done {}
     }
 
     #[test]
@@ -814,7 +874,7 @@ mod tests {
 
         let mut stepped = ScenarioRun::new(pack.clone());
         // Stop mid-epoch (5 shards total: 3 + 2).
-        stepped.step(2);
+        stepped.advance(2, 1);
         let bytes = stepped.encode_checkpoint();
         let mut resumed = ScenarioRun::decode_checkpoint(pack, &bytes).unwrap();
         assert_eq!(resumed.progress(), stepped.progress());
@@ -830,7 +890,7 @@ mod tests {
     fn checkpoint_rejects_corruption_and_wrong_pack() {
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.step(usize::MAX);
+        run.advance(usize::MAX, 1);
         let mut bytes = run.encode_checkpoint();
         let last = bytes.len() - 9;
         bytes[last] ^= 1;
@@ -976,6 +1036,37 @@ mod tests {
     }
 
     #[test]
+    fn a_faulted_window_takes_one_supervised_step_per_step() {
+        let pack = small_pack();
+        let p = plan("panic=0.3,poison=0.1", 9);
+        let retry = RetryPolicy::immediate(4);
+        for window in 1..=4 {
+            let mut stepped = ScenarioRun::new(pack.clone());
+            let mut fused = ScenarioRun::new(pack.clone());
+            loop {
+                for _ in 0..window {
+                    if stepped.step_supervised(2, Some(&p), &retry).done {
+                        break;
+                    }
+                }
+                let mut supervised = SupervisedScenario {
+                    run: &mut fused,
+                    plan: Some(&p),
+                    retry: &retry,
+                };
+                let done = supervised.step(2, window);
+                assert_eq!(fused.progress(), stepped.progress(), "window {window}");
+                // The bytes carry the degraded report as well as the state.
+                assert_eq!(fused.encode_checkpoint(), stepped.encode_checkpoint());
+                if done {
+                    break;
+                }
+            }
+            assert!(fused.degraded.is_degraded(), "the plan injected faults");
+        }
+    }
+
+    #[test]
     fn v2_checkpoints_carry_the_degraded_report_and_quarantine_set() {
         let pack = small_pack();
         let p = plan("panic=1", 3);
@@ -998,7 +1089,7 @@ mod tests {
     fn legacy_v1_checkpoints_without_a_degraded_section_still_decode() {
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.step(usize::MAX);
+        run.advance(usize::MAX, 1);
         let v2 = run.encode_checkpoint();
         // A clean run's degraded section is 7 empty u64 fields; strip it
         // and rewrite version 2 -> 1 to reconstruct a v1 file.
@@ -1019,10 +1110,10 @@ mod tests {
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.step(2);
+        run.advance(2, 1);
         store.write(&run).unwrap();
         let older = run.progress();
-        run.step(usize::MAX);
+        run.advance(usize::MAX, 1);
         store.write(&run).unwrap();
         // Corrupt the newest generation on disk.
         let mut bytes = std::fs::read(store.base_path()).unwrap();
@@ -1049,10 +1140,10 @@ mod tests {
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.step(2);
+        run.advance(2, 1);
         store.write(&run).unwrap();
         let before = std::fs::read(store.base_path()).unwrap();
-        run.step(usize::MAX);
+        run.advance(usize::MAX, 1);
         // disk-full=1: every write draws ENOSPC.
         let p = plan("disk-full=1", 5);
         let write = |p: &FaultPlan, index| {

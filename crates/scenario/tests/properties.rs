@@ -10,14 +10,18 @@
 //!   comes back as a typed error, never a panic.
 //!
 //! Plus the per-built-in-pack engine pins: serial and parallel
-//! integration agree bit-for-bit, and a kill/resume through a DHSP
-//! checkpoint lands on the byte-identical end state.
+//! integration agree bit-for-bit, a kill/resume through a DHSP
+//! checkpoint lands on the byte-identical end state, and a fused write
+//! window lands where step-at-a-time stepping does.
 
 use dh_bti::WearModel;
+use dh_exec::RetryPolicy;
+use dh_fault::Run;
 use dh_scenario::{
     AgedMultiplier, BlockGroup, BlockModel, Corner, EpochCtx, GroupCtx, Maintenance,
     MaintenancePolicy, MultiplierStore, ScenarioCheckpointStore, ScenarioError, ScenarioPack,
-    ScenarioRegistry, ScenarioRun, SramDecoder, SramStore, WeightMemory, WeightStore, Workload,
+    ScenarioRegistry, ScenarioRun, SramDecoder, SramStore, SupervisedScenario, WeightMemory,
+    WeightStore, Workload,
 };
 use proptest::prelude::*;
 
@@ -428,4 +432,71 @@ fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Takes up to `steps` plain steps of up to `stride` shards, one
+/// parallel call each, stopping when the run completes.
+fn step_at_a_time(run: &mut ScenarioRun, stride: usize, steps: u64) {
+    let retry = RetryPolicy::immediate(1);
+    for _ in 0..steps {
+        if run.step_supervised(stride, None, &retry).done {
+            break;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A write window stepped in one call, shard-major, reaches the state,
+    /// report and checkpoint bytes of the same steps taken one at a time,
+    /// from any mid-epoch start (in memory or decoded from a checkpoint
+    /// the per-step path wrote), at one thread, at every thread, and on
+    /// the forced-scalar backend.
+    #[test]
+    fn a_fused_window_matches_step_at_a_time_stepping(
+        window_draws in (0usize..3, 0usize..64, 0u64..64),
+        start_draws in (0usize..64, 0u64..256, 0u8..2, 0u8..3),
+    ) {
+        let (pack_ix, stride_draw, window_draw) = window_draws;
+        let (lead_stride_draw, lead_draw, from_file, mode) = start_draws;
+        let mut pack = shrunk_builtins().swap_remove(pack_ix);
+        // Twelve epochs cross every built-in pack's maintenance interval.
+        pack.epochs = 12;
+        let shards = ScenarioRun::new(pack.clone()).progress().shards;
+        let stride = 1 + stride_draw % (shards + 1);
+        let per_epoch = shards.div_ceil(stride) as u64;
+        let window = 1 + window_draw % (3 * per_epoch);
+
+        // Lead in with a stride of its own, so the window can start at any
+        // shard of any epoch, not only at multiples of its stride.
+        let lead_stride = 1 + lead_stride_draw % shards;
+        let lead = lead_draw % (pack.epochs * shards.div_ceil(lead_stride) as u64);
+        let mut start = ScenarioRun::new(pack.clone());
+        step_at_a_time(&mut start, lead_stride, lead);
+        if from_file == 1 {
+            start = ScenarioRun::decode_checkpoint(pack.clone(), &start.encode_checkpoint()).unwrap();
+        }
+
+        let mut stepped = start.clone();
+        step_at_a_time(&mut stepped, stride, window);
+        let mut fused = start;
+        match mode {
+            0 => dh_exec::set_max_threads(Some(1)),
+            1 => dh_exec::set_max_threads(None),
+            _ => dh_simd::force_scalar(true),
+        }
+        let retry = RetryPolicy::immediate(1);
+        let mut supervised = SupervisedScenario { run: &mut fused, plan: None, retry: &retry };
+        let done = supervised.step(stride as u64, window);
+        dh_exec::set_max_threads(None);
+        dh_simd::force_scalar(false);
+
+        let case = format!("{} stride {stride} window {window} after {lead} steps of {lead_stride}, mode {mode}", pack.name);
+        prop_assert!(done == stepped.progress().done, "{case}: done");
+        prop_assert!(fused.progress() == stepped.progress(), "{case}: position");
+        prop_assert!(fused.report() == stepped.report(), "{case}: report");
+        // The checkpoint carries every state column, bit for bit.
+        prop_assert!(fused.encode_checkpoint() == stepped.encode_checkpoint(), "{case}: checkpoint bytes");
+    }
 }

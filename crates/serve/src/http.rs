@@ -83,12 +83,17 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     Ok(Request { method, path, body })
 }
 
+/// Reads one head line, never more than one byte past what is left of
+/// the head budget, so an unterminated line is refused as soon as it
+/// outgrows the budget instead of buffering until the peer stops.
 fn read_line_bounded(
     reader: &mut BufReader<&mut TcpStream>,
     line: &mut String,
     head_bytes: &mut usize,
 ) -> Result<(), String> {
+    let budget = (MAX_HEAD_BYTES - *head_bytes) as u64 + 1;
     let n = reader
+        .take(budget)
         .read_line(line)
         .map_err(|e| format!("read failed: {e}"))?;
     if n == 0 {

@@ -3,7 +3,8 @@
 //! fault-injection path. Every test runs its own server on an
 //! OS-assigned port with its own data directory.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -112,6 +113,30 @@ fn health_and_unknown_routes() {
     assert_eq!(no_such_job.status, 404);
     let bad_id = request(addr, "GET", "/jobs/banana", None).unwrap();
     assert_eq!(bad_id.status, 400);
+    server.shutdown();
+}
+
+#[test]
+fn an_unterminated_request_line_is_refused_at_the_head_limit() {
+    let (server, addr, _) = start("head-limit", |_| {});
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // 20 KiB with no newline, and the socket stays open: the 400 must not
+    // wait for a line end or for the daemon's read timeout.
+    stream.write_all(&[b'A'; 20 * 1024]).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let started = Instant::now();
+    let mut response = Vec::new();
+    let read = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        response.starts_with("HTTP/1.1 400"),
+        "after {:?} ({read:?}): {response:?}",
+        started.elapsed()
+    );
+    assert!(response.contains("16384-byte limit"), "{response}");
+    assert!(started.elapsed() < Duration::from_secs(2));
     server.shutdown();
 }
 
