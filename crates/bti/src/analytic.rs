@@ -444,6 +444,30 @@ mod tests {
     }
 
     #[test]
+    fn advance_wearout_is_bit_identical_to_the_composition() {
+        let law = StressLaw::default();
+        let between = StressCondition::new(Volts::new(1.0), Celsius::new(85.0));
+        for cond in [
+            StressCondition::ACCELERATED,
+            StressCondition::NOMINAL_USE,
+            between,
+        ] {
+            for w in [-1.0, 0.0, 1e-9, 1e-3, 0.7, 12.5, 50.0, 333.0] {
+                for dt in [1e-3, 1.0, 60.0, 3600.0, 86_400.0, 3.15e7, 3.15e8] {
+                    let dt = Seconds::new(dt);
+                    let fused = law.advance_wearout(w, dt, cond);
+                    let composed = law.wearout_mv(law.equivalent_age(w, cond) + dt, cond);
+                    assert_eq!(
+                        fused.to_bits(),
+                        composed.to_bits(),
+                        "w {w} mV, dt {dt:?}, {cond:?}: {fused} vs {composed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hardened_share_increases_with_window() {
         let model = AnalyticBtiModel::paper_calibrated();
         let h1 = model.hardened_share(Seconds::from_hours(1.0)).value();

@@ -113,14 +113,10 @@ const MAX_SUB_STEPS: usize = 4096;
 /// f64 (`exp(−37) < 2⁻⁵³/2`), so the saturated kernel path may replace
 /// the transcendental with the constant 1.0 **bit-exactly**.
 const EXP_SATURATE: f64 = 37.0;
-/// Recovery exponent beyond which `exp(−x)` is subnormal-or-zero; the
-/// kernel zeroes the occupancy outright instead of multiplying by it.
-const EXP_UNDERFLOW: f64 = 700.0;
-// The kernels lean on dh-simd returning exactly 1.0 / 0.0 at these same
-// thresholds; a drift between the two constants would silently break the
-// fast-path bit-identity argument.
+// The fast path leans on dh-simd returning exactly 1.0 at this same
+// threshold; a drift between the two constants would silently break its
+// bit-identity argument.
 const _: () = assert!(EXP_SATURATE == dh_simd::ONE_MINUS_EXP_NEG_SATURATE);
-const _: () = assert!(EXP_UNDERFLOW == dh_simd::EXP_NEG_UNDERFLOW);
 
 /// Identity of one calibration: the trap count plus the exact bit
 /// patterns of every target parameter.
@@ -384,9 +380,9 @@ dh_simd::dispatch! {
     /// One parallel chunk of the recovery kernel: element-wise
     /// `s ← s · exp(−x)` with `dh_simd::exp_neg` flushing to exactly 0.0
     /// past the underflow threshold (occupancies are non-negative, so the
-    /// multiply zeroes the lane just as the old explicit store did). No
-    /// group-granular decisions, so no padding is needed — the straight
-    /// loop is bit-identical under every backend.
+    /// multiply zeroes the lane). No group-granular decisions, so no
+    /// padding is needed — the straight loop is bit-identical under every
+    /// backend.
     fn recover_chunk_kernel(
         soft: &mut [f64],
         emit: &[f64],
@@ -405,8 +401,7 @@ dh_simd::dispatch! {
 thread_local! {
     /// Reusable gate-trajectory buffer: `stress` fills it once per call,
     /// keeping the hot path allocation-free after the first call on each
-    /// thread (the baselines `stress_pr2`/`stress_pr1` deliberately keep
-    /// their per-call allocation for the bench comparison).
+    /// thread.
     static GATES_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -697,14 +692,6 @@ impl TrapEnsemble {
         buf.extend((0..steps).map(|k| gate_value(window0 + (k as f64 + 0.5) * sub, tau_onset, m)));
     }
 
-    /// Allocating form of [`TrapEnsemble::fill_gate_trajectory`], used by
-    /// the retained baseline kernels.
-    fn gate_trajectory(&self, steps: usize, sub: f64) -> Vec<f64> {
-        let mut gates = Vec::with_capacity(steps);
-        self.fill_gate_trajectory(&mut gates, steps, sub);
-        gates
-    }
-
     /// Applies `dt` of stress at `cond`.
     ///
     /// Runs the SIMD structure-of-arrays kernel: the adaptive sub-step
@@ -765,83 +752,23 @@ impl TrapEnsemble {
         self.window += Seconds::new(sub * steps as f64);
     }
 
-    /// The PR 2 SoA stress kernel (per-trap scalar loop, libm `exp_m1`,
-    /// per-trap saturated fast path, allocating gate trajectory): kept as
-    /// the measured baseline for `perf_snapshot`'s SIMD speedup row. Not
-    /// part of the API.
-    #[doc(hidden)]
-    pub fn stress_pr2(&mut self, dt: Seconds, cond: StressCondition) {
-        if !(dt.value() > 0.0) || !cond.is_finite() {
-            return;
-        }
-        let (steps, sub) = stress_schedule(dt.value(), self.window.value(), &self.permanent);
-        let gates = self.gate_trajectory(steps, sub);
-        let first_gate = gates[0];
-        let amp_sub = self.capture_amplitude(cond) * sub;
-        let harden_step = 1.0 - (-sub / self.permanent.tau_harden.value()).exp();
-        let capture_base = &self.capture_base;
-        let deep = &self.deep;
-        dh_exec::par_chunks_mut2(
-            &mut self.occ_soft,
-            &mut self.occ_hard,
-            TRAP_CHUNK,
-            |ci, soft, hard| {
-                let offset = ci * TRAP_CHUNK;
-                let capture = &capture_base[offset..offset + soft.len()];
-                let deepw = &deep[offset..offset + soft.len()];
-                let mut saturated: u64 = 0;
-                for ((s, h), (&c, &d)) in soft
-                    .iter_mut()
-                    .zip(hard.iter_mut())
-                    .zip(capture.iter().zip(deepw))
-                {
-                    let x_shallow = amp_sub * c * (1.0 - d);
-                    let x_deep = amp_sub * c * d;
-                    let harden_scale = d * harden_step;
-                    let mut os = *s;
-                    let mut oh = *h;
-                    // The gate trajectory is non-decreasing, so the first
-                    // step has the smallest capture exponent.
-                    if x_shallow + x_deep * first_gate >= EXP_SATURATE {
-                        saturated += 1;
-                        for &gate in &gates {
-                            os += 1.0 - os - oh;
-                            let harden = os * harden_scale * gate;
-                            os -= harden;
-                            oh += harden;
-                        }
-                    } else {
-                        for &gate in &gates {
-                            let x = x_shallow + x_deep * gate;
-                            // 1 − exp(−x) without the cancellation.
-                            let captured = (1.0 - os - oh) * (-(-x).exp_m1());
-                            os += captured;
-                            let harden = os * harden_scale * gate;
-                            os -= harden;
-                            oh += harden;
-                        }
-                    }
-                    *s = os;
-                    *h = oh;
-                }
-                saturated
-            },
-        );
-        self.window += Seconds::new(sub * steps as f64);
-    }
-
     /// Scalar per-trap reference for [`TrapEnsemble::stress`]: the same
     /// adaptive schedule and model, but with every per-trap `powf` and
-    /// sigmoid re-evaluated inside the loop and the naive `1 − exp(−x)`
-    /// formulation. The SoA kernel must agree with this to ≤1e-12 relative
-    /// on the aggregate observables. Not part of the API.
+    /// sigmoid re-evaluated inside the loop and libm in place of the
+    /// `dh-simd` polynomial. Capture uses `−expm1(−x)` rather than the
+    /// naive `1 − exp(−x)`: for the small exponents of short, weak stress
+    /// the subtraction cancels (up to 7e-2 relative per trap after 2 s at
+    /// 0.4 V and 25 °C), which would make the oracle, not the kernel, the
+    /// error being measured. The SoA kernel must agree with this to ≤1e-12
+    /// relative on the aggregate observables. Not part of the API.
     #[doc(hidden)]
     pub fn stress_reference(&mut self, dt: Seconds, cond: StressCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
         }
         let (steps, sub) = stress_schedule(dt.value(), self.window.value(), &self.permanent);
-        let gates = self.gate_trajectory(steps, sub);
+        let mut gates = Vec::new();
+        self.fill_gate_trajectory(&mut gates, steps, sub);
         let amp = self.capture_amplitude(cond);
         let harden_step = 1.0 - (-sub / self.permanent.tau_harden.value()).exp();
         let deep_edge = self.deep_edge;
@@ -856,7 +783,7 @@ impl TrapEnsemble {
             let base_rate = amp / 10f64.powf(lc);
             for &gate in &gates {
                 let rate = base_rate * ((1.0 - deep) + deep * gate);
-                let captured = (1.0 - *s - *h) * (1.0 - (-rate * sub).exp());
+                let captured = (1.0 - *s - *h) * -(-rate * sub).exp_m1();
                 *s += captured;
                 let harden = *s * deep * gate * harden_step;
                 *s -= harden;
@@ -866,59 +793,14 @@ impl TrapEnsemble {
         self.window += Seconds::new(sub * steps as f64);
     }
 
-    /// The PR 1 stress kernel (fixed 900 s stride, per-trap `powf` and
-    /// sigmoid hoisted out of the step loop, parallel chunks): kept as the
-    /// measured baseline for `perf_snapshot`'s pr1-vs-pr2 comparison. Not
-    /// part of the API.
-    #[doc(hidden)]
-    pub fn stress_pr1(&mut self, dt: Seconds, cond: StressCondition) {
-        if !(dt.value() > 0.0) || !cond.is_finite() {
-            return;
-        }
-        let steps = ((dt.value() / 900.0).ceil() as usize).clamp(1, 400);
-        let sub = dt.value() / steps as f64;
-        let amp = self.capture_amplitude(cond);
-        let tau_onset = self.permanent.tau_onset.value();
-        let m = self.permanent.m;
-        let window0 = self.window.value();
-        let gates: Vec<f64> = (0..steps)
-            .map(|k| gate_value(window0 + (k as f64 + 0.5) * sub, tau_onset, m))
-            .collect();
-        let harden_step = 1.0 - (-sub / self.permanent.tau_harden.value()).exp();
-        let deep_edge = self.deep_edge;
-        let log_tau_e = &self.log_tau_e;
-        let log_tau_c = &self.log_tau_c;
-        dh_exec::par_chunks_mut2(
-            &mut self.occ_soft,
-            &mut self.occ_hard,
-            TRAP_CHUNK,
-            |ci, soft, hard| {
-                let offset = ci * TRAP_CHUNK;
-                for (j, (s, h)) in soft.iter_mut().zip(hard.iter_mut()).enumerate() {
-                    let deep = deep_weight_at(deep_edge, log_tau_e[offset + j]);
-                    let base_rate = amp / 10f64.powf(log_tau_c[offset + j]);
-                    for &gate in &gates {
-                        let rate = base_rate * ((1.0 - deep) + deep * gate);
-                        let captured = (1.0 - *s - *h) * (1.0 - (-rate * sub).exp());
-                        *s += captured;
-                        let harden = *s * deep * gate * harden_step;
-                        *s -= harden;
-                        *h += harden;
-                    }
-                }
-            },
-        );
-        self.window += Seconds::new(sub * steps as f64);
-    }
-
     /// Applies `dt` of recovery at `cond`.
     ///
     /// One exponential per trap over the precomputed emission-rate column,
     /// evaluated by the `dh-simd` polynomial `exp(−x)` (exactly 0.0 past
-    /// [`EXP_UNDERFLOW`], zeroing the occupancy as the scalar kernel's
-    /// explicit store did). The kernel body is compiled for both AVX2 and
-    /// plain scalar and dispatched at runtime; bit-identical at any thread
-    /// count and under either backend.
+    /// [`dh_simd::EXP_NEG_UNDERFLOW`], which zeroes the occupancy). The
+    /// kernel body is compiled for both AVX2 and plain scalar and
+    /// dispatched at runtime; bit-identical at any thread count and under
+    /// either backend.
     pub fn recover(&mut self, dt: Seconds, cond: RecoveryCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
@@ -939,36 +821,6 @@ impl TrapEnsemble {
             recover_chunk_kernel(soft, emit, deepw, theta, anneal, dt_s);
         });
         // Deep recovery resets the continuous-stress window.
-        self.window = self.window * (-depth * dt_s / self.permanent.tau_window_reset.value()).exp();
-    }
-
-    /// The PR 2 recovery kernel (libm `exp`, explicit underflow store):
-    /// kept as the measured baseline for `perf_snapshot`. Not part of the
-    /// API.
-    #[doc(hidden)]
-    pub fn recover_pr2(&mut self, dt: Seconds, cond: RecoveryCondition) {
-        if !(dt.value() > 0.0) || !cond.is_finite() {
-            return;
-        }
-        let theta = self.acceleration.factor(cond);
-        let depth = theta / self.theta4;
-        let anneal = depth / self.permanent.tau_soft_anneal.value();
-        let dt_s = dt.value();
-        let emit_base = &self.emit_base;
-        let deep = &self.deep;
-        dh_exec::par_chunks_mut(&mut self.occ_soft, TRAP_CHUNK, |ci, soft| {
-            let offset = ci * TRAP_CHUNK;
-            let emit = &emit_base[offset..offset + soft.len()];
-            let deepw = &deep[offset..offset + soft.len()];
-            for ((s, &e), &d) in soft.iter_mut().zip(emit).zip(deepw) {
-                let x = (theta * e + anneal * d) * dt_s;
-                *s = if x >= EXP_UNDERFLOW {
-                    0.0
-                } else {
-                    *s * (-x).exp()
-                };
-            }
-        });
         self.window = self.window * (-depth * dt_s / self.permanent.tau_window_reset.value()).exp();
     }
 
@@ -1271,9 +1123,9 @@ mod tests {
     #[test]
     fn soa_kernel_matches_scalar_reference_tightly() {
         // Kernel and scalar reference share the adaptive schedule; the only
-        // differences are float reassociation, `10^−x` vs `1/10^x`, and
-        // `exp_m1` vs `1 − exp` — each bounded by an ulp or two per step,
-        // so the aggregates must agree far inside 1e-12 relative.
+        // differences are float reassociation, `10^−x` vs `1/10^x`, and the
+        // `dh-simd` polynomial vs libm — each bounded by an ulp or two per
+        // step, so the aggregates must agree far inside 1e-12 relative.
         let mut fast = ensemble();
         let mut reference = fast.clone();
         for hours in [0.2, 1.0, 6.0, 24.0] {
@@ -1331,56 +1183,6 @@ mod tests {
             assert_eq!(sa[i].to_bits(), ss[i].to_bits(), "soft occupancy lane {i}");
             assert_eq!(ha[i].to_bits(), hs[i].to_bits(), "hard occupancy lane {i}");
         }
-    }
-
-    #[test]
-    fn pr2_baseline_kernel_stays_within_tolerance() {
-        // The retained PR 2 kernel (libm exp_m1/exp) and the SIMD
-        // polynomial kernel differ by a few ulp per step; the aggregates
-        // must stay inside the same 1e-12 budget as the scalar reference.
-        let mut new = ensemble();
-        let mut pr2 = ensemble();
-        for _ in 0..4 {
-            new.stress(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-            pr2.stress_pr2(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-            new.recover(
-                Seconds::from_minutes(30.0),
-                RecoveryCondition::ACTIVE_ACCELERATED,
-            );
-            pr2.recover_pr2(
-                Seconds::from_minutes(30.0),
-                RecoveryCondition::ACTIVE_ACCELERATED,
-            );
-        }
-        assert!(
-            rel_diff(new.delta_vth_mv(), pr2.delta_vth_mv()) < 1e-12,
-            "SIMD {} vs pr2 {}",
-            new.delta_vth_mv(),
-            pr2.delta_vth_mv()
-        );
-        assert!(
-            (new.permanent_mv() - pr2.permanent_mv()).abs()
-                <= 1e-12 * pr2.permanent_mv().abs().max(1.0),
-            "permanent diverged"
-        );
-    }
-
-    #[test]
-    fn pr1_fixed_stride_kernel_stays_close() {
-        // The PR 1 kernel steps at a fixed 900 s stride; the adaptive
-        // schedule is coarser on quiet stretches. Capture under a constant
-        // rate is exact at any step size, so only the gate/hardening
-        // integration differs — the trajectories must stay within ~2 %.
-        let mut adaptive = ensemble();
-        let mut pr1 = adaptive.clone();
-        adaptive.stress(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-        pr1.stress_pr1(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-        assert!(
-            rel_diff(adaptive.delta_vth_mv(), pr1.delta_vth_mv()) < 0.02,
-            "adaptive {} vs pr1 {}",
-            adaptive.delta_vth_mv(),
-            pr1.delta_vth_mv()
-        );
     }
 
     #[test]

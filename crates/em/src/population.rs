@@ -176,52 +176,6 @@ fn simulate_one_wire(
     wire.is_failed().then(|| wire.time())
 }
 
-/// The pre-`dh-exec` population loop (shared sequential RNG, 10-minute
-/// outer stepping): kept as the measured serial baseline for
-/// `perf_snapshot`. Not part of the API.
-#[doc(hidden)]
-pub fn simulate_population_baseline(
-    n: usize,
-    j: CurrentDensity,
-    variation: VariationModel,
-    horizon: Seconds,
-    seed: u64,
-) -> TtfPopulation {
-    let mut rng = dh_units::rng::seeded_rng(seed, "em-population");
-    let base = EmMaterial::damascene_copper();
-    let mut ttfs = Vec::new();
-    let mut censored = 0;
-
-    for _ in 0..n {
-        let mut material = base;
-        material.d0_m2_per_s *= lognormal(&mut rng, variation.sigma_ln_d0);
-        material.critical_stress = Pascals::new(
-            material.critical_stress.value() * lognormal(&mut rng, variation.sigma_ln_crit),
-        );
-        let mut wire = EmWire::new(
-            WireGeometry::paper(),
-            material,
-            dh_units::Celsius::new(230.0).to_kelvin(),
-            61,
-        )
-        .expect("perturbed material stays valid");
-
-        let step = Seconds::from_minutes(10.0);
-        let mut t = Seconds::ZERO;
-        while t < horizon && !wire.is_failed() {
-            wire.advance_reference(step, j);
-            t += step;
-        }
-        if wire.is_failed() {
-            ttfs.push(wire.time());
-        } else {
-            censored += 1;
-        }
-    }
-    ttfs.sort_by(|a, b| a.value().total_cmp(&b.value()));
-    TtfPopulation { ttfs, censored }
-}
-
 fn lognormal(rng: &mut StdRng, sigma: f64) -> f64 {
     (sigma * dh_units::rng::standard_normal(rng)).exp()
 }

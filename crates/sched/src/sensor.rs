@@ -53,16 +53,6 @@ impl BtiSensor {
             .infer_delta_vth_mv_given_fresh(noisy, self.fresh)
             .unwrap_or(0.0)
     }
-
-    /// [`BtiSensor::measure`] re-deriving the fresh frequency per call, as
-    /// the seed did: the measured baseline for `perf_snapshot`. Not part of
-    /// the API.
-    #[doc(hidden)]
-    pub fn measure_reference(&mut self, true_dvth_mv: f64) -> f64 {
-        let f_true = self.ro.frequency(true_dvth_mv.max(0.0));
-        let noisy = f_true * (1.0 + self.noise_rel * standard_normal(&mut self.rng));
-        self.ro.infer_delta_vth_mv(noisy).unwrap_or(0.0)
-    }
 }
 
 /// A resistance-change EM sensor.

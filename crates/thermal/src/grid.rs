@@ -125,8 +125,6 @@ pub struct ThermalGrid {
     temp: Vec<f64>,
     /// Pre-factored steady-state matrix (`None` for very large grids).
     factors: Option<LuFactors>,
-    /// Forces the iterative reference solver (baseline measurements only).
-    use_reference: bool,
 }
 
 impl ThermalGrid {
@@ -161,7 +159,6 @@ impl ThermalGrid {
             config,
             temp: vec![ambient_k; config.tiles()],
             factors,
-            use_reference: false,
         })
     }
 
@@ -290,7 +287,7 @@ impl ThermalGrid {
     /// Same as [`ThermalGrid::step`].
     pub fn settle(&mut self, power_w: &[f64]) -> Result<(), ThermalError> {
         self.validate_power(power_w)?;
-        let Some(factors) = self.factors.as_ref().filter(|_| !self.use_reference) else {
+        let Some(factors) = self.factors.as_ref() else {
             return self.settle_reference(power_w);
         };
         dh_obs::counter!("thermal.settle.lu_solves").incr();
@@ -304,18 +301,10 @@ impl ThermalGrid {
         Ok(())
     }
 
-    /// Routes [`ThermalGrid::settle`] through the Gauss–Seidel reference
-    /// solver regardless of grid size. Baseline measurements only.
-    #[doc(hidden)]
-    pub fn set_reference_solver(&mut self, on: bool) {
-        self.use_reference = on;
-    }
-
-    /// The pre-factorization Gauss–Seidel settle (iterated to 1 nK): kept
-    /// as the measured baseline for `perf_snapshot` and as the fallback
-    /// for grids too large to factor. Not part of the API.
-    #[doc(hidden)]
-    pub fn settle_reference(&mut self, power_w: &[f64]) -> Result<(), ThermalError> {
+    /// The Gauss–Seidel settle (iterated to 1 nK): the fallback for grids
+    /// too large to factor, and the oracle the direct solve is tested
+    /// against.
+    fn settle_reference(&mut self, power_w: &[f64]) -> Result<(), ThermalError> {
         self.validate_power(power_w)?;
         dh_obs::counter!("thermal.settle.gauss_seidel_solves").incr();
         // Gauss–Seidel on the steady-state balance equations.

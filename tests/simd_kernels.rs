@@ -4,11 +4,12 @@
 //! * The `dh-simd` batched exponentials match libm to ≤ 1e-12 relative
 //!   error over the whole wear-kernel domain, including the exact
 //!   saturation cutoffs.
-//! * The CET structure-of-arrays SIMD kernels reproduce the retained
-//!   PR 2 libm kernels to ≤ 1e-12 relative occupancy error, property-
-//!   tested across random trap ensembles, lane-remainder ensemble sizes
-//!   (not multiples of [`deep_healing::simd::LANES`]), and stress times
-//!   that straddle the saturated-exponent boundary.
+//! * The CET structure-of-arrays SIMD kernels reproduce the scalar
+//!   `stress_reference`/`recover_reference` oracle to ≤ 1e-12 relative
+//!   occupancy error, property-tested across random trap ensembles,
+//!   lane-remainder ensemble sizes (not multiples of
+//!   [`deep_healing::simd::LANES`]), and stress times that straddle the
+//!   saturated-exponent boundary.
 //! * The AVX2 and forced-scalar backends are bit-identical through a
 //!   full stress/recover cycle — the runtime dispatch can never change
 //!   a trajectory.
@@ -49,10 +50,14 @@ fn random_ensemble(n_traps: usize, seed: u64) -> Option<TrapEnsemble> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The SIMD stress/recover kernels track the PR 2 libm kernels to
+    /// The SIMD stress/recover kernels track the scalar oracle to
     /// ≤ 1e-12 relative occupancy error over random ensembles, lane
     /// remainders, and stress times from seconds to days (the long end
     /// drives capture exponents across the saturation boundary).
+    ///
+    /// Per trap the hard occupancy `h` and the total `s + h` are compared.
+    /// The soft occupancy alone is not: for a nearly hardened trap it is
+    /// `1 − h`, so one ulp of `h` is up to ~2e-11 relative error in `s`.
     #[test]
     fn simd_kernels_match_scalar_reference_over_random_ensembles(
         n_traps in 128usize..400,
@@ -69,21 +74,21 @@ proptest! {
         for _ in 0..3 {
             fast.stress(Seconds::from_hours(stress_hours), stress);
             fast.recover(Seconds::from_minutes(recover_minutes), recover);
-            reference.stress_pr2(Seconds::from_hours(stress_hours), stress);
-            reference.recover_pr2(Seconds::from_minutes(recover_minutes), recover);
+            reference.stress_reference(Seconds::from_hours(stress_hours), stress);
+            reference.recover_reference(Seconds::from_minutes(recover_minutes), recover);
         }
         let (soft_a, hard_a) = fast.occupancy_columns();
         let (soft_b, hard_b) = reference.occupancy_columns();
-        for (i, (a, b)) in soft_a.iter().zip(soft_b).enumerate() {
+        for i in 0..soft_a.len() {
+            let (ha, hb) = (hard_a[i], hard_b[i]);
             prop_assert!(
-                rel_diff(*a, *b) <= 1e-12,
-                "soft occupancy {i}: {a} vs {b} (n={n_traps})"
+                rel_diff(ha, hb) <= 1e-12,
+                "hard occupancy {i}: {ha} vs {hb} (n={n_traps})"
             );
-        }
-        for (i, (a, b)) in hard_a.iter().zip(hard_b).enumerate() {
+            let (ta, tb) = (soft_a[i] + ha, soft_b[i] + hb);
             prop_assert!(
-                rel_diff(*a, *b) <= 1e-12,
-                "hard occupancy {i}: {a} vs {b} (n={n_traps})"
+                rel_diff(ta, tb) <= 1e-12,
+                "total occupancy {i}: {ta} vs {tb} (n={n_traps})"
             );
         }
         prop_assert!(rel_diff(fast.delta_vth_mv(), reference.delta_vth_mv()) <= 1e-12);
@@ -157,13 +162,13 @@ fn saturated_fast_path_is_a_rounding_identity() {
     let _g = dispatch_lock();
     // A two-day accelerated stress drives every capture exponent far past
     // the saturation cutoff: the group fast path handles whole lanes.
-    // The PR 2 kernel saturates per element; ≤ 1e-12 agreement here means
+    // The scalar oracle has no fast path; ≤ 1e-12 agreement here means
     // the lane-granular decision changed nothing.
     let mut fast = random_ensemble(128, 5).expect("calibration converges");
     let mut reference = fast.clone();
     let two_days = Seconds::from_hours(48.0);
     fast.stress(two_days, StressCondition::ACCELERATED);
-    reference.stress_pr2(two_days, StressCondition::ACCELERATED);
+    reference.stress_reference(two_days, StressCondition::ACCELERATED);
     let (soft_a, _) = fast.occupancy_columns();
     let (soft_b, _) = reference.occupancy_columns();
     for (a, b) in soft_a.iter().zip(soft_b) {
@@ -180,7 +185,7 @@ fn saturated_fast_path_is_a_rounding_identity() {
     let mut fast = random_ensemble(299, 9).expect("calibration converges");
     let mut reference = fast.clone();
     fast.stress(Seconds::new(2.0), knee);
-    reference.stress_pr2(Seconds::new(2.0), knee);
+    reference.stress_reference(Seconds::new(2.0), knee);
     let (soft_a, _) = fast.occupancy_columns();
     let (soft_b, _) = reference.occupancy_columns();
     for (a, b) in soft_a.iter().zip(soft_b) {
