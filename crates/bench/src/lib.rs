@@ -1,10 +1,10 @@
-//! Shared helpers for the reproduction binaries.
+//! Shared helpers for the `dh-bench` binaries.
 //!
-//! Every `repro-*` binary regenerates one table or figure of the paper and
-//! prints a paper-vs-measured comparison; `repro-all` runs the lot. The
-//! `ablate-*` binaries run the design-choice studies called out in
-//! DESIGN.md. Criterion benches (in `benches/`) measure the simulators'
-//! performance.
+//! The `ablate-*` binaries run the design-choice studies called out in
+//! DESIGN.md (their joined output is pinned in
+//! `docs/sample_ablation_output.txt`); `fleet` drives fleet and scenario
+//! runs; `perf-snapshot` times each kernel against its oracle. The
+//! paper's tables and figures are printed by the `deep-healing` binary.
 
 /// Prints a figure/table banner.
 pub fn banner(title: &str) {

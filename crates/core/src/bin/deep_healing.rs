@@ -1,4 +1,6 @@
-//! `deep-healing` — command-line front end for the reproduction suite.
+//! `deep-healing` — prints the paper's evaluation, each table or figure
+//! followed by the paper's claims about it, checked against this
+//! reproduction.
 //!
 //! ```text
 //! deep-healing table1            # Table I comparison
@@ -6,97 +8,89 @@
 //! deep-healing fig12 [years]    # lifetime policy comparison
 //! deep-healing all [years]      # everything, paper order
 //! ```
+//!
+//! Exits 2 on a usage error and 0 on `--help`; both print the usage text
+//! to stderr.
 
 use std::env;
 use std::process::ExitCode;
 
-use deep_healing::experiments;
+use deep_healing::experiments::{Section, DEFAULT_YEARS, SECTIONS};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: deep-healing <command>\n\
-         commands:\n\
-         \u{20} table1          BTI recovery under the four Table I conditions\n\
-         \u{20} fig4            permanent BTI component vs stress:recovery schedule\n\
-         \u{20} fig5            EM stress + active/passive recovery\n\
-         \u{20} fig6            early EM recovery and reverse-current EM\n\
-         \u{20} fig7            periodic EM recovery during nucleation\n\
-         \u{20} fig9            assist circuitry truth table and operating points\n\
-         \u{20} fig10           load size vs delay and switching time\n\
-         \u{20} fig11           PDN EM hazard by layer\n\
-         \u{20} fig12 [years]   lifetime policy comparison (default 1 year)\n\
-         \u{20} all [years]     every experiment in paper order"
-    );
-    ExitCode::from(2)
-}
-
-fn parse_years(arg: Option<String>) -> Result<f64, ExitCode> {
-    match arg {
-        None => Ok(1.0),
-        Some(s) => match s.parse::<f64>() {
-            Ok(y) if y > 0.0 && y.is_finite() => Ok(y),
-            _ => {
-                eprintln!("error: years must be a positive number, got {s:?}");
-                Err(ExitCode::from(2))
-            }
-        },
-    }
-}
-
-fn run_fig12(years: f64) -> ExitCode {
-    match experiments::fig12(years) {
-        Ok(outcomes) => {
-            print!("{}", experiments::render_fig12(&outcomes));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+fn usage() -> String {
+    let mut s = String::from("usage: deep-healing <command> [years]\ncommands:\n");
+    let mut line = |command: String, title: &str| s.push_str(&format!("  {command:<16}{title}\n"));
+    for section in &SECTIONS {
+        if section.takes_years {
+            line(format!("{} [years]", section.name), section.title);
+        } else {
+            line(section.name.to_string(), section.title);
         }
     }
+    line("all [years]".to_string(), "every experiment in paper order");
+    s.push_str(&format!(
+        "years: simulated lifetime for fig12, a positive number (default {DEFAULT_YEARS})\n"
+    ));
+    s
+}
+
+/// The sections a command line asks for and the lifetime to run them at;
+/// `Err("")` asks for the usage text.
+fn parse_args(args: &[String]) -> Result<(Vec<&'static Section>, f64), String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("no command given".to_string());
+    };
+    let sections: Vec<&'static Section> = match command.as_str() {
+        "-h" | "--help" | "help" => return Err(String::new()),
+        "all" => SECTIONS.iter().collect(),
+        name => vec![SECTIONS
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown command {name:?}"))?],
+    };
+    let takes_years = sections.iter().any(|s| s.takes_years);
+    let years = match rest {
+        [] => DEFAULT_YEARS,
+        [years] if takes_years => years
+            .parse::<f64>()
+            .ok()
+            .filter(|y| *y > 0.0 && y.is_finite())
+            .ok_or_else(|| format!("years must be a positive number, got {years:?}"))?,
+        _ => {
+            let stray = &rest[usize::from(takes_years)];
+            return Err(format!("unexpected argument {stray:?} after {command}"));
+        }
+    };
+    Ok((sections, years))
 }
 
 fn main() -> ExitCode {
-    let mut args = env::args().skip(1);
-    let Some(command) = args.next() else {
-        return usage();
+    let args: Vec<String> = env::args().skip(1).collect();
+    let (sections, years) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(why) => {
+            if !why.is_empty() {
+                eprintln!("error: {why}\n");
+            }
+            eprint!("{}", usage());
+            return ExitCode::from(u8::from(!why.is_empty()) * 2);
+        }
     };
-    match command.as_str() {
-        "table1" => print!("{}", experiments::table1().render()),
-        "fig4" => print!("{}", experiments::fig4().render()),
-        "fig5" => print!("{}", experiments::render_fig5(&experiments::fig5())),
-        "fig6" => print!("{}", experiments::render_fig6(&experiments::fig6())),
-        "fig7" => print!("{}", experiments::render_fig7(&experiments::fig7())),
-        "fig9" => print!("{}", experiments::fig9().render()),
-        "fig10" => print!("{}", experiments::render_fig10(&experiments::fig10())),
-        "fig11" => print!("{}", experiments::fig11().render()),
-        "fig12" => {
-            return match parse_years(args.next()) {
-                Ok(years) => run_fig12(years),
-                Err(code) => code,
-            };
+    for (i, section) in sections.iter().enumerate() {
+        let result = match (section.run)(years) {
+            Ok(result) => result,
+            Err(e) => {
+                eprintln!("error: {}: {e}", section.name);
+                return ExitCode::FAILURE;
+            }
+        };
+        if i > 0 {
+            println!();
         }
-        "all" => {
-            let years = match parse_years(args.next()) {
-                Ok(y) => y,
-                Err(code) => return code,
-            };
-            print!("{}", experiments::table1().render());
-            print!("\n{}", experiments::fig4().render());
-            print!("\n{}", experiments::render_fig5(&experiments::fig5()));
-            print!("\n{}", experiments::render_fig6(&experiments::fig6()));
-            print!("\n{}", experiments::render_fig7(&experiments::fig7()));
-            print!("\n{}", experiments::fig9().render());
-            print!("\n{}", experiments::render_fig10(&experiments::fig10()));
-            print!("\n{}", experiments::fig11().render());
-            return run_fig12(years);
-        }
-        "-h" | "--help" | "help" => {
-            return usage();
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            return usage();
+        print!("{}", result.render());
+        println!();
+        for claim in result.claims() {
+            println!("{claim}");
         }
     }
     ExitCode::SUCCESS

@@ -28,19 +28,21 @@
 //! | [`fault`] | deterministic fault injection and degraded-run reporting (chaos testing) |
 //!
 //! The [`experiments`] module packages each of the paper's tables and
-//! figures as a one-call reproduction; the `dh-bench` crate's binaries
-//! print them, and `EXPERIMENTS.md` records paper-vs-measured.
+//! figures as a one-call reproduction with the paper's claims about it;
+//! the `deep-healing` binary prints them (`deep-healing all`), and
+//! `EXPERIMENTS.md` records paper-vs-measured.
 //!
 //! # Quick start
 //!
 //! ```
-//! use deep_healing::experiments;
+//! use deep_healing::experiments::{self, Reproduction};
 //!
 //! // Reproduce Table I (BTI recovery percentages under 4 conditions).
 //! let table1 = experiments::table1();
 //! // Condition 4 (110 °C, −0.3 V): the paper measured 72.4 %.
 //! assert!((table1.rows[3].simulated_measurement - 72.4).abs() < 2.0);
 //! println!("{}", table1.render());
+//! assert!(table1.claims().iter().all(|c| c.holds));
 //! ```
 
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(v > 0.0)` deliberately catches NaN

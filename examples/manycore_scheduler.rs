@@ -8,7 +8,7 @@
 //! cargo run --release --example manycore_scheduler
 //! ```
 
-use deep_healing::experiments;
+use deep_healing::experiments::{self, Reproduction};
 use deep_healing::prelude::*;
 
 fn main() {
@@ -28,16 +28,9 @@ fn main() {
     let years = 1.0;
     println!("Running {years:.1}-year lifetimes under four policies (4x4 cores)...\n");
     let outcomes = experiments::fig12(years).expect("lifetime config is valid");
-    println!("{}", experiments::render_fig12(&outcomes));
+    println!("{}", outcomes.render());
 
-    let none = outcomes
-        .iter()
-        .find(|o| o.policy == "no-recovery")
-        .expect("present");
-    let deep = outcomes
-        .iter()
-        .find(|o| o.policy == "periodic-deep")
-        .expect("present");
+    let [none, _, deep, ..] = &outcomes.policies;
     println!(
         "Scheduled deep healing cuts the required frequency guardband {:.1}× \n\
          (from {:.2}% to {:.2}%) at {:.1}% core-time overhead.",

@@ -9,6 +9,7 @@ fn policy_ladder_is_ordered_end_to_end() {
     let outcomes = experiments::fig12(0.2).unwrap();
     let g = |name: &str| {
         outcomes
+            .policies
             .iter()
             .find(|o| o.policy == name)
             .unwrap_or_else(|| panic!("{name} missing"))

@@ -93,7 +93,7 @@ fn guardbands_from_the_lifetime_sim_price_into_supply_boost() {
     use deep_healing::guardband::compensation_power_overhead;
     let outcomes = experiments::fig12(0.1).unwrap();
     let worst_mv = |name: &str| {
-        let o = outcomes.iter().find(|o| o.policy == name).unwrap();
+        let o = outcomes.policies.iter().find(|o| o.policy == name).unwrap();
         // Invert the frequency guardband into mV via the reference RO.
         let ro = RingOscillator::paper_75_stage();
         let f = ro.frequency(0.0) * (1.0 - o.required_guardband);

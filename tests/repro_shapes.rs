@@ -1,123 +1,127 @@
-//! The reproduction certificate: every headline claim of the paper's
-//! evaluation, asserted in one place against the public `experiments` API.
+//! The reproduction certificate: every claim `deep-healing` prints about
+//! the paper's evaluation, asserted at the CLI's own inputs, and the
+//! CLI's whole output pinned to `docs/sample_repro_output.txt`.
 //!
-//! Where EXPERIMENTS.md documents the numbers, this test *enforces* the
-//! shapes — who wins, by roughly what factor, where the crossovers fall —
-//! so a regression in any model shows up as a failed claim, not a silently
-//! drifted table.
+//! The claims live with the experiments (`experiments::SECTIONS`); each
+//! test below asserts one section's list, so a regression in any model
+//! shows up as a failed claim, not a silently drifted table.
 
-use deep_healing::experiments;
+use std::process::{Command, Output};
+
+use deep_healing::experiments::{DEFAULT_YEARS, SECTIONS};
+
+const SAMPLE: &str = include_str!("../docs/sample_repro_output.txt");
+
+const REGENERATE: &str =
+    "cargo run --release --bin deep-healing all > docs/sample_repro_output.txt";
+
+fn assert_claims_hold(name: &str) {
+    let section = SECTIONS
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("no section {name}"));
+    let result = (section.run)(DEFAULT_YEARS).expect("the section runs at the CLI's inputs");
+    let claims = result.claims();
+    assert!(!claims.is_empty(), "{name} checks no claim");
+    let failed: Vec<String> = claims
+        .iter()
+        .filter(|c| !c.holds)
+        .map(ToString::to_string)
+        .collect();
+    assert!(failed.is_empty(), "{name}:\n{}", failed.join("\n"));
+}
+
+macro_rules! claim_tests {
+    ($($test:ident => $section:literal,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                assert_claims_hold($section);
+            }
+        )*
+
+        #[test]
+        fn every_section_has_a_claim_test() {
+            assert_eq!([$($section),*], SECTIONS.map(|s| s.name));
+        }
+    };
+}
+
+claim_tests! {
+    claim_table1_recovery_is_activated_and_accelerated => "table1",
+    claim_fig4_in_time_recovery_eliminates_the_permanent_component => "fig4",
+    claim_fig5_active_recovery_beats_passive_by_an_order_of_magnitude => "fig5",
+    claim_fig6_early_recovery_is_full_and_over_recovery_reverses_the_damage => "fig6",
+    claim_fig7_scheduled_recovery_delays_nucleation_and_extends_ttf => "fig7",
+    claim_fig9_assist_circuit_implements_all_three_modes => "fig9",
+    claim_fig10_load_size_tradeoff => "fig10",
+    claim_fig11_local_grids_are_most_em_sensitive_and_protectable => "fig11",
+    claim_fig12_scheduling_reduces_the_guardband => "fig12",
+}
+
+fn deep_healing(args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_deep-healing"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("deep-healing runs")
+}
 
 #[test]
-fn claim_table1_recovery_is_activated_and_accelerated() {
-    let t = experiments::table1();
-    // Within-tolerance absolute agreement for both models, all conditions.
-    let paper_meas = [0.66, 16.7, 28.7, 72.4];
-    let paper_model = [1.0, 14.4, 29.2, 72.7];
-    for (i, row) in t.rows.iter().enumerate() {
-        assert!((row.simulated_measurement - paper_meas[i]).abs() < 1.5);
-        assert!((row.simulated_model - paper_model[i]).abs() < 0.5);
+fn deep_healing_all_matches_the_sample_at_any_thread_count_and_backend() {
+    for env in [
+        &[][..],
+        &[("DH_NUM_THREADS", "1")],
+        &[("DH_NUM_THREADS", "8")],
+        &[("DH_SIMD", "scalar")],
+    ] {
+        let command: String = env.iter().map(|(k, v)| format!("{k}={v} ")).collect();
+        let command = command + "deep-healing all";
+        let out = deep_healing(&["all"], env);
+        assert!(out.status.success(), "{command}: {}", out.status);
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+        let sample: Vec<&str> = SAMPLE.lines().collect();
+        let ours: Vec<&str> = stdout.lines().collect();
+        let differs = |i: &usize| sample.get(*i) != ours.get(*i);
+        if let Some(i) = (0..sample.len().max(ours.len())).find(differs) {
+            panic!(
+                "{command} differs from docs/sample_repro_output.txt at line {}:\n  \
+                 sample: {}\n  output: {}\nif the change is intended, regenerate the sample with\n  {REGENERATE}",
+                i + 1,
+                sample.get(i).unwrap_or(&"<end of file>"),
+                ours.get(i).unwrap_or(&"<end of output>"),
+            );
+        }
+        assert!(
+            stdout == SAMPLE,
+            "{command}: line endings differ; regenerate the sample with {REGENERATE}"
+        );
     }
-    // Shape: deep healing recovers two orders of magnitude more than
-    // passive within the same window.
-    assert!(t.rows[3].simulated_measurement > 50.0 * t.rows[0].simulated_measurement);
 }
 
 #[test]
-fn claim_fig4_in_time_recovery_eliminates_the_permanent_component() {
-    let f = experiments::fig4();
-    let balanced = *f.final_permanent_mv.last().unwrap();
-    // "Practically 0": below 1% of the continuous-stress reference.
-    assert!(balanced < 0.01 * f.continuous_permanent_mv * 10.0);
-    // Strictly monotone in the stress:recovery ratio.
-    assert!(f.final_permanent_mv[0] > f.final_permanent_mv[1]);
-    assert!(f.final_permanent_mv[1] > f.final_permanent_mv[2]);
-}
-
-#[test]
-fn claim_fig5_active_recovery_beats_passive_by_an_order_of_magnitude() {
-    let out = experiments::fig5();
-    // Two-phase evolution with a ~200 min incubation.
-    let nucleation = out
-        .nucleation_time
-        .expect("void must nucleate")
-        .as_minutes();
-    assert!(
-        (140.0..=280.0).contains(&nucleation),
-        "nucleation {nucleation} min"
-    );
-    // >70 % heal within 1/5 of the stress time; passive is near-flat.
-    assert!(out.active_recovered_fraction > 0.7);
-    assert!(out.passive_recovered_fraction.abs() < 0.1);
-    // The permanent component survives.
-    assert!(out.permanent_delta_r > 0.1);
-}
-
-#[test]
-fn claim_fig6_early_recovery_is_full_and_over_recovery_reverses_the_damage() {
-    let out = experiments::fig6();
-    assert!(out.delta_r_after_recovery < 0.1 * out.delta_r_at_recovery_start);
-    assert!(out.reverse_em_observed);
-}
-
-#[test]
-fn claim_fig7_scheduled_recovery_delays_nucleation_and_extends_ttf() {
-    let out = experiments::fig7();
-    let delay = out.nucleation_delay_factor().expect("both nucleate");
-    assert!((1.8..=8.0).contains(&delay), "delay factor {delay}");
-    let ttf = out
-        .ttf_extension_factor()
-        .expect("both fail in the horizon");
-    assert!(ttf > 1.3, "TTF extension {ttf}");
-}
-
-#[test]
-fn claim_fig9_assist_circuit_implements_all_three_modes() {
-    let f = experiments::fig9();
-    // EM mode: reversed current, same magnitude, load unaffected.
-    let ratio = -f.em.grid_current.value() / f.normal.grid_current.value();
-    assert!((ratio - 1.0).abs() < 1e-6);
-    // BTI mode: rails swapped, bias deeper than the bench −0.3 V.
-    assert!(f.bti.load_vss.value() > 0.7 && f.bti.load_vdd.value() < 0.3);
-    assert!(f.bti.bti_recovery_bias().value() < -0.5);
-}
-
-#[test]
-fn claim_fig10_load_size_tradeoff() {
-    let points = experiments::fig10();
-    let last = points.last().unwrap();
-    assert!(
-        (1.5..=2.2).contains(&last.normalized_delay),
-        "delay {}",
-        last.normalized_delay
-    );
-    assert!(last.normalized_switching_time < 0.7);
-}
-
-#[test]
-fn claim_fig11_local_grids_are_most_em_sensitive_and_protectable() {
-    let f = experiments::fig11();
-    let local = f
-        .hazard
-        .worst_in(deep_healing::pdn::grid::LayerClass::Local)
-        .unwrap();
-    let global = f
-        .hazard
-        .worst_in(deep_healing::pdn::grid::LayerClass::Global)
-        .unwrap();
-    assert!(local.median_ttf.as_years() * 100.0 < global.median_ttf.as_years());
-    assert!(f.protected_extension > 1.3);
-}
-
-#[test]
-fn claim_fig12_scheduling_reduces_the_guardband() {
-    let outs = experiments::fig12(0.15).unwrap();
-    let g = |n: &str| outs.iter().find(|o| o.policy == n).unwrap();
-    // The paper's headline: deep healing keeps the system "refreshing".
-    assert!(g("no-recovery").required_guardband > 10.0 * g("periodic-deep").required_guardband);
-    // And eliminates the permanent component at the system level.
-    assert!(g("periodic-deep").final_permanent_mv < 0.3 * g("no-recovery").final_permanent_mv);
-    // EM lifetime extends under the reversal duty.
-    let ttf = |n: &str| g(n).projected_em_ttf.unwrap().as_years();
-    assert!(ttf("periodic-deep") > 1.2 * ttf("passive-idle"));
+fn deep_healing_exits_2_on_usage_errors_and_0_on_help() {
+    for (args, code) in [
+        (&[][..], 2),
+        (&["fig13"], 2),
+        (&["fig12", "0"], 2),
+        (&["fig12", "abc"], 2),
+        (&["table1", "junk"], 2),
+        (&["fig12", "0.01", "extra"], 2),
+        (&["all", "1", "extra"], 2),
+        (&["--help"], 0),
+        (&["-h"], 0),
+    ] {
+        let out = deep_healing(args, &[]);
+        assert_eq!(out.status.code(), Some(code), "deep-healing {args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "deep-healing {args:?} printed to stdout"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: deep-healing"),
+            "deep-healing {args:?}: {stderr}"
+        );
+    }
 }
