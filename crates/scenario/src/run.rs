@@ -5,11 +5,14 @@
 //! shard's columns, the per-epoch context is computed once from the
 //! pack, and [`dh_exec::par_chunks_mut`] reassembles results in index
 //! order — so the run is bit-identical at any thread count, and the
-//! report fingerprint is a stable pin for CI. Checkpoints (`DHSP` v2;
-//! v1 files still resume) carry only the mutable state columns plus the
-//! run's [`DegradedReport`]; the constant parameter columns are rebuilt
-//! from the pack, whose fingerprint the file embeds so a checkpoint
-//! cannot silently resume under a different scenario.
+//! report fingerprint is a stable pin for CI. Checkpoints (`DHSP` v3)
+//! carry only the mutable state columns plus the run's
+//! [`DegradedReport`]; the constant parameter columns are rebuilt from the
+//! pack, whose fingerprint the file embeds so a checkpoint cannot silently
+//! resume under a different scenario. Each state column is written and
+//! read as one slice, and the trailing checksum is
+//! [`dh_fault::wire::checksum`], which runs at memory speed. v2 files have
+//! the same layout with an FNV-1a trailer, and still resume.
 //!
 //! Supervision mirrors the fleet engine: [`ScenarioRun::step_supervised`]
 //! threads a [`FaultPlan`] through the shard workers (panic / poison /
@@ -25,7 +28,10 @@
 use std::collections::BTreeSet;
 
 use dh_exec::RetryPolicy;
-use dh_fault::wire::{fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, FNV_OFFSET};
+use dh_fault::wire::{
+    checksum, fnv1a, fnv1a_u64, put_f64s, put_u64, put_u64s, take_f64s, take_u64, take_u64s,
+    FNV_OFFSET,
+};
 use dh_fault::{
     drive, Checkpoint, CheckpointStore, Checkpoints, DegradedReport, FaultPlan, Run,
     SensorIncident, ShardFailure, Written,
@@ -38,10 +44,10 @@ use crate::pack::{BlockModel, ScenarioPack};
 /// Checkpoint magic: "DHSP" (Deep-Healing Scenario Pack state).
 const MAGIC: &[u8; 4] = b"DHSP";
 /// Checkpoint format version this build writes.
-const VERSION: u64 = 2;
-/// Oldest format version this build still resumes from (no degraded
-/// section).
-const LEGACY_VERSION: u64 = 1;
+const VERSION: u64 = 3;
+/// Oldest format version this build still resumes from: the same layout,
+/// with an FNV-1a trailer in place of [`checksum`].
+const LEGACY_VERSION: u64 = 2;
 
 /// One shard: a contiguous range of one block group's elements.
 #[derive(Debug, Clone)]
@@ -230,7 +236,7 @@ pub struct ScenarioRun {
     epoch: u64,
     shard_cursor: usize,
     /// Everything a supervised run has survived (empty for a clean or
-    /// unsupervised run). Persisted in `DHSP` v2 checkpoints so a
+    /// unsupervised run). Persisted in `DHSP` checkpoints so a
     /// kill/resume cycle cannot launder a degraded run into a clean one.
     pub degraded: DegradedReport,
     /// Shard indices dropped after exhausting retries; their last-good
@@ -556,7 +562,7 @@ impl ScenarioRun {
 
     // ------------------------------------------------------- checkpoints
 
-    /// Serializes the mutable state (`DHSP` v2) — constant columns are
+    /// Serializes the mutable state (`DHSP` v3) — constant columns are
     /// rebuilt from the pack on resume; the degraded report rides along
     /// so quarantines and incidents survive a kill/resume cycle.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
@@ -567,9 +573,22 @@ impl ScenarioRun {
 
     /// [`ScenarioRun::encode_checkpoint`] into a caller-owned buffer
     /// (cleared first), so a run's checkpoint cadence reuses one
-    /// allocation.
+    /// allocation. The buffer grows once, to the exact file size.
     fn encode_checkpoint_into(&self, buf: &mut Vec<u8>) {
+        let mut degraded = Vec::new();
+        self.degraded.encode(&mut degraded);
+        // Magic, five header words, three words per shard plus its
+        // columns, the degraded section, the checksum.
+        let state_words: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (cols, failed) = shard.store.state();
+                3 + cols.iter().map(|col| col.len()).sum::<usize>() + failed.len()
+            })
+            .sum();
         buf.clear();
+        buf.reserve_exact(MAGIC.len() + 8 * (5 + state_words) + degraded.len() + 8);
         buf.extend_from_slice(MAGIC);
         put_u64(buf, VERSION);
         put_u64(buf, self.pack_fp);
@@ -582,39 +601,39 @@ impl ScenarioRun {
             put_u64(buf, shard.store.len() as u64);
             let (cols, failed) = shard.store.state();
             for col in cols {
-                for &v in col {
-                    put_f64(buf, v);
-                }
+                put_f64s(buf, col);
             }
-            for &v in failed {
-                put_u64(buf, v);
-            }
+            put_u64s(buf, failed);
         }
-        self.degraded.encode(buf);
-        let checksum = fnv1a(FNV_OFFSET, buf);
-        put_u64(buf, checksum);
+        buf.extend_from_slice(&degraded);
+        let sum = checksum(buf);
+        put_u64(buf, sum);
     }
 
     /// Rebuilds a run from a pack and checkpoint bytes, verifying the
-    /// checksum, the format version, and the pack fingerprint.
+    /// format version, the checksum the version names (v3: [`checksum`],
+    /// v2: FNV-1a), and the pack fingerprint. Both versions share one body
+    /// layout and one parser.
     pub fn decode_checkpoint(pack: ScenarioPack, bytes: &[u8]) -> Result<Self, ScenarioError> {
         if bytes.len() < MAGIC.len() + 8 || &bytes[..4] != MAGIC {
             return Err(ScenarioError::Corrupt("bad magic".into()));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut tail_view = tail;
-        let expect = take_u64(&mut tail_view, "checksum")?;
-        let actual = fnv1a(FNV_OFFSET, body);
+        let (body, mut tail) = bytes.split_at(bytes.len() - 8);
+        let mut view = &body[4..];
+        let version = take_u64(&mut view, "version")?;
+        let actual = match version {
+            VERSION => checksum(body),
+            LEGACY_VERSION => fnv1a(FNV_OFFSET, body),
+            _ => {
+                return Err(ScenarioError::Corrupt(format!(
+                    "unsupported version {version} (want {VERSION} or {LEGACY_VERSION})"
+                )))
+            }
+        };
+        let expect = take_u64(&mut tail, "checksum")?;
         if expect != actual {
             return Err(ScenarioError::Corrupt(format!(
                 "checksum mismatch: stored {expect:#018x}, computed {actual:#018x}"
-            )));
-        }
-        let mut view = &body[4..];
-        let version = take_u64(&mut view, "version")?;
-        if version != VERSION && version != LEGACY_VERSION {
-            return Err(ScenarioError::Corrupt(format!(
-                "unsupported version {version} (want {VERSION})"
             )));
         }
         let pack_fp = take_u64(&mut view, "pack fingerprint")?;
@@ -657,23 +676,17 @@ impl ScenarioRun {
             }
             let (cols, failed) = shard.store.state_mut();
             for col in cols {
-                for v in col.iter_mut() {
-                    *v = take_f64(&mut view, "state column")?;
-                }
+                take_f64s(&mut view, col, "state column")?;
             }
-            for v in failed.iter_mut() {
-                *v = take_u64(&mut view, "failed column")?;
-            }
+            take_u64s(&mut view, failed, "failed column")?;
         }
-        if version == VERSION {
-            run.degraded = DegradedReport::decode(&mut view)?;
-            run.quarantined = run
-                .degraded
-                .quarantined
-                .iter()
-                .map(|q| q.shard as usize)
-                .collect();
-        }
+        run.degraded = DegradedReport::decode(&mut view)?;
+        run.quarantined = run
+            .degraded
+            .quarantined
+            .iter()
+            .map(|q| q.shard as usize)
+            .collect();
         if !view.is_empty() {
             return Err(ScenarioError::Corrupt(format!(
                 "{} trailing bytes",
@@ -917,16 +930,18 @@ mod tests {
         bytes[20..28].copy_from_slice(&epoch.to_le_bytes());
         bytes[28..36].copy_from_slice(&cursor.to_le_bytes());
         let body = bytes.len() - 8;
-        let sum = fnv1a(FNV_OFFSET, &bytes[..body]);
+        let sum = checksum(&bytes[..body]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
 
+    /// The forged position must be what the decoder objects to: a
+    /// checksum mismatch would mean the forgery itself is stale.
     fn assert_forgery_rejected(epoch: u64, cursor: u64) {
         let pack = small_pack();
         let decoded = ScenarioRun::decode_checkpoint(pack.clone(), &forged(&pack, epoch, cursor));
         assert!(
-            matches!(decoded, Err(ScenarioError::Corrupt(_))),
+            matches!(&decoded, Err(ScenarioError::Corrupt(why)) if why.contains("position epoch")),
             "epoch {epoch} cursor {cursor}: {:?}",
             decoded.map(|run| run.report().epochs_run)
         );
@@ -1086,22 +1101,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_checkpoints_without_a_degraded_section_still_decode() {
+    fn v1_checkpoints_are_refused_as_corrupt_naming_the_version() {
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
         run.advance(usize::MAX, 1);
-        let v2 = run.encode_checkpoint();
+        let v3 = run.encode_checkpoint();
         // A clean run's degraded section is 7 empty u64 fields; strip it
-        // and rewrite version 2 -> 1 to reconstruct a v1 file.
-        let body_len = v2.len() - 8 - 56;
-        let mut v1 = v2[..body_len].to_vec();
+        // and rewrite the version to 1 to reconstruct a v1 file, whose
+        // FNV-1a trailer is intact.
+        let body_len = v3.len() - 8 - 56;
+        let mut v1 = v3[..body_len].to_vec();
         v1[4..12].copy_from_slice(&1u64.to_le_bytes());
-        let checksum = fnv1a(FNV_OFFSET, &v1);
-        put_u64(&mut v1, checksum);
-        let decoded = ScenarioRun::decode_checkpoint(pack, &v1).unwrap();
-        assert_eq!(decoded.progress(), run.progress());
-        assert_eq!(decoded.degraded, DegradedReport::default());
-        assert_eq!(decoded.report(), run.report());
+        let sum = fnv1a(FNV_OFFSET, &v1);
+        put_u64(&mut v1, sum);
+        let decoded = ScenarioRun::decode_checkpoint(pack, &v1);
+        assert!(
+            matches!(&decoded, Err(ScenarioError::Corrupt(why)) if why.contains("version 1")),
+            "{:?}",
+            decoded.map(|run| run.progress())
+        );
     }
 
     #[test]

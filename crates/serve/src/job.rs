@@ -96,9 +96,6 @@ struct JobInner {
     fingerprint: Option<u64>,
     /// Set once on failure.
     error: Option<String>,
-    /// Disk incidents the runner survived (injected or real); the
-    /// registry's `/healthz` disk signal is fed from this.
-    disk_incidents: u64,
     /// Last sign of life from the runner; the watchdog compares this
     /// against the job deadline.
     heartbeat: Instant,
@@ -137,7 +134,6 @@ impl Job {
                 shard_count,
                 fingerprint: None,
                 error: None,
-                disk_incidents: 0,
                 heartbeat: Instant::now(),
                 events: Vec::new(),
             }),
@@ -163,11 +159,6 @@ impl Job {
         let mut inner = lock(&self.inner);
         inner.status = JobStatus::Running;
         inner.heartbeat = Instant::now();
-    }
-
-    /// Disk incidents the runner recorded (terminal jobs only).
-    pub fn disk_incidents(&self) -> u64 {
-        lock(&self.inner).disk_incidents
     }
 
     /// How long since the runner last showed a sign of life.
@@ -432,10 +423,7 @@ impl JobRegistry {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            run_job(&job, &self.settings);
-            if job.disk_incidents() > 0 {
-                self.disk_degraded.store(true, Ordering::Relaxed);
-            }
+            run_job(&job, &self.settings, &self.disk_degraded);
             write_meta(&job, &self.settings.data_dir);
         }
     }
@@ -652,8 +640,10 @@ fn fail_job(job: &Job, why: String) {
 /// Executes one job start to finish on the calling worker thread. Every
 /// outcome — completion, failure, cancellation — lands as a terminal
 /// event; nothing here panics the worker (the shard loop underneath is
-/// the supervised one).
-fn run_job(job: &Arc<Job>, settings: &RunnerSettings) {
+/// the supervised one). A run that recorded disk incidents sets
+/// `disk_degraded` before its terminal frame goes out, so `/healthz`
+/// never lags the frame.
+fn run_job(job: &Arc<Job>, settings: &RunnerSettings, disk_degraded: &AtomicBool) {
     job.set_running();
     let spec = &job.spec;
     let plan = spec.fault_plan();
@@ -668,6 +658,7 @@ fn run_job(job: &Arc<Job>, settings: &RunnerSettings) {
     let runner = Runner {
         job,
         settings,
+        disk_degraded,
         plan: plan.as_ref(),
         retry: &retry,
         store: store.as_ref(),
@@ -716,6 +707,8 @@ fn run_job(job: &Arc<Job>, settings: &RunnerSettings) {
 struct Runner<'a> {
     job: &'a Job,
     settings: &'a RunnerSettings,
+    /// The registry's `/healthz` disk flag.
+    disk_degraded: &'a AtomicBool,
     plan: Option<&'a FaultPlan>,
     retry: &'a RetryPolicy,
     store: Option<&'a CheckpointStore>,
@@ -839,8 +832,9 @@ impl Runner<'_> {
     /// step and a write after every step when the job checkpoints,
     /// `--step-shards` otherwise; a cancel check before every step; and
     /// after it the shard count from `progress`, its progress event, and
-    /// the pace sleep. Records the disk incidents the writes survived and
-    /// returns whether the run finished — a cancel ends the job here.
+    /// the pace sleep. Raises the registry's disk flag, before any
+    /// terminal frame, when the run survived disk incidents, and returns
+    /// whether the run finished — a cancel ends the job here.
     fn drive<R: Run>(
         &self,
         run: &mut R,
@@ -872,12 +866,11 @@ impl Runner<'_> {
             },
         )
         .map_err(|e| e.to_string())?;
-        let shards_done = {
-            let mut inner = lock(&job.inner);
-            inner.disk_incidents += run.degraded().disk_incidents.len() as u64;
-            inner.shards_done
-        };
+        if !run.degraded().disk_incidents.is_empty() {
+            self.disk_degraded.store(true, Ordering::Relaxed);
+        }
         if !finished {
+            let shards_done = lock(&job.inner).shards_done;
             job.finish(
                 JobStatus::Cancelled,
                 "cancelled",

@@ -15,9 +15,14 @@ use dh_serve::{ServeConfig, Server};
 
 static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
 
+/// A directory name unique among this process's tests. Another process
+/// that once had this pid may have left the same directory behind, with
+/// its jobs and checkpoints, so any such leftover is removed first.
 fn temp_data_dir(tag: &str) -> PathBuf {
     let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dh-serve-test-{}-{tag}-{n}", std::process::id()))
+    let dir = std::env::temp_dir().join(format!("dh-serve-test-{}-{tag}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn start(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (Server, SocketAddr, PathBuf) {
