@@ -22,8 +22,9 @@
 //! `--scenario` switches to the `dh-scenario` engine instead: the named
 //! (or file-loaded) scenario pack is integrated end to end, with the
 //! same kill/resume contract and generation fallback through
-//! `--checkpoint`. Its shards are supervised only under `--inject`; a
-//! shard panic in a plain scenario run aborts it:
+//! `--checkpoint`, and the same supervision: a shard that keeps panicking
+//! is quarantined and the run finishes degraded, with or without
+//! `--inject`:
 //!
 //! ```text
 //! fleet --list-scenarios

@@ -41,4 +41,6 @@ pub use pool::{
     max_threads, par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_indexed,
     par_map_seeded, par_try_map, set_max_threads,
 };
-pub use supervise::{par_map_fold_supervised, RetryPolicy, ShardError, SupervisedOutcome};
+pub use supervise::{
+    par_map_fold_supervised, run_attempts, RetryPolicy, ShardError, SupervisedOutcome,
+};

@@ -129,19 +129,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f(index, attempt)` under `catch_unwind` with the retry policy;
-/// returns the value or the final failure, plus how many attempts were
-/// retried.
-fn run_attempts<U, F>(f: &F, index: usize, retry: &RetryPolicy) -> (Result<U, ShardError>, u64)
-where
-    F: Fn(usize, u32) -> U,
-{
+/// Runs `f(attempt)` (1-based) under `catch_unwind` with the retry policy
+/// and a quiet panic hook; returns the value or the final failure, as item
+/// `index`, plus how many attempts were retried. A retried `f` must first
+/// undo what the panicking attempt left half done.
+pub fn run_attempts<U>(
+    index: usize,
+    retry: &RetryPolicy,
+    mut f: impl FnMut(u32) -> U,
+) -> (Result<U, ShardError>, u64) {
+    install_quiet_hook();
     let max_attempts = retry.max_attempts.max(1);
     let mut failed = 0u32;
     loop {
         let attempt = failed + 1;
         SUPERVISED.with(|flag| flag.set(true));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(index, attempt)));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| f(attempt)));
         SUPERVISED.with(|flag| flag.set(false));
         match result {
             Ok(value) => return (Ok(value), u64::from(failed)),
@@ -194,12 +197,11 @@ where
     F: Fn(usize, u32) -> U + Sync,
     G: FnMut(A, usize, U) -> A,
 {
-    install_quiet_hook();
     let mut failures = Vec::new();
     let mut retries = 0u64;
     let acc = crate::par_map_fold(
         n,
-        |index| run_attempts(&f, index, retry),
+        |index| run_attempts(index, retry, |attempt| f(index, attempt)),
         init,
         |acc, index, (result, retried)| {
             retries += retried;

@@ -21,13 +21,13 @@
 //! policy, and epoch grid. A [`ScenarioRegistry`] serves three built-in
 //! packs and any `--scenario-dir` overrides; [`ScenarioRun`] integrates
 //! a pack deterministically (bit-identical at any thread count),
-//! checkpoints mid-run, and reports a fingerprint CI can pin.
-//! [`run_pack_supervised`] is the hardened flavor: a [`dh_fault::FaultPlan`]
-//! injects shard panics, sample poisoning, stuck sensors, checkpoint
-//! corruption, and disk faults, all contained by retry, quarantine, and
-//! the multi-generation fallback of the shared [`dh_fault::CheckpointStore`]
+//! checkpoints mid-run, and reports a fingerprint CI can pin. Every run is
+//! supervised: shard panics, poisoned samples, stuck sensors, checkpoint
+//! corruption and disk faults, real or injected by a
+//! [`dh_fault::FaultPlan`], are contained by retry, quarantine, and the
+//! multi-generation fallback of the shared [`dh_fault::CheckpointStore`],
 //! so the run completes with a [`dh_fault::DegradedReport`] instead of
-//! aborting.
+//! aborting ([`run_pack_supervised`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

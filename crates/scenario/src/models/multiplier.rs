@@ -258,12 +258,12 @@ impl MultiplierStore {
         self.failed[i]
     }
 
-    pub(crate) fn state_columns(&self) -> (&[f64], &[f64], &[u64]) {
-        (&self.r, &self.p, &self.failed)
+    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
+        (vec![&self.r[..], &self.p[..]], &self.failed)
     }
 
-    pub(crate) fn state_columns_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [u64]) {
-        (&mut self.r, &mut self.p, &mut self.failed)
+    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
+        (vec![&mut self.r[..], &mut self.p[..]], &mut self.failed)
     }
 }
 

@@ -230,18 +230,24 @@ impl SramStore {
         self.failed[i]
     }
 
-    pub(crate) fn state_columns(&self) -> (&[f64], &[f64], &[u64]) {
-        (&self.r, &self.p, &self.failed)
+    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
+        (vec![&self.r[..], &self.p[..]], &self.failed)
     }
 
-    pub(crate) fn state_columns_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [u64]) {
-        (&mut self.r, &mut self.p, &mut self.failed)
+    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
+        (vec![&mut self.r[..], &mut self.p[..]], &mut self.failed)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test hook for the engine: drops the last stress rate, so the
+    /// kernel's bounds check panics at the shard's last element.
+    pub(crate) fn truncate_rates(store: &mut SramStore) {
+        store.rate_s.pop();
+    }
 
     fn ctx() -> GroupCtx {
         GroupCtx {

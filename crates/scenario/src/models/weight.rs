@@ -256,17 +256,19 @@ impl WeightStore {
         self.failed[i]
     }
 
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn state_columns(&self) -> ([&[f64]; 4], &[u64]) {
-        ([&self.r_a, &self.p_a, &self.r_b, &self.p_b], &self.failed)
+    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
+        let cols = vec![&self.r_a[..], &self.p_a[..], &self.r_b[..], &self.p_b[..]];
+        (cols, &self.failed)
     }
 
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn state_columns_mut(&mut self) -> ([&mut Vec<f64>; 4], &mut [u64]) {
-        (
-            [&mut self.r_a, &mut self.p_a, &mut self.r_b, &mut self.p_b],
-            &mut self.failed,
-        )
+    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
+        let cols = vec![
+            &mut self.r_a[..],
+            &mut self.p_a[..],
+            &mut self.r_b[..],
+            &mut self.p_b[..],
+        ];
+        (cols, &mut self.failed)
     }
 }
 

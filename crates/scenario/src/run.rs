@@ -14,20 +14,19 @@
 //! [`dh_fault::wire::checksum`], which runs at memory speed. v2 files have
 //! the same layout with an FNV-1a trailer, and still resume.
 //!
-//! Supervision mirrors the fleet engine: [`ScenarioRun::step_supervised`]
-//! threads a [`FaultPlan`] through the shard workers (panic / poison /
-//! stuck faults keyed on `(epoch, shard)`) and retries and quarantines
-//! via [`dh_exec::par_map_fold_supervised`]. A no-op plan short-circuits
-//! to the plain stepping path, so its report stays bit-identical to an
-//! unsupervised run. Checkpoints land through the shared
+//! One supervised stepping path serves every surface, as in the fleet
+//! engine: each window of steps is one parallel call that steps every
+//! shard in place, shard-major, from a save of its state columns. Shard
+//! panics, real or injected by a [`FaultPlan`], are retried and
+//! quarantined, and an epoch that leaves a non-finite state value is
+//! rejected. Checkpoints land through the shared
 //! [`dh_fault::CheckpointStore`] ([`ScenarioCheckpointStore`]), and every
 //! surface runs a [`SupervisedScenario`] through [`dh_fault::drive`].
-//! Nothing observes a plain run between two writes, so the plain path
-//! steps a whole write window in one parallel call, shard by shard.
 
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::ops::RangeInclusive;
 
-use dh_exec::RetryPolicy;
+use dh_exec::{RetryPolicy, ShardError};
 use dh_fault::wire::{
     checksum, fnv1a, fnv1a_u64, put_f64s, put_u64, put_u64s, take_f64s, take_u64, take_u64s,
     FNV_OFFSET,
@@ -121,36 +120,134 @@ impl Store {
     /// The mutable state as `(f64 columns in fixed order, failed)`.
     fn state(&self) -> (Vec<&[f64]>, &[u64]) {
         match self {
-            Self::Sram(s) => {
-                let (r, p, f) = s.state_columns();
-                (vec![r, p], f)
-            }
-            Self::Weight(s) => {
-                let (cols, f) = s.state_columns();
-                (cols.to_vec(), f)
-            }
-            Self::Mult(s) => {
-                let (r, p, f) = s.state_columns();
-                (vec![r, p], f)
-            }
+            Self::Sram(s) => s.state_columns(),
+            Self::Weight(s) => s.state_columns(),
+            Self::Mult(s) => s.state_columns(),
         }
     }
 
     fn state_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
         match self {
-            Self::Sram(s) => {
-                let (r, p, f) = s.state_columns_mut();
-                (vec![r, p], f)
+            Self::Sram(s) => s.state_columns_mut(),
+            Self::Weight(s) => s.state_columns_mut(),
+            Self::Mult(s) => s.state_columns_mut(),
+        }
+    }
+
+    /// Elements with a non-finite value in any state column.
+    fn non_finite(&self) -> usize {
+        let (cols, _) = self.state();
+        let finite = |col: &&[f64]| col.iter().fold(true, |ok, v| ok & v.is_finite());
+        if cols.iter().all(finite) {
+            return 0;
+        }
+        (0..self.len())
+            .filter(|&i| cols.iter().any(|col| !col[i].is_finite()))
+            .count()
+    }
+
+    /// Copies the mutable state into `saved`.
+    fn save(&self, (values, failed): &mut Saved) {
+        let (cols, f) = self.state();
+        values.clear();
+        cols.iter().for_each(|col| values.extend_from_slice(col));
+        failed.clear();
+        failed.extend_from_slice(f);
+    }
+
+    /// Puts back the state [`Store::save`] copied.
+    fn restore(&mut self, (values, failed): &Saved) {
+        let (cols, f) = self.state_mut();
+        for (col, saved) in cols.into_iter().zip(values.chunks(f.len())) {
+            col.copy_from_slice(saved);
+        }
+        f.copy_from_slice(failed);
+    }
+}
+
+/// A shard's saved state: its f64 state columns back to back, and failed.
+type Saved = (Vec<f64>, Vec<u64>);
+
+thread_local! {
+    /// Each worker's save buffer, reused across shards and windows.
+    static SAVED: RefCell<Saved> = RefCell::default();
+}
+
+/// What one shard survived in a window: retried attempts (a failed fused
+/// pass counts as one), rejected elements, and its quarantine epoch.
+#[derive(Debug, Default)]
+struct ShardLog {
+    retries: u64,
+    rejected: u64,
+    quarantined: Option<(u64, ShardError)>,
+}
+
+/// What every shard of a window steps under (`shards`: the run's count).
+struct Window<'a> {
+    pack: &'a ScenarioPack,
+    shards: usize,
+    plan: Option<&'a FaultPlan>,
+    retry: &'a RetryPolicy,
+}
+
+impl Window<'_> {
+    /// Steps `store`, shard `shard`, through the 1-based `epochs` in place.
+    /// Without a plan they run back to back under `catch_unwind`. With one,
+    /// or when that pass panics or leaves a non-finite value, each epoch
+    /// runs from its own save through [`dh_exec::run_attempts`], with the
+    /// plan's faults keyed on `(epoch, shard, attempt)`.
+    fn step_shard(
+        &self,
+        store: &mut Store,
+        shard: usize,
+        epochs: RangeInclusive<u64>,
+        saved: &mut Saved,
+    ) -> ShardLog {
+        let mut log = ShardLog::default();
+        if self.plan.is_none() {
+            store.save(saved);
+            let (fused, _) = dh_exec::run_attempts(shard, &RetryPolicy::immediate(1), |_| {
+                for e in epochs.clone() {
+                    store.step_epoch(self.pack.epoch_ctx(e));
+                }
+            });
+            if fused.is_ok() && store.non_finite() == 0 {
+                return log;
             }
-            Self::Weight(s) => {
-                let (cols, f) = s.state_columns_mut();
-                (cols.into_iter().map(|v| v.as_mut_slice()).collect(), f)
+            store.restore(saved);
+            log.retries = 1;
+        }
+        for e in epochs {
+            // Epoch `e` follows `e - 1` completed ones, so the same shard
+            // draws fresh fault decisions every epoch.
+            let key = (e - 1) * self.shards as u64 + shard as u64;
+            store.save(saved);
+            let (outcome, retried) = dh_exec::run_attempts(shard, self.retry, |attempt| {
+                if attempt > 1 {
+                    store.restore(saved);
+                }
+                if self.plan.is_some_and(|p| p.shard_panics(key, attempt)) {
+                    panic!("injected fault: scenario shard {shard} attempt {attempt}");
+                }
+                store.step_epoch(self.pack.epoch_ctx(e));
+                let len = store.len() as u64;
+                if let Some((offset, kind)) = self.plan.and_then(|p| p.poison(key, attempt, len)) {
+                    store.state_mut().0[0][offset as usize] = kind.value();
+                }
+            });
+            log.retries += retried;
+            if let Err(failure) = outcome {
+                store.restore(saved);
+                log.quarantined = Some((e, failure));
+                break;
             }
-            Self::Mult(s) => {
-                let (r, p, f) = s.state_columns_mut();
-                (vec![r, p], f)
+            let rejected = store.non_finite();
+            if rejected > 0 {
+                store.restore(saved);
+                log.rejected += rejected as u64;
             }
         }
+        log
     }
 }
 
@@ -235,13 +332,11 @@ pub struct ScenarioRun {
     shards: Vec<Shard>,
     epoch: u64,
     shard_cursor: usize,
-    /// Everything a supervised run has survived (empty for a clean or
-    /// unsupervised run). Persisted in `DHSP` checkpoints so a
-    /// kill/resume cycle cannot launder a degraded run into a clean one.
+    /// Everything the run has survived (empty for a clean run). Persisted
+    /// in `DHSP` checkpoints so a kill/resume cycle cannot launder a
+    /// degraded run into a clean one. Its quarantined shards stay frozen
+    /// at their last good state.
     pub degraded: DegradedReport,
-    /// Shard indices dropped after exhausting retries; their last-good
-    /// state stays frozen in the aggregate.
-    quarantined: BTreeSet<usize>,
 }
 
 impl ScenarioRun {
@@ -261,6 +356,8 @@ impl ScenarioRun {
                 lo += len as u64;
             }
         }
+        #[cfg(test)]
+        tests::break_kernel(&mut shards);
         Self {
             pack,
             pack_fp,
@@ -268,7 +365,6 @@ impl ScenarioRun {
             epoch: 0,
             shard_cursor: 0,
             degraded: DegradedReport::default(),
-            quarantined: BTreeSet::new(),
         }
     }
 
@@ -293,42 +389,85 @@ impl ScenarioRun {
         }
     }
 
-    /// Moves the run to the position `steps` plain steps reach, where a
-    /// step covers up to `max_shards` shards of the in-flight epoch and
-    /// stops at its end (a no-op once done). It gets there in one
-    /// parallel call, shard-major: each shard runs all of its epochs in
-    /// the window back to back while its columns stay in cache. No shard
-    /// reads another's columns, so the state is the one step-at-a-time
-    /// stepping reaches, and a one-step window steps exactly one step's
-    /// shards. Shard boundaries are safe cancel/checkpoint points at any
-    /// granularity.
-    fn advance(&mut self, max_shards: usize, steps: u64) -> Progress {
+    /// Moves the run to the position `steps` steps reach, where a step
+    /// covers up to `max_shards` shards of the in-flight epoch and stops at
+    /// its end (a no-op once done), in one parallel call: each shard steps
+    /// all of its epochs in the window in place, under supervision. No
+    /// shard reads another's columns and every fault is keyed on `(epoch,
+    /// shard, attempt)`, so the state and the degraded report are the ones
+    /// step-at-a-time stepping reaches.
+    fn step_window(
+        &mut self,
+        max_shards: usize,
+        steps: u64,
+        plan: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+    ) -> Progress {
+        let plan = plan.filter(|p| !p.is_noop());
         let (from_epoch, from_cursor) = (self.epoch, self.shard_cursor);
         let (epoch, cursor) = self.position_after(max_shards, steps);
         if (epoch, cursor) == (from_epoch, from_cursor) {
             return self.progress();
         }
+        let n = self.shards.len();
+        // Register always-stuck wear sensors once, at the very start of the
+        // run (resumes re-load them from the checkpoint).
+        let incidents = &mut self.degraded.sensor_incidents;
+        if (from_epoch, from_cursor) == (0, 0) && incidents.is_empty() {
+            let stuck = |chip| {
+                let kind = plan?.sensor_fault(chip)?;
+                Some(SensorIncident {
+                    chip,
+                    kind,
+                    epoch: 0,
+                })
+            };
+            incidents.extend((0..n as u64).filter_map(stuck));
+        }
         // Shard `s` has integrated `from_epoch + (s < from_cursor)` epochs
         // and ends the window at `epoch + (s < cursor)`. Only a window that
         // wraps into a later epoch reaches the shards before `from_cursor`.
-        let n = self.shards.len();
         let lo = if epoch == from_epoch || (epoch == from_epoch + 1 && cursor == 0) {
             from_cursor
         } else {
             0
         };
         let hi = if epoch == from_epoch { cursor } else { n };
-        let pack = &self.pack;
-        dh_exec::par_chunks_mut(&mut self.shards[lo..hi], 1, |i, chunk| {
+        let window = Window {
+            pack: &self.pack,
+            shards: n,
+            plan,
+            retry,
+        };
+        let quarantined = &self.degraded.quarantined;
+        let logs = dh_exec::par_chunks_mut(&mut self.shards[lo..hi], 1, |i, chunk| {
             let s = lo + i;
-            let first = from_epoch + 1 + u64::from(s < from_cursor);
-            let last = epoch + u64::from(s < cursor);
-            for shard in chunk.iter_mut() {
-                for e in first..=last {
-                    shard.store.step_epoch(pack.epoch_ctx(e));
-                }
+            let epochs =
+                from_epoch + 1 + u64::from(s < from_cursor)..=epoch + u64::from(s < cursor);
+            // A quarantined shard stays frozen: no work, no faults.
+            if epochs.is_empty() || quarantined.iter().any(|q| q.shard == s as u64) {
+                return ShardLog::default();
             }
+            SAVED.with_borrow_mut(|saved| window.step_shard(&mut chunk[0].store, s, epochs, saved))
         });
+        let mut failures = Vec::new();
+        for log in logs {
+            self.degraded.retries += log.retries;
+            self.degraded.rejected_samples += log.rejected;
+            dh_obs::counter!("scenario.shard_retries").add(log.retries);
+            dh_obs::counter!("scenario.rejected_samples").add(log.rejected);
+            failures.extend(log.quarantined);
+        }
+        // Step-at-a-time stepping quarantines in `(epoch, shard)` order.
+        failures.sort_by_key(|(epoch, failure)| (*epoch, failure.index));
+        dh_obs::counter!("scenario.shards_quarantined").add(failures.len() as u64);
+        for (_, failure) in failures {
+            self.degraded.quarantined.push(ShardFailure {
+                shard: failure.index as u64,
+                attempts: failure.attempts,
+                error: failure.message,
+            });
+        }
         let at = |epoch: u64, cursor: usize| epoch * n as u64 + cursor as u64;
         dh_obs::counter!("scenario.shard_steps")
             .add(at(epoch, cursor) - at(from_epoch, from_cursor));
@@ -364,143 +503,19 @@ impl ScenarioRun {
         (epoch, cursor)
     }
 
-    /// Mixes `(epoch, shard)` into one fault-plan index so the same
-    /// shard draws fresh decisions every epoch.
-    fn fault_key(&self, shard: usize) -> u64 {
-        self.epoch
-            .wrapping_mul(self.shards.len() as u64)
-            .wrapping_add(shard as u64)
-    }
-
-    /// Steps up to `max_shards` shards of the in-flight epoch in
-    /// parallel under supervision (a no-op once done): shard workers run
-    /// inside `catch_unwind`, panicking shards (injected or real) are retried
-    /// per `retry` and quarantined when they keep failing, poisoned
-    /// (non-finite) shard states are rejected at the fold, and every
-    /// such event lands in [`ScenarioRun::degraded`] instead of
-    /// aborting. Workers step an out-of-place copy of the shard state,
-    /// so a retried attempt always starts from the intact pre-epoch
-    /// columns.
-    ///
-    /// A quarantined shard stops advancing: its last-good state stays
-    /// frozen in the aggregate (and the fingerprint), and the shard is
-    /// skipped in every later epoch. A rejected (poisoned) shard state
-    /// is discarded the same way for that epoch, with the element count
-    /// added to `rejected_samples`.
-    ///
-    /// With `plan` absent or a no-op (and nothing quarantined), this
-    /// takes the plain stepping path, with no per-shard copies.
+    /// Steps up to `max_shards` shards of the in-flight epoch (a no-op once
+    /// done). Shard panics, injected by `plan` or real, are retried per
+    /// `retry`; a shard that keeps failing is quarantined, frozen at its
+    /// last good state. An epoch that leaves a non-finite state value is
+    /// rejected, its element count added to `rejected_samples`. Every such
+    /// event lands in [`ScenarioRun::degraded`] instead of aborting.
     pub fn step_supervised(
         &mut self,
         max_shards: usize,
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
     ) -> Progress {
-        let plan = plan.filter(|p| !p.is_noop());
-        if plan.is_none() && self.quarantined.is_empty() {
-            return self.advance(max_shards, 1);
-        }
-        if self.epoch >= self.pack.epochs {
-            return self.progress();
-        }
-        if let Some(p) = plan {
-            // Register always-stuck wear sensors once, at the very start
-            // of the run (resumes re-load them from the checkpoint).
-            if self.epoch == 0
-                && self.shard_cursor == 0
-                && self.degraded.sensor_incidents.is_empty()
-            {
-                for shard in 0..self.shards.len() as u64 {
-                    if let Some(kind) = p.sensor_fault(shard) {
-                        self.degraded.sensor_incidents.push(SensorIncident {
-                            chip: shard,
-                            kind,
-                            epoch: 0,
-                        });
-                    }
-                }
-            }
-        }
-        let ctx = self.pack.epoch_ctx(self.epoch + 1);
-        let first = self.shard_cursor;
-        let hi = first
-            .saturating_add(max_shards.max(1))
-            .min(self.shards.len());
-        let batch = hi - first;
-        // Out-of-place inputs: quarantined shards are skipped, everyone
-        // else is stepped on a copy so retries are side-effect free.
-        let inputs: Vec<Option<Store>> = (first..hi)
-            .map(|s| {
-                if self.quarantined.contains(&s) {
-                    None
-                } else {
-                    Some(self.shards[s].store.clone())
-                }
-            })
-            .collect();
-        let keys: Vec<u64> = (first..hi).map(|s| self.fault_key(s)).collect();
-        let shards = &mut self.shards;
-        let degraded = &mut self.degraded;
-        let outcome = dh_exec::par_map_fold_supervised(
-            batch,
-            |i, attempt| {
-                // Quarantined shards stay frozen: no work, no faults.
-                let mut store = inputs[i].clone()?;
-                let key = keys[i];
-                if let Some(p) = plan {
-                    if p.shard_panics(key, attempt) {
-                        panic!(
-                            "injected fault: scenario shard {} attempt {attempt}",
-                            first + i
-                        );
-                    }
-                }
-                store.step_epoch(ctx);
-                if let Some(p) = plan {
-                    if let Some((offset, kind)) = p.poison(key, attempt, store.len() as u64) {
-                        let (mut cols, _) = store.state_mut();
-                        if let Some(col) = cols.first_mut() {
-                            col[offset as usize] = kind.value();
-                        }
-                    }
-                }
-                Some(store)
-            },
-            (),
-            |(), i, store| {
-                let Some(store) = store else { return };
-                let poisoned = (0..store.len())
-                    .filter(|&k| !store.metric(k).is_finite())
-                    .count();
-                if poisoned > 0 {
-                    degraded.rejected_samples += poisoned as u64;
-                    dh_obs::counter!("scenario.rejected_samples").add(poisoned as u64);
-                    return;
-                }
-                shards[first + i].store = store;
-            },
-            retry,
-        );
-        degraded.retries += outcome.retries;
-        dh_obs::counter!("scenario.shard_retries").add(outcome.retries);
-        dh_obs::counter!("scenario.shards_quarantined").add(outcome.failures.len() as u64);
-        for f in outcome.failures {
-            let shard = first + f.index;
-            degraded.quarantined.push(ShardFailure {
-                shard: shard as u64,
-                attempts: f.attempts,
-                error: f.message,
-            });
-            self.quarantined.insert(shard);
-        }
-        dh_obs::counter!("scenario.shard_steps").add(batch as u64);
-        self.shard_cursor = hi;
-        if self.shard_cursor == self.shards.len() {
-            self.shard_cursor = 0;
-            self.epoch += 1;
-            dh_obs::counter!("scenario.epochs").incr();
-        }
-        self.progress()
+        self.step_window(max_shards, 1, plan, retry)
     }
 
     /// Aggregates the current state into per-group reports plus the
@@ -571,49 +586,11 @@ impl ScenarioRun {
         buf
     }
 
-    /// [`ScenarioRun::encode_checkpoint`] into a caller-owned buffer
-    /// (cleared first), so a run's checkpoint cadence reuses one
-    /// allocation. The buffer grows once, to the exact file size.
-    fn encode_checkpoint_into(&self, buf: &mut Vec<u8>) {
-        let mut degraded = Vec::new();
-        self.degraded.encode(&mut degraded);
-        // Magic, five header words, three words per shard plus its
-        // columns, the degraded section, the checksum.
-        let state_words: usize = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (cols, failed) = shard.store.state();
-                3 + cols.iter().map(|col| col.len()).sum::<usize>() + failed.len()
-            })
-            .sum();
-        buf.clear();
-        buf.reserve_exact(MAGIC.len() + 8 * (5 + state_words) + degraded.len() + 8);
-        buf.extend_from_slice(MAGIC);
-        put_u64(buf, VERSION);
-        put_u64(buf, self.pack_fp);
-        put_u64(buf, self.epoch);
-        put_u64(buf, self.shard_cursor as u64);
-        put_u64(buf, self.shards.len() as u64);
-        for shard in &self.shards {
-            put_u64(buf, shard.group as u64);
-            put_u64(buf, shard.lo);
-            put_u64(buf, shard.store.len() as u64);
-            let (cols, failed) = shard.store.state();
-            for col in cols {
-                put_f64s(buf, col);
-            }
-            put_u64s(buf, failed);
-        }
-        buf.extend_from_slice(&degraded);
-        let sum = checksum(buf);
-        put_u64(buf, sum);
-    }
-
     /// Rebuilds a run from a pack and checkpoint bytes, verifying the
     /// format version, the checksum the version names (v3: [`checksum`],
-    /// v2: FNV-1a), and the pack fingerprint. Both versions share one body
-    /// layout and one parser.
+    /// v2: FNV-1a), the pack fingerprint, the position and that every
+    /// state value is finite. Both versions share one body layout and one
+    /// parser.
     pub fn decode_checkpoint(pack: ScenarioPack, bytes: &[u8]) -> Result<Self, ScenarioError> {
         if bytes.len() < MAGIC.len() + 8 || &bytes[..4] != MAGIC {
             return Err(ScenarioError::Corrupt("bad magic".into()));
@@ -665,7 +642,7 @@ impl ScenarioRun {
             )));
         }
         run.shard_cursor = cursor as usize;
-        for shard in &mut run.shards {
+        for (s, shard) in run.shards.iter_mut().enumerate() {
             let group = take_u64(&mut view, "shard group")?;
             let lo = take_u64(&mut view, "shard lo")?;
             let len = take_u64(&mut view, "shard len")?;
@@ -675,18 +652,18 @@ impl ScenarioRun {
                 )));
             }
             let (cols, failed) = shard.store.state_mut();
-            for col in cols {
+            for (c, col) in cols.into_iter().enumerate() {
                 take_f64s(&mut view, col, "state column")?;
+                // The engine rejects every epoch that leaves a non-finite
+                // state value, so the writer never stores one.
+                if let Some(i) = col.iter().position(|v| !v.is_finite()) {
+                    let why = format!("non-finite state at shard {s} column {c} element {i}");
+                    return Err(ScenarioError::Corrupt(why));
+                }
             }
             take_u64s(&mut view, failed, "failed column")?;
         }
         run.degraded = DegradedReport::decode(&mut view)?;
-        run.quarantined = run
-            .degraded
-            .quarantined
-            .iter()
-            .map(|q| q.shard as usize)
-            .collect();
         if !view.is_empty() {
             return Err(ScenarioError::Corrupt(format!(
                 "{} trailing bytes",
@@ -725,27 +702,24 @@ impl ScenarioRun {
 pub type ScenarioCheckpointStore = CheckpointStore;
 
 /// Integrates a pack start to finish with no fault plan and reports.
-///
-/// # Panics
-///
-/// A run with no fault plan is stepped without supervision, so a shard
-/// panic propagates.
+/// Shard panics are contained as in [`run_pack_supervised`], which also
+/// returns the degraded report this drops.
 pub fn run_pack(pack: ScenarioPack) -> ScenarioReport {
     let (report, _) = run_pack_supervised(pack, None, &RetryPolicy::immediate(1), None)
         .expect("a run without checkpoints does no I/O");
     report
 }
 
-/// Integrates a pack under supervision: worker faults from `plan` are
-/// retried per `retry` and quarantined on exhaustion, checkpoints (when
-/// a store is given) are written every `every` steps of
+/// Integrates a pack under supervision: shard panics, real or injected by
+/// `plan`, are retried per `retry` and quarantined on exhaustion,
+/// checkpoints (when a store is given) are written every `every` steps of
 /// [`dh_exec::max_threads`] shards through the disk-fault-injecting
 /// writer, and a corrupt newest generation falls back to an older one on
-/// resume. Without faults to inject, a checkpointed run steps each window
-/// between two writes in one parallel call, shard-major, and a run with
-/// no checkpoints steps a whole epoch per parallel call. Returns the
-/// report plus the accumulated [`DegradedReport`]; a no-op plan with no
-/// checkpoints produces a report bit-identical to [`run_pack`].
+/// resume. A checkpointed run steps each window between two writes in one
+/// parallel call, shard-major; nothing observes a run without checkpoints
+/// until it ends, so it is one window. Returns the report plus the
+/// accumulated [`DegradedReport`]; a no-op plan produces a report
+/// bit-identical to [`run_pack`].
 ///
 /// # Errors
 ///
@@ -758,26 +732,19 @@ pub fn run_pack_supervised(
     retry: &RetryPolicy,
     checkpoints: Option<(&ScenarioCheckpointStore, u64)>,
 ) -> Result<(ScenarioReport, DegradedReport), ScenarioError> {
-    let mut run = match checkpoints {
-        Some((store, _)) => ScenarioRun::resume_from_store(pack, store)?,
-        None => ScenarioRun::new(pack),
+    let Some((store, every)) = checkpoints else {
+        let mut run = ScenarioRun::new(pack);
+        run.step_window(usize::MAX, u64::MAX, plan, retry);
+        return Ok((run.report(), run.degraded));
     };
-    // A checkpointed run's cadence counts steps of `max_threads` shards,
-    // and a faulted run's supervised step copies the shards it steps, so
-    // both go `max_threads` at a time; a plain run steps whole epochs.
-    // `drive` hands a checkpointed run a whole write window per call.
-    let plain = checkpoints.is_none() && plan.is_none_or(FaultPlan::is_noop);
-    let stride = if plain {
-        u64::MAX
-    } else {
-        dh_exec::max_threads() as u64
-    };
-    let checkpoints = checkpoints.map(|(store, every)| Checkpoints { store, every });
+    let mut run = ScenarioRun::resume_from_store(pack, store)?;
     let mut supervised = SupervisedScenario {
         run: &mut run,
         plan,
         retry,
     };
+    let checkpoints = Some(Checkpoints { store, every });
+    let stride = dh_exec::max_threads() as u64;
     drive(&mut supervised, stride, checkpoints, || false, |_| {})?;
     Ok((run.report(), run.degraded))
 }
@@ -795,8 +762,43 @@ pub struct SupervisedScenario<'a> {
 }
 
 impl Checkpoint for ScenarioRun {
+    /// [`ScenarioRun::encode_checkpoint`] into a caller-owned buffer
+    /// (cleared first), so a run's checkpoint cadence reuses one
+    /// allocation. The buffer grows once, to the exact file size.
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.encode_checkpoint_into(buf);
+        let mut degraded = Vec::new();
+        self.degraded.encode(&mut degraded);
+        // Magic, five header words, three words per shard plus its
+        // columns, the degraded section, the checksum.
+        let state_words: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (cols, failed) = shard.store.state();
+                3 + cols.iter().map(|col| col.len()).sum::<usize>() + failed.len()
+            })
+            .sum();
+        buf.clear();
+        buf.reserve_exact(MAGIC.len() + 8 * (5 + state_words) + degraded.len() + 8);
+        buf.extend_from_slice(MAGIC);
+        put_u64(buf, VERSION);
+        put_u64(buf, self.pack_fp);
+        put_u64(buf, self.epoch);
+        put_u64(buf, self.shard_cursor as u64);
+        put_u64(buf, self.shards.len() as u64);
+        for shard in &self.shards {
+            put_u64(buf, shard.group as u64);
+            put_u64(buf, shard.lo);
+            put_u64(buf, shard.store.len() as u64);
+            let (cols, failed) = shard.store.state();
+            for col in cols {
+                put_f64s(buf, col);
+            }
+            put_u64s(buf, failed);
+        }
+        buf.extend_from_slice(&degraded);
+        let sum = checksum(buf);
+        put_u64(buf, sum);
     }
 }
 
@@ -807,21 +809,10 @@ impl Checkpoint for SupervisedScenario<'_> {
 }
 
 impl Run for SupervisedScenario<'_> {
-    /// Without faults to inject or quarantined shards to skip, the whole
-    /// window goes through `ScenarioRun::advance` in one parallel call;
-    /// otherwise every step is its own supervised step.
+    /// The whole window in one supervised parallel call.
     fn step(&mut self, stride: u64, steps: u64) -> bool {
         let stride = usize::try_from(stride).unwrap_or(usize::MAX);
-        if self.plan.is_none_or(FaultPlan::is_noop) && self.run.quarantined.is_empty() {
-            return self.run.advance(stride, steps).done;
-        }
-        let mut progress = self.run.progress();
-        for _ in 0..steps {
-            progress = self.run.step_supervised(stride, self.plan, self.retry);
-            if progress.done {
-                break;
-            }
-        }
+        let progress = self.run.step_window(stride, steps, self.plan, self.retry);
         progress.done
     }
 
@@ -845,10 +836,45 @@ impl Run for SupervisedScenario<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use dh_fault::DiskFaultKind;
 
     use super::*;
     use crate::registry::ScenarioRegistry;
+
+    thread_local! {
+        /// The shard whose kernel [`ScenarioRun::new`] breaks on this
+        /// thread, if any.
+        static BROKEN_SHARD: Cell<Option<(usize, Sabotage)>> = const { Cell::new(None) };
+    }
+
+    /// A change to a freshly built store.
+    type Sabotage = fn(&mut Store);
+
+    /// [`ScenarioRun::new`]'s test hook: sabotages the shard
+    /// [`BROKEN_SHARD`] names.
+    pub(super) fn break_kernel(shards: &mut [Shard]) {
+        if let Some((s, sabotage)) = BROKEN_SHARD.get() {
+            sabotage(&mut shards[s].store);
+        }
+    }
+
+    /// Cuts an SRAM decoder shard's stress rates one short, so its real
+    /// kernel panics on a bounds check.
+    fn truncate_rates(store: &mut Store) {
+        let Store::Sram(store) = store else {
+            panic!("not an SRAM decoder shard");
+        };
+        crate::models::sram::tests::truncate_rates(store);
+    }
+
+    /// Puts a NaN in the shard's last element, which every epoch keeps.
+    fn poison_state(store: &mut Store) {
+        let (mut cols, _) = store.state_mut();
+        let last = cols[0].len() - 1;
+        cols[0][last] = f64::NAN;
+    }
 
     fn small_pack() -> ScenarioPack {
         let mut pack = ScenarioRegistry::builtin()
@@ -874,9 +900,14 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// One step of up to `max_shards` shards without a fault plan.
+    fn step(run: &mut ScenarioRun, max_shards: usize) -> Progress {
+        run.step_supervised(max_shards, None, &RetryPolicy::immediate(1))
+    }
+
     /// Steps every remaining epoch to completion.
     fn step_to_end(run: &mut ScenarioRun) {
-        while !run.advance(usize::MAX, 1).done {}
+        while !step(run, usize::MAX).done {}
     }
 
     #[test]
@@ -887,7 +918,7 @@ mod tests {
 
         let mut stepped = ScenarioRun::new(pack.clone());
         // Stop mid-epoch (5 shards total: 3 + 2).
-        stepped.advance(2, 1);
+        step(&mut stepped, 2);
         let bytes = stepped.encode_checkpoint();
         let mut resumed = ScenarioRun::decode_checkpoint(pack, &bytes).unwrap();
         assert_eq!(resumed.progress(), stepped.progress());
@@ -903,7 +934,7 @@ mod tests {
     fn checkpoint_rejects_corruption_and_wrong_pack() {
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.advance(usize::MAX, 1);
+        step(&mut run, usize::MAX);
         let mut bytes = run.encode_checkpoint();
         let last = bytes.len() - 9;
         bytes[last] ^= 1;
@@ -929,10 +960,15 @@ mod tests {
         let mut bytes = ScenarioRun::new(pack.clone()).encode_checkpoint();
         bytes[20..28].copy_from_slice(&epoch.to_le_bytes());
         bytes[28..36].copy_from_slice(&cursor.to_le_bytes());
+        reseal(&mut bytes);
+        bytes
+    }
+
+    /// Recomputes a checkpoint's trailing checksum over its body.
+    fn reseal(bytes: &mut [u8]) {
         let body = bytes.len() - 8;
         let sum = checksum(&bytes[..body]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        bytes
     }
 
     /// The forged position must be what the decoder objects to: a
@@ -968,6 +1004,29 @@ mod tests {
     #[test]
     fn forged_cursor_in_a_finished_run_is_corrupt() {
         assert_forgery_rejected(small_pack().epochs, 1);
+    }
+
+    #[test]
+    fn forged_non_finite_state_is_corrupt() {
+        let pack = small_pack();
+        let shards = ScenarioRun::new(pack.clone()).shards;
+        // Element 5 of shard 1's second state column: past the header,
+        // shard 0's record and shard 1's three layout words.
+        let (cols, failed) = shards[0].store.state();
+        let shard0 = 24 + 8 * (cols.iter().map(|c| c.len()).sum::<usize>() + failed.len());
+        let at = 44 + shard0 + 24 + 8 * (shards[1].store.len() + 5);
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bytes = forged(&pack, 1, 0);
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bytes);
+            let decoded = ScenarioRun::decode_checkpoint(pack.clone(), &bytes);
+            assert!(
+                matches!(&decoded, Err(ScenarioError::Corrupt(why))
+                    if why.contains("non-finite") && why.contains("shard 1 column 1 element 5")),
+                "{value}: {:?}",
+                decoded.map(|run| run.report().epochs_run)
+            );
+        }
     }
 
     #[test]
@@ -1034,20 +1093,129 @@ mod tests {
 
     #[test]
     fn poisoned_epochs_are_rejected_and_the_shard_keeps_its_old_state() {
-        let pack = small_pack();
-        let p = plan("poison=1", 11);
-        let retry = RetryPolicy::immediate(2);
-        let (report, degraded) = run_pack_supervised(pack.clone(), Some(&p), &retry, None).unwrap();
-        // Every shard's every epoch is poisoned with a non-finite value,
-        // so every fold rejects the whole shard store.
-        assert!(degraded.rejected_samples > 0, "{degraded:?}");
-        assert!(degraded.quarantined.is_empty(), "{degraded:?}");
-        // Rejected folds keep the pre-epoch state: the report equals the
-        // initial state's.
-        let init = ScenarioRun::new(pack).report();
-        for (g, i) in report.groups.iter().zip(init.groups.iter()) {
-            assert_eq!(g.mean_metric_mv.to_bits(), i.mean_metric_mv.to_bits());
+        for name in ["sram-decoder", "dnn-weight-memory", "aged-multiplier"] {
+            let mut pack = ScenarioRegistry::builtin().get(name).unwrap().pack.clone();
+            pack.epochs = 6;
+            pack.shard_size = 300;
+            for block in &mut pack.blocks {
+                block.count = block.count.min(700);
+            }
+            let p = plan("poison=1", 11);
+            let retry = RetryPolicy::immediate(2);
+            let (report, degraded) =
+                run_pack_supervised(pack.clone(), Some(&p), &retry, None).unwrap();
+            // Every shard's every epoch is poisoned with a non-finite
+            // value (NaN, +inf or -inf in the first state column), so
+            // every epoch is rejected.
+            assert!(degraded.rejected_samples > 0, "{name}: {degraded:?}");
+            assert!(degraded.quarantined.is_empty(), "{name}: {degraded:?}");
+            // Rejected epochs keep the pre-epoch state: the report equals
+            // the initial state's.
+            let init = ScenarioRun::new(pack).report();
+            for (g, i) in report.groups.iter().zip(init.groups.iter()) {
+                assert_eq!(
+                    g.mean_metric_mv.to_bits(),
+                    i.mean_metric_mv.to_bits(),
+                    "{name}"
+                );
+            }
         }
+    }
+
+    /// The state columns of every shard, as bits.
+    fn state_bits(run: &ScenarioRun) -> Vec<Vec<u64>> {
+        run.shards
+            .iter()
+            .map(|shard| {
+                let (cols, failed) = shard.store.state();
+                cols.iter()
+                    .flat_map(|col| col.iter().map(|v| v.to_bits()))
+                    .chain(failed.iter().copied())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `small_pack` the way `run_pack` and a plain `fleet
+    /// --scenario` do, with shard `broken` sabotaged, at one thread, at
+    /// every thread and forced-scalar. Requires the three to agree, the
+    /// broken shard to end at its first state and every other shard where
+    /// a clean run ends; returns the degraded report.
+    fn sabotaged_run(broken: usize, sabotage: Sabotage) -> DegradedReport {
+        let pack = small_pack();
+        let mut clean = ScenarioRun::new(pack.clone());
+        step_to_end(&mut clean);
+        let retry = RetryPolicy::immediate(2);
+        BROKEN_SHARD.set(Some((broken, sabotage)));
+        let fresh = state_bits(&ScenarioRun::new(pack.clone()));
+        let mut degraded_reports = Vec::new();
+        for mode in 0..3 {
+            match mode {
+                0 => dh_exec::set_max_threads(Some(1)),
+                1 => dh_exec::set_max_threads(None),
+                _ => dh_simd::force_scalar(true),
+            }
+            let (report, degraded) = run_pack_supervised(pack.clone(), None, &retry, None).unwrap();
+            let mut run = ScenarioRun::new(pack.clone());
+            run.step_window(usize::MAX, u64::MAX, None, &retry);
+            dh_exec::set_max_threads(None);
+            dh_simd::force_scalar(false);
+            let same = (report.fingerprint, &degraded);
+            assert_eq!(same, (run.report().fingerprint, &run.degraded));
+            assert_eq!(run.progress(), clean.progress());
+            let (got, want) = (state_bits(&run), state_bits(&clean));
+            for s in 0..got.len() {
+                let want = if s == broken { &fresh[s] } else { &want[s] };
+                assert_eq!(&got[s], want, "mode {mode}: shard {s}");
+            }
+            degraded_reports.push(degraded);
+        }
+        BROKEN_SHARD.set(None);
+        assert_eq!(degraded_reports[0], degraded_reports[1]);
+        assert_eq!(degraded_reports[0], degraded_reports[2]);
+        degraded_reports.swap_remove(0)
+    }
+
+    #[test]
+    fn a_real_kernel_panic_quarantines_its_shard_and_the_run_completes() {
+        let degraded = sabotaged_run(3, truncate_rates);
+        assert_eq!(degraded.quarantined.len(), 1, "{degraded:?}");
+        let failure = &degraded.quarantined[0];
+        assert_eq!((failure.shard, failure.attempts), (3, 2));
+        assert!(
+            failure.error.contains("index out of bounds"),
+            "{}",
+            failure.error
+        );
+        // The failed fused pass and the one retry of its first epoch.
+        assert_eq!(degraded.retries, 2);
+    }
+
+    #[test]
+    fn a_shard_that_keeps_a_non_finite_value_has_every_epoch_rejected() {
+        let degraded = sabotaged_run(3, poison_state);
+        assert!(degraded.quarantined.is_empty(), "{degraded:?}");
+        // The failed fused pass, then the poisoned element in each of the
+        // pack's six epochs.
+        assert_eq!((degraded.retries, degraded.rejected_samples), (1, 6));
+    }
+
+    #[test]
+    fn a_window_records_quarantines_in_step_order() {
+        // From mid-epoch every shard panics on every attempt. The window
+        // reaches shards 0 and 1 a whole epoch later than shards 2 to 4,
+        // so their quarantines come last, as step-at-a-time stepping
+        // records them.
+        let p = plan("panic=1", 3);
+        let retry = RetryPolicy::immediate(2);
+        let mut fused = ScenarioRun::new(small_pack());
+        step(&mut fused, 2);
+        let mut stepped = fused.clone();
+        while !stepped.step_supervised(1, Some(&p), &retry).done {}
+        fused.step_window(usize::MAX, u64::MAX, Some(&p), &retry);
+        assert_eq!(fused.degraded, stepped.degraded);
+        let order: Vec<u64> = fused.degraded.quarantined.iter().map(|q| q.shard).collect();
+        assert_eq!(order, [2, 3, 4, 0, 1]);
     }
 
     #[test]
@@ -1090,9 +1258,12 @@ mod tests {
         run.step_supervised(2, Some(&p), &retry);
         assert!(!run.degraded.quarantined.is_empty());
         let bytes = run.encode_checkpoint();
-        let resumed = ScenarioRun::decode_checkpoint(pack, &bytes).unwrap();
+        let mut resumed = ScenarioRun::decode_checkpoint(pack, &bytes).unwrap();
         assert_eq!(resumed.degraded, run.degraded);
-        assert_eq!(resumed.quarantined, run.quarantined);
+        // The resumed run skips the same quarantined shards.
+        step_to_end(&mut run);
+        step_to_end(&mut resumed);
+        assert_eq!(resumed.encode_checkpoint(), run.encode_checkpoint());
         // And the degraded section participates in the checksum.
         let mut torn = bytes.clone();
         let degraded_byte = torn.len() - 20;
@@ -1104,7 +1275,7 @@ mod tests {
     fn v1_checkpoints_are_refused_as_corrupt_naming_the_version() {
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.advance(usize::MAX, 1);
+        step(&mut run, usize::MAX);
         let v3 = run.encode_checkpoint();
         // A clean run's degraded section is 7 empty u64 fields; strip it
         // and rewrite the version to 1 to reconstruct a v1 file, whose
@@ -1128,10 +1299,10 @@ mod tests {
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.advance(2, 1);
+        step(&mut run, 2);
         store.write(&run).unwrap();
         let older = run.progress();
-        run.advance(usize::MAX, 1);
+        step(&mut run, usize::MAX);
         store.write(&run).unwrap();
         // Corrupt the newest generation on disk.
         let mut bytes = std::fs::read(store.base_path()).unwrap();
@@ -1158,10 +1329,10 @@ mod tests {
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
-        run.advance(2, 1);
+        step(&mut run, 2);
         store.write(&run).unwrap();
         let before = std::fs::read(store.base_path()).unwrap();
-        run.advance(usize::MAX, 1);
+        step(&mut run, usize::MAX);
         // disk-full=1: every write draws ENOSPC.
         let p = plan("disk-full=1", 5);
         let write = |p: &FaultPlan, index| {

@@ -11,12 +11,13 @@
 //!
 //! Plus the per-built-in-pack engine pins: serial and parallel
 //! integration agree bit-for-bit, a kill/resume through a DHSP
-//! checkpoint lands on the byte-identical end state, and a fused write
-//! window lands where step-at-a-time stepping does.
+//! checkpoint lands on the byte-identical end state, faulted runs land
+//! on pinned reports at any window size, and a fused write window lands
+//! where step-at-a-time stepping does, faults and all.
 
 use dh_bti::WearModel;
 use dh_exec::RetryPolicy;
-use dh_fault::Run;
+use dh_fault::{DegradedReport, FaultPlan, Run};
 use dh_scenario::{
     AgedMultiplier, BlockGroup, BlockModel, Corner, EpochCtx, GroupCtx, Maintenance,
     MaintenancePolicy, MultiplierStore, ScenarioCheckpointStore, ScenarioError, ScenarioPack,
@@ -434,12 +435,69 @@ fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Takes up to `steps` plain steps of up to `stride` shards, one
+/// Faulted runs of the shrunk built-in packs, each plan at seed 9 with
+/// four attempts per shard: `(pack, plan, report fingerprint, degraded
+/// fingerprint, quarantined shards, retries, rejected samples)`.
+#[rustfmt::skip]
+const FAULTED_RUNS: [(&str, &str, u64, u64, usize, u64, u64); 12] = [
+    ("sram-decoder",      "panic=0.3",            0x289734201fc17423, 0x7ad28374aaed4f6f, 0, 24, 0),
+    ("sram-decoder",      "panic=0.3,poison=0.1", 0x59519458a99d68a1, 0xdc367aaa381ab4ce, 0, 24, 1),
+    ("sram-decoder",      "kill-shard=7",         0xbab01146db07748d, 0x9956838ce5e2f25e, 1,  3, 0),
+    ("sram-decoder",      "panic=1",              0x8858bf8dd09f0e3a, 0xd39616597b7c9521, 6, 18, 0),
+    ("dnn-weight-memory", "panic=0.3",            0xeafd6d14140873ef, 0x7ad28374aaed4f6f, 0, 24, 0),
+    ("dnn-weight-memory", "panic=0.3,poison=0.1", 0xfc1b2cb5bcac6915, 0xdc367aaa381ab4ce, 0, 24, 1),
+    ("dnn-weight-memory", "kill-shard=7",         0x8ff63cafb240fa04, 0x9956838ce5e2f25e, 1,  3, 0),
+    ("dnn-weight-memory", "panic=1",              0xb655c2e9c6de41b2, 0xd39616597b7c9521, 6, 18, 0),
+    ("aged-multiplier",   "panic=0.3",            0xa17e0b466f4cae5a, 0x7ad28374aaed4f6f, 0, 24, 0),
+    ("aged-multiplier",   "panic=0.3,poison=0.1", 0x0ed00820b431b41a, 0xdc367aaa381ab4ce, 0, 24, 1),
+    ("aged-multiplier",   "kill-shard=7",         0x40513944b31c5fa8, 0x9956838ce5e2f25e, 1,  3, 0),
+    ("aged-multiplier",   "panic=1",              0xabb24222b68492a9, 0xd39616597b7c9521, 6, 18, 0),
+];
+
+/// Every faulted run lands on its pinned report and degraded report,
+/// whether the run is one window or steps of one or two shards.
+#[test]
+fn faulted_runs_of_the_builtin_packs_are_pinned() {
+    let packs = shrunk_builtins();
+    let retry = RetryPolicy::immediate(4);
+    for (name, spec, report, degraded, quarantined, retries, rejected) in FAULTED_RUNS {
+        let pack = packs.iter().find(|p| p.name == name).unwrap();
+        let plan = FaultPlan::parse(spec, 9).unwrap();
+        let row = |report: u64, d: &DegradedReport| {
+            format!(
+                "report {report:#018x} degraded {:#018x} quarantined {} retries {} rejected {}",
+                d.fingerprint(),
+                d.quarantined.len(),
+                d.retries,
+                d.rejected_samples
+            )
+        };
+        let want = format!(
+            "report {report:#018x} degraded {degraded:#018x} quarantined {quarantined} \
+             retries {retries} rejected {rejected}"
+        );
+        let (whole, d) = dh_scenario::run_pack_supervised(pack.clone(), Some(&plan), &retry, None)
+            .expect("a run without checkpoints does no I/O");
+        assert_eq!(
+            row(whole.fingerprint, &d),
+            want,
+            "{name} {spec}: one window"
+        );
+        for stride in [1, 2] {
+            let mut run = ScenarioRun::new(pack.clone());
+            while !run.step_supervised(stride, Some(&plan), &retry).done {}
+            let got = row(run.report().fingerprint, &run.degraded);
+            assert_eq!(got, want, "{name} {spec}: stride {stride}");
+        }
+    }
+}
+
+/// Takes up to `steps` steps of up to `stride` shards under `plan`, one
 /// parallel call each, stopping when the run completes.
-fn step_at_a_time(run: &mut ScenarioRun, stride: usize, steps: u64) {
-    let retry = RetryPolicy::immediate(1);
+fn step_at_a_time(run: &mut ScenarioRun, stride: usize, steps: u64, plan: Option<&FaultPlan>) {
+    let retry = RetryPolicy::immediate(4);
     for _ in 0..steps {
-        if run.step_supervised(stride, None, &retry).done {
+        if run.step_supervised(stride, plan, &retry).done {
             break;
         }
     }
@@ -449,21 +507,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A write window stepped in one call, shard-major, reaches the state,
-    /// report and checkpoint bytes of the same steps taken one at a time,
-    /// from any mid-epoch start (in memory or decoded from a checkpoint
-    /// the per-step path wrote), at one thread, at every thread, and on
-    /// the forced-scalar backend.
+    /// report and checkpoint bytes (degraded report included) of the same
+    /// steps taken one at a time, from any mid-epoch start (in memory or
+    /// decoded from a checkpoint the per-step path wrote), with no fault
+    /// plan or a drawn one, at one thread, at every thread, and on the
+    /// forced-scalar backend.
     #[test]
     fn a_fused_window_matches_step_at_a_time_stepping(
         window_draws in (0usize..3, 0usize..64, 0u64..64),
         start_draws in (0usize..64, 0u64..256, 0u8..2, 0u8..3),
+        plan_draws in (0u8..4, 0u64..4096),
     ) {
         let (pack_ix, stride_draw, window_draw) = window_draws;
         let (lead_stride_draw, lead_draw, from_file, mode) = start_draws;
+        let (plan_sel, kill_draw) = plan_draws;
         let mut pack = shrunk_builtins().swap_remove(pack_ix);
         // Twelve epochs cross every built-in pack's maintenance interval.
         pack.epochs = 12;
         let shards = ScenarioRun::new(pack.clone()).progress().shards;
+        // A kill-shard key names one `(epoch, shard)` of the run.
+        let spec = match plan_sel {
+            0 => None,
+            1 => Some("panic=0.3".to_string()),
+            2 => Some("panic=0.3,poison=0.1".to_string()),
+            _ => Some(format!("kill-shard={}", kill_draw % (pack.epochs * shards as u64))),
+        };
+        let plan = spec.as_deref().map(|spec| FaultPlan::parse(spec, 9).unwrap());
+        let plan = plan.as_ref();
         let stride = 1 + stride_draw % (shards + 1);
         let per_epoch = shards.div_ceil(stride) as u64;
         let window = 1 + window_draw % (3 * per_epoch);
@@ -473,26 +543,26 @@ proptest! {
         let lead_stride = 1 + lead_stride_draw % shards;
         let lead = lead_draw % (pack.epochs * shards.div_ceil(lead_stride) as u64);
         let mut start = ScenarioRun::new(pack.clone());
-        step_at_a_time(&mut start, lead_stride, lead);
+        step_at_a_time(&mut start, lead_stride, lead, plan);
         if from_file == 1 {
             start = ScenarioRun::decode_checkpoint(pack.clone(), &start.encode_checkpoint()).unwrap();
         }
 
         let mut stepped = start.clone();
-        step_at_a_time(&mut stepped, stride, window);
+        step_at_a_time(&mut stepped, stride, window, plan);
         let mut fused = start;
         match mode {
             0 => dh_exec::set_max_threads(Some(1)),
             1 => dh_exec::set_max_threads(None),
             _ => dh_simd::force_scalar(true),
         }
-        let retry = RetryPolicy::immediate(1);
-        let mut supervised = SupervisedScenario { run: &mut fused, plan: None, retry: &retry };
+        let retry = RetryPolicy::immediate(4);
+        let mut supervised = SupervisedScenario { run: &mut fused, plan, retry: &retry };
         let done = supervised.step(stride as u64, window);
         dh_exec::set_max_threads(None);
         dh_simd::force_scalar(false);
 
-        let case = format!("{} stride {stride} window {window} after {lead} steps of {lead_stride}, mode {mode}", pack.name);
+        let case = format!("{} {spec:?} stride {stride} window {window} after {lead} steps of {lead_stride}, mode {mode}", pack.name);
         prop_assert!(done == stepped.progress().done, "{case}: done");
         prop_assert!(fused.progress() == stepped.progress(), "{case}: position");
         prop_assert!(fused.report() == stepped.report(), "{case}: report");
