@@ -16,7 +16,7 @@ use dh_bti::{BtiDevice, RecoveryCondition, StressCondition};
 use dh_circuit::RingOscillator;
 use dh_em::black::BlackModel;
 use dh_fault::SensorFaultKind;
-use dh_units::rng::{seeded_stream_rng, standard_normal};
+use dh_units::rng::{standard_normal, StreamSeed};
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
 /// The per-chip RNG stream label; combined with the fleet seed and the
@@ -83,7 +83,24 @@ impl ChipSpec {
     /// chip shares, which is what makes every partitioning of the fleet
     /// produce bit-identical chips.
     pub fn draw(seed: u64, index: u64, base_temperature: Kelvin, v: &VariationModel) -> Self {
-        let mut rng = seeded_stream_rng(seed, CHIP_STREAM, index);
+        Self::draw_from(
+            &StreamSeed::new(seed, CHIP_STREAM),
+            index,
+            base_temperature,
+            v,
+        )
+    }
+
+    /// [`ChipSpec::draw`] with the fleet's chip stream derived once by the
+    /// caller (`StreamSeed::new(seed, CHIP_STREAM)`): the same chip, without
+    /// re-hashing the stream label for every index.
+    pub(crate) fn draw_from(
+        stream: &StreamSeed,
+        index: u64,
+        base_temperature: Kelvin,
+        v: &VariationModel,
+    ) -> Self {
+        let mut rng = stream.rng(index);
         let wear_factor = (v.process_sigma * standard_normal(&mut rng)).exp();
         let em_factor = (v.em_sigma * standard_normal(&mut rng)).exp();
         let temperature =

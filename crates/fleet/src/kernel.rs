@@ -9,14 +9,26 @@
 //! `dispatch_backends_agree` below and the `fleet_columnar` proptest
 //! against the per-chip reference path).
 //!
-//! The math is a line-for-line transcription of
-//! [`crate::chip::ChipState::step`] / `BtiDevice::{stress, recover}` /
-//! [`crate::chip::ChipState::sense`] onto columns: same operation order,
-//! same guards, same clamps. Anything constant over a chip's lifetime
-//! was hoisted into the store's constant columns by
+//! The math is [`crate::chip::ChipState::step`] / `BtiDevice::{stress,
+//! recover}` / [`crate::chip::ChipState::sense`] on columns: same
+//! operations, same guards, same clamps. Anything constant over a chip's
+//! lifetime was hoisted into the store's constant columns by
 //! [`ChipStore::reset`]; what remains per epoch is the stress power law,
 //! the universal-relaxation curve, the ring-oscillator frequency map,
 //! and the EM clamp.
+//!
+//! [`epoch_step_columns`] runs one epoch as seven **stage passes** over a
+//! maintenance group, each ending at no more than one libm transcendental
+//! per chip. A chip's epoch is one dependent chain of five `pow`s and an
+//! `exp`; fused into one loop body, the core waits out each call before
+//! the next can start. Split into passes, consecutive chips' calls in a
+//! pass are independent, so the core overlaps them. The split keeps the
+//! bits because every chip still runs the same IEEE-754 operations in the
+//! same order: a pass only touches its own chip's columns (plus the
+//! group-local stress-age scratch handed from pass 3 to pass 4), so the
+//! passes interleave independent chips and never reorder one chip's
+//! arithmetic. Only the last pass changes the live set, so a chip failing
+//! this epoch is stepped through every stage first, as in the reference.
 
 use dh_units::Seconds;
 
@@ -32,21 +44,29 @@ pub(crate) const FAULT_NONE: u8 = 0;
 pub(crate) const FAULT_STUCK: u8 = 1;
 pub(crate) const FAULT_DROPPED: u8 = 2;
 
-/// `BtiDevice::stress` + `apply_stress_totals` for chip `i`, with the
-/// equivalent-age reconstruction exactly as `StressLaw::advance_wearout`
-/// evaluates it. Only called when the reference's input guard passes, so
-/// the open recovery segment (if any) is closed.
+/// First half of `BtiDevice::stress` for chip `i`: closes the open
+/// recovery segment (if any) and returns the equivalent stress age of
+/// the accumulated wearout, exactly as `StressLaw::advance_wearout`
+/// reconstructs it. Only called when the reference's input guard passes.
 #[inline(always)]
-fn stress_chip(s: &mut ChipStore, ctx: &ColumnarCtx, i: usize, sdt: f64, hf: f64) {
+fn stress_age(s: &mut ChipStore, ctx: &ColumnarCtx, i: usize) -> f64 {
     s.seg_kind[i] = SEG_NONE;
-    let a = s.a_stress[i];
     let total = s.rec[i] + s.soft[i] + s.hard[i];
-    let age = if total <= 0.0 {
+    if total <= 0.0 {
         0.0
     } else {
-        (total / a).powf(ctx.inv_n)
-    };
-    let new_total = a * (age + sdt).powf(ctx.n);
+        (total / s.a_stress[i]).powf(ctx.inv_n)
+    }
+}
+
+/// Second half of `BtiDevice::stress` + `apply_stress_totals` for chip
+/// `i`: advances the power law from [`stress_age`]'s `age` by `sdt`,
+/// splits the generated wearout between the soft-permanent and
+/// recoverable pools, and applies the hardening transfer `hf`.
+#[inline(always)]
+fn stress_apply(s: &mut ChipStore, ctx: &ColumnarCtx, i: usize, age: f64, sdt: f64, hf: f64) {
+    let total = s.rec[i] + s.soft[i] + s.hard[i];
+    let new_total = s.a_stress[i] * (age + sdt).powf(ctx.n);
     let generated = (new_total - total).max(0.0);
 
     let new_window = s.window[i] + sdt;
@@ -66,35 +86,21 @@ fn stress_chip(s: &mut ChipStore, ctx: &ColumnarCtx, i: usize, sdt: f64, hf: f64
     s.window[i] = new_window;
 }
 
-/// `BtiDevice::recover` for chip `i` at `call_kind` ∈ {passive, deep}.
-/// The `sf_*`/`wf_*` pair passed in is the anneal/window factor column
-/// pair for this call's dt; which of the pair applies depends on the θ
-/// of the segment that survives the continuation check (the *stored*
-/// segment's condition, exactly like the reference).
+/// First half of `BtiDevice::recover` for chip `i` at `call_kind` ∈
+/// {passive, deep}: the continuation check, and on a new relaxation
+/// segment its start state. Afterwards `seg_kind[i]` is the kind of the
+/// segment that survived (the *stored* segment's condition when it
+/// continues, exactly like the reference), which [`recover_relax`] reads.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn recover_chip(
-    s: &mut ChipStore,
-    ctx: &ColumnarCtx,
-    i: usize,
-    call_kind: u32,
-    dt: f64,
-    sf_p: f64,
-    sf_d: f64,
-    wf_p: f64,
-    wf_d: f64,
-) {
+fn recover_open(s: &mut ChipStore, ctx: &ColumnarCtx, i: usize, call_kind: u32) {
     let flags = s.flags[i];
-    let stored = s.seg_kind[i];
-    let continues = match (stored, call_kind) {
+    let continues = match (s.seg_kind[i], call_kind) {
         (SEG_PASSIVE, SEG_PASSIVE) => flags & F_SAME_PP != 0,
         (SEG_DEEP, SEG_DEEP) => flags & F_SAME_DD != 0,
         (SEG_PASSIVE, SEG_DEEP) | (SEG_DEEP, SEG_PASSIVE) => flags & F_CROSS_PD != 0,
         _ => false,
     };
-    let kind = if continues {
-        stored
-    } else {
+    if !continues {
         // New relaxation segment: ξ referenced to the equivalent age of
         // the accumulated wearout at the reference condition, floored at
         // 1 s (f64::max semantics, so a NaN age also floors to 1).
@@ -108,9 +114,28 @@ fn recover_chip(
         s.seg_age[i] = age.max(1.0);
         s.seg_elapsed[i] = 0.0;
         s.seg_kind[i] = call_kind;
-        call_kind
-    };
-    let (theta, sf, wf) = if kind == SEG_DEEP {
+    }
+}
+
+/// Second half of `BtiDevice::recover` for chip `i`: anneals the soft
+/// pool and the stress window, then relaxes the recoverable pool along
+/// the universal-relaxation curve over `dt` more seconds of the open
+/// segment. The `sf_*`/`wf_*` pair is the anneal/window factor column
+/// pair for this call's dt; which of the pair applies depends on the θ
+/// of the open segment.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn recover_relax(
+    s: &mut ChipStore,
+    ctx: &ColumnarCtx,
+    i: usize,
+    dt: f64,
+    sf_p: f64,
+    sf_d: f64,
+    wf_p: f64,
+    wf_d: f64,
+) {
+    let (theta, sf, wf) = if s.seg_kind[i] == SEG_DEEP {
         (s.theta_d[i], sf_d, wf_d)
     } else {
         (s.theta_p[i], sf_p, wf_p)
@@ -129,68 +154,120 @@ fn recover_chip(
 
 dh_simd::dispatch! {
     /// Steps every live chip in `[glo, ghi)` through one epoch
-    /// (`ChipState::step` on columns). `selected` is group-local (index
-    /// `i - glo`) and says which chips hold a recovery slot this epoch.
-    /// Returns how many chips failed during this sweep.
+    /// (`ChipState::step` on columns), one stage pass at a time.
+    /// `selected` is group-local (index `i - glo`) and says which chips
+    /// hold a recovery slot this epoch; `age` is group-local scratch of
+    /// at least the group's length. Returns how many chips failed during
+    /// this sweep.
     pub(crate) fn epoch_step_columns(
         store: &mut ChipStore,
         ctx: ColumnarCtx,
         glo: usize,
         ghi: usize,
         selected: &[bool],
+        age: &mut [f64],
         epoch_index: u64,
     ) -> u64 {
-        let mut newly_failed = 0u64;
+        let s = store;
+        // 1. Deep-recovery open, for the chips holding a slot.
         for i in glo..ghi {
-            if store.failed_epoch[i] != ALIVE {
+            if s.failed_epoch[i] != ALIVE || !selected[i - glo] {
                 continue;
             }
-            let flags = store.flags[i];
-            if selected[i - glo] {
-                store.healed[i] += 1;
-                if flags & F_DEEP_NOOP == 0 {
-                    recover_chip(
-                        store, &ctx, i, SEG_DEEP, ctx.heal_dt,
-                        store.sf_p_heal[i], store.sf_d_heal[i],
-                        store.wf_p_heal[i], store.wf_d_heal[i],
-                    );
-                }
-                store.em[i] += store.em_dh[i];
-                if flags & F_STRESS_NOOP_H == 0 {
-                    stress_chip(store, &ctx, i, store.stress_dt_h[i], store.hf_h[i]);
-                }
-                if flags & F_RUN_IDLE_H != 0 {
-                    recover_chip(
-                        store, &ctx, i, SEG_PASSIVE, store.idle_h[i],
-                        store.sf_p_idle_h[i], store.sf_d_idle_h[i],
-                        store.wf_p_idle_h[i], store.wf_d_idle_h[i],
-                    );
-                }
-            } else {
-                store.em[i] += store.em_dn[i];
-                if flags & F_STRESS_NOOP_N == 0 {
-                    stress_chip(store, &ctx, i, store.stress_dt_n[i], store.hf_n[i]);
-                }
-                if flags & F_RUN_IDLE_N != 0 {
-                    recover_chip(
-                        store, &ctx, i, SEG_PASSIVE, store.idle_n[i],
-                        store.sf_p_idle_n[i], store.sf_d_idle_n[i],
-                        store.wf_p_idle_n[i], store.wf_d_idle_n[i],
-                    );
-                }
+            s.healed[i] += 1;
+            if s.flags[i] & F_DEEP_NOOP == 0 {
+                recover_open(s, &ctx, i, SEG_DEEP);
             }
+        }
+        // 2. Deep-recovery relax.
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE || !selected[i - glo] || s.flags[i] & F_DEEP_NOOP != 0 {
+                continue;
+            }
+            recover_relax(
+                s, &ctx, i, ctx.heal_dt,
+                s.sf_p_heal[i], s.sf_d_heal[i], s.wf_p_heal[i], s.wf_d_heal[i],
+            );
+        }
+        // 3. EM increment, then the stress age.
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE {
+                continue;
+            }
+            let j = i - glo;
+            let (em_delta, noop) = if selected[j] {
+                (s.em_dh[i], F_STRESS_NOOP_H)
+            } else {
+                (s.em_dn[i], F_STRESS_NOOP_N)
+            };
+            s.em[i] += em_delta;
+            if s.flags[i] & noop == 0 {
+                age[j] = stress_age(s, &ctx, i);
+            }
+        }
+        // 4. Stress apply: the new total, the permanent fraction and the
+        //    hardening transfer.
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE {
+                continue;
+            }
+            let j = i - glo;
+            let (noop, sdt, hf) = if selected[j] {
+                (F_STRESS_NOOP_H, s.stress_dt_h[i], s.hf_h[i])
+            } else {
+                (F_STRESS_NOOP_N, s.stress_dt_n[i], s.hf_n[i])
+            };
+            if s.flags[i] & noop == 0 {
+                stress_apply(s, &ctx, i, age[j], sdt, hf);
+            }
+        }
+        // 5. Idle-recovery open.
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE {
+                continue;
+            }
+            let run_idle = if selected[i - glo] { F_RUN_IDLE_H } else { F_RUN_IDLE_N };
+            if s.flags[i] & run_idle != 0 {
+                recover_open(s, &ctx, i, SEG_PASSIVE);
+            }
+        }
+        // 6. Idle-recovery relax.
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE {
+                continue;
+            }
+            if selected[i - glo] {
+                if s.flags[i] & F_RUN_IDLE_H != 0 {
+                    recover_relax(
+                        s, &ctx, i, s.idle_h[i],
+                        s.sf_p_idle_h[i], s.sf_d_idle_h[i], s.wf_p_idle_h[i], s.wf_d_idle_h[i],
+                    );
+                }
+            } else if s.flags[i] & F_RUN_IDLE_N != 0 {
+                recover_relax(
+                    s, &ctx, i, s.idle_n[i],
+                    s.sf_p_idle_n[i], s.sf_d_idle_n[i], s.wf_p_idle_n[i], s.wf_d_idle_n[i],
+                );
+            }
+        }
+        // 7. EM clamp, frequency, guardband, score and the failure latch:
+        //    the only pass that changes the live set.
+        let mut newly_failed = 0u64;
+        for i in glo..ghi {
+            if s.failed_epoch[i] != ALIVE {
+                continue;
+            }
+            s.em_peak[i] = s.em_peak[i].max(s.em[i]);
+            let floor = ctx.em_pinned_floor * s.em_peak[i];
+            s.em[i] = s.em[i].clamp(floor, 1.0);
 
-            store.em_peak[i] = store.em_peak[i].max(store.em[i]);
-            let floor = ctx.em_pinned_floor * store.em_peak[i];
-            store.em[i] = store.em[i].clamp(floor, 1.0);
-
-            let total = store.rec[i] + store.soft[i] + store.hard[i];
+            let total = s.rec[i] + s.soft[i] + s.hard[i];
             let degradation = 1.0 - ctx.ro.frequency(total).value() / ctx.fresh_hz;
-            store.guardband[i] = store.guardband[i].max(degradation);
-            store.score[i] = degradation + store.em[i];
-            store.epochs_run[i] += 1;
-            if store.em[i] >= 1.0 || degradation >= ctx.fail_guardband {
-                store.failed_epoch[i] = epoch_index.min(u64::from(u32::MAX) - 1) as u32;
+            s.guardband[i] = s.guardband[i].max(degradation);
+            s.score[i] = degradation + s.em[i];
+            s.epochs_run[i] += 1;
+            if s.em[i] >= 1.0 || degradation >= ctx.fail_guardband {
+                s.failed_epoch[i] = epoch_index.min(u64::from(u32::MAX) - 1) as u32;
                 newly_failed += 1;
             }
         }
@@ -257,8 +334,9 @@ mod tests {
             let mut store = ChipStore::new();
             store.reset(&config, &ctx, 0, 16);
             let selected: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
+            let mut age = vec![0.0; 16];
             for e in 0..32 {
-                epoch_step_columns(&mut store, ctx, 0, 16, &selected, e);
+                epoch_step_columns(&mut store, ctx, 0, 16, &selected, &mut age, e);
             }
             dh_simd::force_scalar(false);
             store

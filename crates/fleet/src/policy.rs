@@ -135,13 +135,23 @@ impl FleetPolicy {
     }
 }
 
+/// `x`'s position in [`f64::total_cmp`]'s order as an integer (the key
+/// `total_cmp` itself compares): `a.total_cmp(&b)` equals
+/// `rank_key(a).cmp(&rank_key(b))`, so `-0.0` ranks below `+0.0` and
+/// NaNs sort by sign and payload exactly as they do there.
+#[inline]
+fn rank_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 impl FleetPolicy {
     /// [`FleetPolicy::select`] over [`crate::store::ChipStore`] column
     /// slices: same slot assignment, same tie-breaks, but ranking reads
-    /// the score/flagged columns directly and reuses the caller's
-    /// `ranked` scratch so the hot loop allocates nothing. `alive` is
-    /// the group's `failed_epoch` column ([`crate::store::ALIVE`] =
-    /// still alive).
+    /// the score/flagged columns directly and keeps its best-so-far list
+    /// in the caller's `top` scratch, so the hot loop allocates nothing.
+    /// `alive` is the group's `failed_epoch` column
+    /// ([`crate::store::ALIVE`] = still alive).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn select_columnar(
         self,
@@ -151,7 +161,7 @@ impl FleetPolicy {
         score: &[f64],
         flagged: &[u8],
         selected: &mut [bool],
-        ranked: &mut Vec<u32>,
+        top: &mut Vec<(i64, u32)>,
     ) -> u64 {
         debug_assert_eq!(alive.len(), selected.len());
         selected.fill(false);
@@ -182,24 +192,39 @@ impl FleetPolicy {
                 }
             }
             Self::WorstFirst => {
-                // rank_score semantics: a flagged sensor ranks worst-of-all
-                // so the chip is healed every epoch, never silently starved.
-                let rank = |i: u32| {
-                    if flagged[i as usize] != 0 {
-                        f64::INFINITY
-                    } else {
-                        score[i as usize]
+                // One pass in index order keeps the best `slots` live
+                // chips seen so far, sorted by rank descending. A chip
+                // joins after every equal rank already listed, and
+                // displaces the last entry only on a strictly greater
+                // rank: both give the lower index the tie, which makes
+                // the list the first `slots` of `select`'s sort.
+                top.clear();
+                top.reserve(slots);
+                for i in 0..n {
+                    if !is_alive(i) {
+                        continue;
                     }
-                };
-                ranked.clear();
-                ranked.extend((0..n as u32).filter(|&i| is_alive(i as usize)));
-                // The comparator is a total order (index tie-break), so an
-                // unstable sort is deterministic here.
-                ranked.sort_unstable_by(|&a, &b| rank(b).total_cmp(&rank(a)).then(a.cmp(&b)));
-                for &i in ranked.iter().take(slots) {
-                    selected[i as usize] = true;
-                    healed += 1;
+                    // rank_score semantics: a flagged sensor ranks
+                    // worst-of-all so the chip is healed every epoch,
+                    // never silently starved.
+                    let key = if flagged[i] != 0 {
+                        rank_key(f64::INFINITY)
+                    } else {
+                        rank_key(score[i])
+                    };
+                    if top.len() == slots {
+                        if key <= top[slots - 1].0 {
+                            continue;
+                        }
+                        top.pop();
+                    }
+                    let at = top.partition_point(|&(k, _)| k >= key);
+                    top.insert(at, (key, i as u32));
                 }
+                for &(_, i) in top.iter() {
+                    selected[i as usize] = true;
+                }
+                healed = top.len() as u64;
             }
         }
         healed
@@ -213,6 +238,7 @@ mod tests {
     use dh_circuit::RingOscillator;
     use dh_em::black::BlackModel;
     use dh_units::{CurrentDensity, Kelvin, Seconds, Volts};
+    use proptest::prelude::*;
 
     fn context() -> ChipContext {
         let ro = RingOscillator::paper_75_stage();
@@ -298,6 +324,74 @@ mod tests {
             2
         );
         assert!(!sel[0], "dead chip never granted a worst-first slot");
+    }
+
+    /// Scores the selection proptest draws from: duplicates, both zeros,
+    /// both infinities and NaNs of both signs and two payloads, so every
+    /// corner of `total_cmp`'s order and the index tie-break is reachable.
+    const SCORE_POOL: [f64; 12] = [
+        0.5,
+        0.5,
+        0.25,
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+    ];
+
+    proptest! {
+        /// The columnar selection (one-pass top-`slots` for worst-first)
+        /// grants exactly the slots [`FleetPolicy::select`] grants over
+        /// `ChipState`s: same mask, same healed count, for every policy.
+        #[test]
+        fn select_columnar_matches_the_per_chip_select(
+            n in 1usize..201,
+            slots_draw in 0u64..1_000,
+            chips_drawn in collection::vec((0..SCORE_POOL.len(), 0u8..100, 0u8..100), 200),
+            epoch in 0u64..1_000,
+        ) {
+            // slots in 0..=n+2; a chip's sensor is flagged with p = 0.15
+            // and the chip is dead with p = 0.2.
+            let slots = slots_draw % (n as u64 + 3);
+            let drawn: Vec<(usize, bool, bool)> = chips_drawn[..n]
+                .iter()
+                .map(|&(k, f, d)| (k, f < 15, d < 20))
+                .collect();
+            let template = group(1).pop().unwrap();
+            let chips: Vec<ChipState> = drawn
+                .iter()
+                .map(|&(k, flagged, dead)| {
+                    let mut chip = template.clone();
+                    chip.score = SCORE_POOL[k];
+                    chip.sensor_flagged = flagged;
+                    chip.failed_at = dead.then(|| Seconds::new(1.0));
+                    chip
+                })
+                .collect();
+            let alive: Vec<u32> = drawn
+                .iter()
+                .map(|&(_, _, dead)| if dead { 0 } else { crate::store::ALIVE })
+                .collect();
+            let score: Vec<f64> = drawn.iter().map(|&(k, _, _)| SCORE_POOL[k]).collect();
+            let flagged: Vec<u8> = drawn.iter().map(|&(_, f, _)| u8::from(f)).collect();
+            let budget = MaintenanceBudget { slots_per_group: slots };
+            let mut top = Vec::new();
+            for policy in [FleetPolicy::WorstFirst, FleetPolicy::Static, FleetPolicy::RoundRobin] {
+                let mut want = vec![false; n];
+                let mut got = vec![true; n];
+                let healed_want = policy.select(epoch, budget, &chips, &mut want);
+                let healed_got = policy.select_columnar(
+                    epoch, budget, &alive, &score, &flagged, &mut got, &mut top,
+                );
+                prop_assert!(healed_got == healed_want, "{policy:?}: healed {healed_got} vs {healed_want}");
+                prop_assert!(got == want, "{policy:?}: mask {got:?} vs {want:?}");
+            }
+        }
     }
 
     #[test]

@@ -377,8 +377,11 @@ struct ShardSlab {
     store: ChipStore,
     /// Group-local slot assignment for the current epoch.
     selected: Vec<bool>,
-    /// Worst-first ranking scratch.
-    ranked: Vec<u32>,
+    /// Group-local stress ages, handed from the kernel's stress-age pass
+    /// to its stress-apply pass.
+    age: Vec<f64>,
+    /// Worst-first selection scratch: the best (rank key, index) pairs.
+    top: Vec<(i64, u32)>,
     /// Group-local injected sensor faults (plan runs only) and their
     /// kernel codes.
     faults: Vec<Option<SensorFaultKind>>,
@@ -429,6 +432,8 @@ fn simulate_shard_columnar(
 
         slab.selected.clear();
         slab.selected.resize(len, false);
+        slab.age.clear();
+        slab.age.resize(len, 0.0);
         if let Some(p) = plan {
             // A chip's sensor fault is part of its (injected) identity:
             // resolved once per chip, constant over the lifetime.
@@ -457,11 +462,19 @@ fn simulate_shard_columnar(
                 &slab.store.score[glo..ghi],
                 &slab.store.flagged[glo..ghi],
                 &mut slab.selected,
-                &mut slab.ranked,
+                &mut slab.top,
             );
             slab.budget_slots += config.budget.slots_per_group.min(len as u64);
             dh_obs::counter!("fleet.chips_healed").add(healed);
-            alive -= epoch_step_columns(&mut slab.store, *cctx, glo, ghi, &slab.selected, epoch);
+            alive -= epoch_step_columns(
+                &mut slab.store,
+                *cctx,
+                glo,
+                ghi,
+                &slab.selected,
+                &mut slab.age,
+                epoch,
+            );
             if plan.is_some() {
                 slab.newly.clear();
                 slab.newly.resize(len, 0);

@@ -19,9 +19,10 @@
 
 use dh_bti::{AnalyticBtiModel, RecoveryCondition, StressCondition};
 use dh_circuit::RingOscillator;
+use dh_units::rng::StreamSeed;
 use dh_units::{Seconds, Volts};
 
-use crate::chip::ChipSpec;
+use crate::chip::{ChipSpec, CHIP_STREAM};
 use crate::sim::FleetConfig;
 
 /// Sentinel in the `failed_epoch` column: the chip is still alive.
@@ -431,10 +432,11 @@ impl ChipStore {
         let em_wear_heal = (1.0 - duty) - config.em_heal_efficiency.value() * duty;
         let black = dh_em::black::BlackModel::calibrated_to_paper();
         let bias = config.recovery_bias;
+        let stream = StreamSeed::new(config.seed, CHIP_STREAM);
 
         for k in 0..len {
-            let spec = ChipSpec::draw(
-                config.seed,
+            let spec = ChipSpec::draw_from(
+                &stream,
                 lo + k as u64,
                 config.base_temperature,
                 &config.variation,

@@ -52,28 +52,60 @@ pub fn seeded_rng(root: u64, label: &str) -> StdRng {
     StdRng::from_seed(derive_seed(root, label))
 }
 
-/// Derives the seed for one item of an indexed stream.
+/// The index-independent half of an indexed stream's seed: the label
+/// seed of `(root, label)`, as four little-endian lanes.
 ///
-/// Mixes the item index into the label-derived seed with an extra
-/// SplitMix64 round per lane, so every `(root, label, index)` triple
-/// names an independent stream. This is what makes parallel Monte-Carlo
-/// sweeps bit-identical to serial ones: item `i`'s randomness depends
-/// only on the triple, never on which thread ran it or in what order.
-pub fn derive_stream_seed(root: u64, label: &str, index: u64) -> [u8; 32] {
-    let base = derive_seed(root, label);
-    let mut seed = [0_u8; 32];
-    // Golden-ratio offset keeps index 0 distinct from the plain label seed.
-    let mut state = index.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6a09_e667_f3bc_c909;
-    for (chunk, lane) in seed.chunks_mut(8).zip(base.chunks(8)) {
-        state = state.wrapping_add(u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        chunk.copy_from_slice(&z.to_le_bytes());
+/// [`derive_stream_seed`] is [`StreamSeed::new`] followed by
+/// [`StreamSeed::at`]. A caller that draws many items of one stream
+/// derives the base once and mixes each index in with [`StreamSeed::at`],
+/// which skips the label hash per item and gives the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamSeed([u64; 4]);
+
+impl StreamSeed {
+    /// Hashes `label` under `root` (see [`derive_seed`]).
+    pub fn new(root: u64, label: &str) -> Self {
+        let base = derive_seed(root, label);
+        Self(std::array::from_fn(|k| {
+            u64::from_le_bytes(base[8 * k..8 * k + 8].try_into().expect("8-byte lane"))
+        }))
     }
-    seed
+
+    /// The seed of item `index` of this stream.
+    ///
+    /// Mixes the item index into the label-derived seed with an extra
+    /// SplitMix64 round per lane, so every `(root, label, index)` triple
+    /// names an independent stream.
+    pub fn at(&self, index: u64) -> [u8; 32] {
+        let mut seed = [0_u8; 32];
+        // Golden-ratio offset keeps index 0 distinct from the plain label seed.
+        let mut state = index.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6a09_e667_f3bc_c909;
+        for (chunk, &lane) in seed.chunks_mut(8).zip(&self.0) {
+            state = state.wrapping_add(lane);
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            chunk.copy_from_slice(&z.to_le_bytes());
+        }
+        seed
+    }
+
+    /// The deterministic [`StdRng`] for item `index` of this stream.
+    pub fn rng(&self, index: u64) -> StdRng {
+        StdRng::from_seed(self.at(index))
+    }
+}
+
+/// Derives the seed for one item of an indexed stream: the label half
+/// ([`StreamSeed::new`]) and the index mix ([`StreamSeed::at`]).
+///
+/// Item `i`'s randomness depends only on the triple `(root, label, i)`,
+/// never on which thread ran it or in what order. This is what makes
+/// parallel Monte-Carlo sweeps bit-identical to serial ones.
+pub fn derive_stream_seed(root: u64, label: &str, index: u64) -> [u8; 32] {
+    StreamSeed::new(root, label).at(index)
 }
 
 /// Creates the deterministic [`StdRng`] for item `index` of a named
@@ -89,7 +121,7 @@ pub fn derive_stream_seed(root: u64, label: &str, index: u64) -> [u8; 32] {
 /// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 /// ```
 pub fn seeded_stream_rng(root: u64, label: &str, index: u64) -> StdRng {
-    StdRng::from_seed(derive_stream_seed(root, label, index))
+    StreamSeed::new(root, label).rng(index)
 }
 
 /// Samples a standard normal deviate via Box–Muller.
@@ -157,6 +189,40 @@ mod tests {
         // Index 0 must not collapse onto the plain label stream.
         let mut plain = seeded_rng(7, "sweep");
         assert_ne!(v0[0], plain.gen::<u64>());
+    }
+
+    #[test]
+    fn stream_seeds_are_pinned_and_the_split_halves_compose() {
+        // Values from the single-function derivation the split replaced;
+        // every fleet chip identity hangs off these bits.
+        #[rustfmt::skip]
+        let pins: [(u64, &str, u64, [u64; 4]); 3] = [
+            (7, "fleet/chip", 0, [
+                0xc6bb_bfc2_79bb_ea5c, 0xd920_5734_0637_b07e,
+                0xf6e1_1ee0_ca9f_90cb, 0x5b37_a058_0a7a_9987,
+            ]),
+            (1, "fleet/chip", 399_999, [
+                0x61fc_1eb9_f385_2c49, 0xb309_7c08_7372_d778,
+                0x1ede_5404_49ce_cba5, 0xd31b_dc07_9cc6_3290,
+            ]),
+            (42, "em-population", u64::MAX, [
+                0x6757_b041_713b_44b3, 0xbb93_a7b2_b251_af5a,
+                0x951b_eed5_dc01_d363, 0x5072_dccc_4b12_ed6a,
+            ]),
+        ];
+        for (root, label, index, lanes) in pins {
+            let seed = derive_stream_seed(root, label, index);
+            let got: Vec<u64> = seed
+                .chunks(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(got, lanes, "({root}, {label:?}, {index})");
+            let stream = StreamSeed::new(root, label);
+            assert_eq!(stream.at(index), seed);
+            let mut a = stream.rng(index);
+            let mut b = seeded_stream_rng(root, label, index);
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   bit-identical fleet *and* degraded fingerprints run to run.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use deep_healing::fault::wire::{fnv1a, FNV_OFFSET};
 use deep_healing::fault::{FaultPlan, SensorFaultKind};
@@ -42,8 +43,14 @@ fn small_fleet() -> FleetConfig {
     }
 }
 
+/// Hands out a new empty temp dir per call. The name carries the process
+/// id and a counter, so two test processes running at once never share
+/// one; a leftover of the same name (an earlier process that had this
+/// pid) is removed first.
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dh-fault-test-{tag}"));
+    static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dh-fault-test-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

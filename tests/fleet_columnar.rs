@@ -7,10 +7,15 @@
 //! reference oracle. These tests pin the two together:
 //!
 //! * property-tested over random population geometries, seeds, policy
-//!   mixes, budgets, and sensor/poison fault plans, the columnar report
-//!   and degraded-report fingerprints equal the reference's **bit for
-//!   bit** (and the headline statistics agree to ≤ 1e-12, which bit
-//!   identity makes trivial);
+//!   mixes, budgets, horizons up to 1.5 years, the physics corners that
+//!   steer the kernel's branches (recovery bias, heal fraction, failure
+//!   guardband) and sensor/poison fault plans, the columnar report and
+//!   degraded-report fingerprints equal the reference's **bit for bit**
+//!   (and the headline statistics agree to ≤ 1e-12, which bit identity
+//!   makes trivial);
+//! * fixed configs reach each rare kernel branch — a deep-recovery call
+//!   that continues the open passive segment, a deep call that is a
+//!   no-op, chips failing mid-run — and match the reference there too;
 //! * the forced-scalar SIMD backend reproduces the same fingerprints as
 //!   the autovectorized one (the `DH_SIMD=scalar` CI job runs the whole
 //!   suite that way; this test flips the override at runtime).
@@ -20,11 +25,21 @@ use deep_healing::fleet::{
     run_fleet, run_fleet_reference, run_fleet_supervised, FleetConfig, FleetPolicy,
     MaintenanceBudget,
 };
+use deep_healing::units::{Fraction, Volts};
 use dh_exec::RetryPolicy;
 use proptest::prelude::*;
 
+/// Recovery biases: the paper's −0.3 V, and two within the 10 mV the
+/// device treats as the passive condition, where a deep call continues
+/// an open passive segment (and the reverse).
+const BIASES: [f64; 3] = [-0.3, -0.004, 0.0];
+/// Heal fractions: 0 makes every deep-recovery call a no-op.
+const HEAL_FRACTIONS: [f64; 3] = [0.0, 0.15, 0.6];
+/// Failure guardbands: at 0.01 chips fail mid-run.
+const FAIL_GUARDBANDS: [f64; 2] = [0.1, 0.01];
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any population, any geometry, any (non-killing) fault plan: the
     /// columnar engine folds the exact bits the reference path folds.
@@ -36,13 +51,18 @@ proptest! {
         seed in 0u64..1_000,
         policy_mix in 0usize..4,
         slots in 0u64..4,
-        years in 0.05f64..0.3,
+        years in 0.05f64..1.5,
         plan_sel in 0usize..4,
+        corner in (0..BIASES.len(), 0..HEAL_FRACTIONS.len(), 0..FAIL_GUARDBANDS.len()),
     ) {
+        let (bias, heal, guard) = corner;
         let config = FleetConfig {
             devices,
             seed,
             years,
+            recovery_bias: Volts::new(BIASES[bias]),
+            heal_fraction: Fraction::clamped(HEAL_FRACTIONS[heal]),
+            fail_guardband: FAIL_GUARDBANDS[guard],
             shard_size: group_size * shard_groups,
             group_size,
             policies: match policy_mix {
@@ -92,6 +112,84 @@ proptest! {
         prop_assert!((ref_report.guardband.mean - col_report.guardband.mean).abs() <= 1e-12);
         prop_assert!((ref_report.guardband.max - col_report.guardband.max).abs() <= 1e-12);
     }
+}
+
+/// The three rare paths through the epoch kernel, each on a fixed config
+/// that the report shows reaches it, must match the reference bit for
+/// bit (the proptest above draws these corners too; this pins that they
+/// are reached):
+/// * a recovery bias within 10 mV of the passive condition: from the
+///   second epoch on, a chip granted a slot continues the passive
+///   segment its previous epoch's idle recovery left open;
+/// * a heal fraction of 0: every deep-recovery call is a no-op;
+/// * a 1% failure guardband: chips fail mid-run while the rest of their
+///   group keeps stepping.
+#[test]
+fn each_rare_kernel_branch_is_reached_and_matches_the_reference() {
+    let base = FleetConfig {
+        devices: 512,
+        seed: 1,
+        years: 1.5,
+        shard_size: 64,
+        group_size: 32,
+        policies: vec![
+            FleetPolicy::WorstFirst,
+            FleetPolicy::RoundRobin,
+            FleetPolicy::Static,
+        ],
+        budget: MaintenanceBudget { slots_per_group: 4 },
+        ..FleetConfig::default()
+    };
+    let cases = [
+        (
+            "cross-condition continuation",
+            FleetConfig {
+                recovery_bias: Volts::new(-0.004),
+                ..base.clone()
+            },
+        ),
+        (
+            "deep no-op",
+            FleetConfig {
+                heal_fraction: Fraction::clamped(0.0),
+                ..base.clone()
+            },
+        ),
+        (
+            "mid-run failure",
+            FleetConfig {
+                fail_guardband: 0.01,
+                ..base.clone()
+            },
+        ),
+    ];
+    for (branch, config) in &cases {
+        let (reference, _) = run_fleet_reference(config, None).unwrap();
+        let columnar = run_fleet(config).unwrap();
+        assert_eq!(
+            reference.fingerprint(),
+            columnar.fingerprint(),
+            "{branch}: columnar diverged from the reference"
+        );
+        // Slots were used after the first epoch (for the continuation:
+        // an idle segment was open to continue).
+        assert!(config.total_epochs() > 1, "{branch}");
+        assert!(reference.healed_chip_epochs > reference.devices, "{branch}");
+    }
+    let failing = &cases[2].1;
+    let report = run_fleet(failing).unwrap();
+    assert!(
+        report.failed > 0 && report.failed < report.devices,
+        "mid-run failure: {} of {} failed",
+        report.failed,
+        report.devices
+    );
+    assert!(
+        report.ttf_years.min < failing.years * 0.5 && report.ttf_years.max > report.ttf_years.min,
+        "chips must fail at different epochs well before the horizon: {} to {} y",
+        report.ttf_years.min,
+        report.ttf_years.max
+    );
 }
 
 #[test]
