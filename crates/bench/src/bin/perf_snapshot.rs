@@ -24,9 +24,10 @@
 //!   `ChipStore` engine at the default thread count, with
 //!   device·epochs/s for both. The row asserts the reports are
 //!   bit-identical, that the fingerprint is invariant under `DH_SIMD`
-//!   backend forcing, and that the columnar engine's steady-state
-//!   allocations/run stay well below the 17,557 the engine made before
-//!   its slab pool.
+//!   backend forcing, and that the columnar engine's allocations/run,
+//!   counted on one worker, are the same at twice the devices (nothing
+//!   allocates per shard or per group) and stay well below the 17,557
+//!   the engine made before its slab pool.
 //! * Scenario pack: the built-in SRAM-decoder pack integrated element by
 //!   element through the scalar `WearModel` reference vs the sharded
 //!   columnar scenario engine (element·epochs/s, mean ΔVth agreement
@@ -289,12 +290,35 @@ fn main() {
     let (serial_s, (serial_report, _)) =
         timed(|| run_fleet_reference(&fleet_config, None).unwrap());
     let (opt_s, parallel_report) = timed(|| run_fleet(&fleet_config).unwrap());
-    let (fleet_allocs, _) = count_allocs(|| run_fleet(&fleet_config).unwrap());
+    // Allocations are counted on one worker: with more, the count follows
+    // how many slabs the run happens to create, not what a shard costs.
+    let one_worker_allocs = |devices: u64| {
+        let config = FleetConfig {
+            devices,
+            ..fleet_config.clone()
+        };
+        dh_exec::set_max_threads(Some(1));
+        let (allocs, _) = count_allocs(|| run_fleet(&config).unwrap());
+        dh_exec::set_max_threads(None);
+        allocs
+    };
+    let fleet_allocs = one_worker_allocs(fleet_config.devices);
+    let doubled_allocs = one_worker_allocs(2 * fleet_config.devices);
     let (ref_allocs, _) = count_allocs(|| run_fleet_reference(&fleet_config, None).unwrap());
     assert_eq!(
         serial_report.fingerprint(),
         parallel_report.fingerprint(),
         "columnar fleet report must be bit-identical to the per-chip reference"
+    );
+    // Twice the shards at the same shard size, the same allocations:
+    // nothing allocates per shard or per group.
+    assert_eq!(
+        fleet_allocs,
+        doubled_allocs,
+        "columnar fleet run allocated {fleet_allocs} times for {} devices and \
+         {doubled_allocs} for {}: something allocates per shard or per group",
+        fleet_config.devices,
+        2 * fleet_config.devices
     );
     // The slab pool reuses every column and outcome buffer across shards,
     // so the columnar engine must run in a small fraction of the 17,557
@@ -321,7 +345,8 @@ fn main() {
         note: format!(
             "{} devices x {} epochs, worst-first; per-chip reference {:.2e} vs \
              columnar on {} threads {:.2e} device-epochs/s; allocs/run \
-             {ref_allocs} -> {fleet_allocs} (pre-pool: 17557); fingerprints \
+             {ref_allocs} -> {fleet_allocs} on 1 worker, equal at twice the \
+             devices (pre-pool: 17557); fingerprints \
              bit-identical across engines, thread counts and SIMD backends \
              ({:#018x})",
             fleet_config.devices,

@@ -81,26 +81,12 @@ impl ChipSpec {
     ///
     /// The four draws happen in a fixed order from a stream that no other
     /// chip shares, which is what makes every partitioning of the fleet
-    /// produce bit-identical chips.
+    /// produce bit-identical chips. This is the per-chip oracle: the
+    /// engine draws a whole maintenance group at once in stage passes
+    /// (`ChipStore::reset`), over the same Box–Muller halves, and a test
+    /// pins the two together bit for bit.
     pub fn draw(seed: u64, index: u64, base_temperature: Kelvin, v: &VariationModel) -> Self {
-        Self::draw_from(
-            &StreamSeed::new(seed, CHIP_STREAM),
-            index,
-            base_temperature,
-            v,
-        )
-    }
-
-    /// [`ChipSpec::draw`] with the fleet's chip stream derived once by the
-    /// caller (`StreamSeed::new(seed, CHIP_STREAM)`): the same chip, without
-    /// re-hashing the stream label for every index.
-    pub(crate) fn draw_from(
-        stream: &StreamSeed,
-        index: u64,
-        base_temperature: Kelvin,
-        v: &VariationModel,
-    ) -> Self {
-        let mut rng = stream.rng(index);
+        let mut rng = StreamSeed::new(seed, CHIP_STREAM).rng(index);
         let wear_factor = (v.process_sigma * standard_normal(&mut rng)).exp();
         let em_factor = (v.em_sigma * standard_normal(&mut rng)).exp();
         let temperature =

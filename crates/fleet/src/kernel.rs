@@ -17,8 +17,8 @@
 //! the universal-relaxation curve, the ring-oscillator frequency map,
 //! and the EM clamp.
 //!
-//! [`epoch_step_columns`] runs one epoch as seven **stage passes** over a
-//! maintenance group, each ending at no more than one libm transcendental
+//! [`epoch_step_columns`] runs one epoch as seven **stage passes** over the
+//! group store, each ending at no more than one libm transcendental
 //! per chip. A chip's epoch is one dependent chain of five `pow`s and an
 //! `exp`; fused into one loop body, the core waits out each call before
 //! the next can start. Split into passes, consecutive chips' calls in a
@@ -153,25 +153,25 @@ fn recover_relax(
 }
 
 dh_simd::dispatch! {
-    /// Steps every live chip in `[glo, ghi)` through one epoch
+    /// Steps every live chip of the group store through one epoch
     /// (`ChipState::step` on columns), one stage pass at a time.
-    /// `selected` is group-local (index `i - glo`) and says which chips
-    /// hold a recovery slot this epoch; `age` is group-local scratch of
-    /// at least the group's length. Returns how many chips failed during
-    /// this sweep.
+    /// `selected` says which chips hold a recovery slot this epoch; `age`
+    /// is stress-age scratch. Both are at least the group's length.
+    /// Returns how many chips failed during this sweep.
+    // Each pass indexes a dozen columns by chip; `i` is the chip.
+    #[allow(clippy::needless_range_loop)]
     pub(crate) fn epoch_step_columns(
         store: &mut ChipStore,
         ctx: ColumnarCtx,
-        glo: usize,
-        ghi: usize,
         selected: &[bool],
         age: &mut [f64],
         epoch_index: u64,
     ) -> u64 {
         let s = store;
+        let n = s.len;
         // 1. Deep-recovery open, for the chips holding a slot.
-        for i in glo..ghi {
-            if s.failed_epoch[i] != ALIVE || !selected[i - glo] {
+        for i in 0..n {
+            if s.failed_epoch[i] != ALIVE || !selected[i] {
                 continue;
             }
             s.healed[i] += 1;
@@ -180,8 +180,8 @@ dh_simd::dispatch! {
             }
         }
         // 2. Deep-recovery relax.
-        for i in glo..ghi {
-            if s.failed_epoch[i] != ALIVE || !selected[i - glo] || s.flags[i] & F_DEEP_NOOP != 0 {
+        for i in 0..n {
+            if s.failed_epoch[i] != ALIVE || !selected[i] || s.flags[i] & F_DEEP_NOOP != 0 {
                 continue;
             }
             recover_relax(
@@ -190,53 +190,51 @@ dh_simd::dispatch! {
             );
         }
         // 3. EM increment, then the stress age.
-        for i in glo..ghi {
+        for i in 0..n {
             if s.failed_epoch[i] != ALIVE {
                 continue;
             }
-            let j = i - glo;
-            let (em_delta, noop) = if selected[j] {
+            let (em_delta, noop) = if selected[i] {
                 (s.em_dh[i], F_STRESS_NOOP_H)
             } else {
                 (s.em_dn[i], F_STRESS_NOOP_N)
             };
             s.em[i] += em_delta;
             if s.flags[i] & noop == 0 {
-                age[j] = stress_age(s, &ctx, i);
+                age[i] = stress_age(s, &ctx, i);
             }
         }
         // 4. Stress apply: the new total, the permanent fraction and the
         //    hardening transfer.
-        for i in glo..ghi {
+        for i in 0..n {
             if s.failed_epoch[i] != ALIVE {
                 continue;
             }
-            let j = i - glo;
-            let (noop, sdt, hf) = if selected[j] {
+            let (noop, sdt, hf) = if selected[i] {
                 (F_STRESS_NOOP_H, s.stress_dt_h[i], s.hf_h[i])
             } else {
                 (F_STRESS_NOOP_N, s.stress_dt_n[i], s.hf_n[i])
             };
             if s.flags[i] & noop == 0 {
-                stress_apply(s, &ctx, i, age[j], sdt, hf);
+                stress_apply(s, &ctx, i, age[i], sdt, hf);
             }
         }
         // 5. Idle-recovery open.
-        for i in glo..ghi {
+        for i in 0..n {
             if s.failed_epoch[i] != ALIVE {
                 continue;
             }
-            let run_idle = if selected[i - glo] { F_RUN_IDLE_H } else { F_RUN_IDLE_N };
+            let run_idle = if selected[i] { F_RUN_IDLE_H } else { F_RUN_IDLE_N };
             if s.flags[i] & run_idle != 0 {
                 recover_open(s, &ctx, i, SEG_PASSIVE);
             }
         }
         // 6. Idle-recovery relax.
-        for i in glo..ghi {
+        for i in 0..n {
             if s.failed_epoch[i] != ALIVE {
                 continue;
             }
-            if selected[i - glo] {
+            if selected[i] {
                 if s.flags[i] & F_RUN_IDLE_H != 0 {
                     recover_relax(
                         s, &ctx, i, s.idle_h[i],
@@ -253,7 +251,7 @@ dh_simd::dispatch! {
         // 7. EM clamp, frequency, guardband, score and the failure latch:
         //    the only pass that changes the live set.
         let mut newly_failed = 0u64;
-        for i in glo..ghi {
+        for i in 0..n {
             if s.failed_epoch[i] != ALIVE {
                 continue;
             }
@@ -277,24 +275,21 @@ dh_simd::dispatch! {
 
 dh_simd::dispatch! {
     /// Re-reads every live chip's wear sensor (`ChipState::sense` on
-    /// columns). `fault_code` and `newly` are group-local; `newly[j]` is
-    /// set on the epoch chip `glo + j`'s sensor is first flagged, and the
-    /// host turns those marks into [`dh_fault::SensorIncident`]s in chip
-    /// order. Only runs under a fault plan — fault-free runs never call
-    /// it, exactly like the reference.
+    /// columns). `newly[i]` is set on the epoch chip `i`'s sensor is
+    /// first flagged, and the host turns those marks into
+    /// [`dh_fault::SensorIncident`]s in chip order. Only runs under a
+    /// fault plan — fault-free runs never call it, exactly like the
+    /// reference.
     pub(crate) fn sensor_sweep_columns(
         store: &mut ChipStore,
-        glo: usize,
-        ghi: usize,
         fault_code: &[u8],
         newly: &mut [u8],
     ) {
-        for i in glo..ghi {
+        for i in 0..store.len {
             if store.failed_epoch[i] != ALIVE {
                 continue;
             }
-            let j = i - glo;
-            let reading = match fault_code[j] {
+            let reading = match fault_code[i] {
                 FAULT_STUCK => 0.0,
                 FAULT_DROPPED => f64::NAN,
                 _ => store.score[i],
@@ -307,7 +302,7 @@ dh_simd::dispatch! {
             }
             if store.flagged[i] == 0 && store.stale[i] >= SENSOR_STALE_EPOCHS {
                 store.flagged[i] = 1;
-                newly[j] = 1;
+                newly[i] = 1;
             }
         }
     }
@@ -336,7 +331,7 @@ mod tests {
             let selected: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
             let mut age = vec![0.0; 16];
             for e in 0..32 {
-                epoch_step_columns(&mut store, ctx, 0, 16, &selected, &mut age, e);
+                epoch_step_columns(&mut store, ctx, &selected, &mut age, e);
             }
             dh_simd::force_scalar(false);
             store

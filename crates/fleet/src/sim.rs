@@ -42,7 +42,7 @@ use crate::kernel::{
 };
 use crate::policy::{FleetPolicy, MaintenanceBudget};
 use crate::stats::{NonFinite, StreamingSummary, SummaryStats};
-use crate::store::{ChipStore, ColumnarCtx, StoreView, ALIVE};
+use crate::store::{ChipStore, ColumnarCtx, ShardOutcomes, StoreView, ALIVE};
 
 /// Everything that defines a fleet run. Two configs with the same
 /// [`FleetConfig::fingerprint`] produce byte-identical reports.
@@ -201,10 +201,13 @@ impl FleetConfig {
 
     /// Picks a shard size for `workers` parallel workers: about four
     /// shards per worker so the reorder fold never starves behind one
-    /// slow shard, rounded up to whole maintenance groups and capped so
-    /// one shard's columns stay cache-resident. `shard_size` has no
-    /// effect on the report — this is purely a throughput knob, and the
-    /// fleet bin / benches use it as their default.
+    /// slow shard, rounded up to whole maintenance groups and capped at
+    /// 65,536 chips. The engine steps one group at a time, so the cap
+    /// does not keep columns cache-resident; it bounds the fold
+    /// granularity and the memory in flight (each shard in flight holds a
+    /// 20-byte-per-chip outcome block). `shard_size` has no effect on the
+    /// report — this is purely a throughput knob, and the fleet bin /
+    /// benches use it as their default.
     pub fn auto_shard_size(&self, workers: usize) -> u64 {
         let workers = workers.max(1) as u64;
         let target = self.devices.div_ceil(workers * 4).max(1);
@@ -366,15 +369,18 @@ fn simulate_shard_reference(
     }
 }
 
-/// One shard's reusable working set: the columnar [`ChipStore`] plus
-/// every scratch buffer the epoch loop needs. Slabs live in the
-/// [`FleetRun`] pool and are recycled across shards, so steady-state
-/// simulation performs no per-shard allocation — shards are zero-copy
-/// column-range views over the store, never materialized `ChipState`s
-/// or per-shard outcome `Vec`s.
+/// One shard's reusable working set: the group-sized columnar
+/// [`ChipStore`], every scratch buffer the epoch loop needs, and the
+/// shard's [`ShardOutcomes`] block. Slabs live in the [`FleetRun`] pool
+/// and are recycled across shards, so steady-state simulation performs no
+/// per-shard or per-group allocation — a shard's per-chip state is one
+/// group at a time, never materialized `ChipState`s or per-shard outcome
+/// structs.
 #[derive(Debug, Default)]
 struct ShardSlab {
     store: ChipStore,
+    /// The shard's results, one row per chip, appended group by group.
+    outcomes: ShardOutcomes,
     /// Group-local slot assignment for the current epoch.
     selected: Vec<bool>,
     /// Group-local stress ages, handed from the kernel's stress-age pass
@@ -402,11 +408,13 @@ fn lock_pool(pool: &Mutex<Vec<ShardSlab>>) -> MutexGuard<'_, Vec<ShardSlab>> {
     pool.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`simulate_shard_reference`] on the columnar store: every maintenance
-/// group of shard `shard`, stepped through the full lifetime by the
-/// [`crate::kernel`] column sweeps. Pure in `(config, shard)`; the slab
-/// only provides reusable capacity. Bit-identical to the reference path
-/// by construction (same operations in the same order per chip).
+/// [`simulate_shard_reference`] on the columnar store: each maintenance
+/// group of shard `shard` in turn is reset into the slab's group store,
+/// stepped through the full lifetime by the [`crate::kernel`] column
+/// sweeps, and appended to the slab's outcome block. Pure in `(config,
+/// shard)`; the slab only provides reusable capacity. Bit-identical to
+/// the reference path by construction (same operations in the same order
+/// per chip).
 fn simulate_shard_columnar(
     config: &FleetConfig,
     cctx: &ColumnarCtx,
@@ -417,19 +425,18 @@ fn simulate_shard_columnar(
     let lo = shard * config.shard_size;
     let hi = (lo + config.shard_size).min(config.devices);
     let epochs = config.total_epochs();
-    slab.store.reset(config, cctx, lo, hi);
+    slab.outcomes.start(lo, (hi - lo) as usize);
     slab.budget_slots = 0;
     slab.incidents.clear();
 
     let mut group_lo = lo;
     while group_lo < hi {
         let group_hi = (group_lo + config.group_size).min(hi);
-        let glo = (group_lo - lo) as usize;
-        let ghi = (group_hi - lo) as usize;
-        let len = ghi - glo;
+        let len = (group_hi - group_lo) as usize;
         let group_index = group_lo / config.group_size;
         let policy = config.policies[(group_index % config.policies.len() as u64) as usize];
 
+        slab.store.reset(config, cctx, group_lo, group_hi);
         slab.selected.clear();
         slab.selected.resize(len, false);
         slab.age.clear();
@@ -450,6 +457,7 @@ fn simulate_shard_columnar(
             }
         }
 
+        let store = &mut slab.store;
         let mut alive = len as u64;
         for epoch in 0..epochs {
             if alive == 0 {
@@ -458,27 +466,19 @@ fn simulate_shard_columnar(
             let healed = policy.select_columnar(
                 epoch,
                 config.budget,
-                &slab.store.failed_epoch[glo..ghi],
-                &slab.store.score[glo..ghi],
-                &slab.store.flagged[glo..ghi],
+                &store.failed_epoch[..len],
+                &store.score[..len],
+                &store.flagged[..len],
                 &mut slab.selected,
                 &mut slab.top,
             );
             slab.budget_slots += config.budget.slots_per_group.min(len as u64);
             dh_obs::counter!("fleet.chips_healed").add(healed);
-            alive -= epoch_step_columns(
-                &mut slab.store,
-                *cctx,
-                glo,
-                ghi,
-                &slab.selected,
-                &mut slab.age,
-                epoch,
-            );
+            alive -= epoch_step_columns(store, *cctx, &slab.selected, &mut slab.age, epoch);
             if plan.is_some() {
                 slab.newly.clear();
                 slab.newly.resize(len, 0);
-                sensor_sweep_columns(&mut slab.store, glo, ghi, &slab.fault_code, &mut slab.newly);
+                sensor_sweep_columns(store, &slab.fault_code, &mut slab.newly);
                 for (j, &mark) in slab.newly.iter().enumerate() {
                     if mark != 0 {
                         slab.incidents.push(SensorIncident {
@@ -493,19 +493,21 @@ fn simulate_shard_columnar(
                 }
             }
         }
+        slab.outcomes.append(store);
         group_lo = group_hi;
     }
 }
 
-/// [`poison_outcomes`] against the columnar store: overwrites the same
-/// chips' guardband column entries the reference path would poison.
-fn poison_store(plan: &FaultPlan, shard: u64, attempt: u32, store: &mut ChipStore) {
-    if let Some((offset, kind)) = plan.poison(shard, attempt, store.len as u64) {
-        store.guardband[offset as usize] = kind.value();
+/// [`poison_outcomes`] against a shard's outcome block: overwrites the
+/// same chips' guardbands the reference path would poison. The draw is
+/// keyed on the shard's chip count, as the reference's is.
+fn poison_block(plan: &FaultPlan, shard: u64, attempt: u32, block: &mut ShardOutcomes) {
+    if let Some((offset, kind)) = plan.poison(shard, attempt, block.len() as u64) {
+        block.guardband[offset as usize] = kind.value();
     }
     if let Some(target) = plan.poisoned_chip() {
-        if target >= store.lo && target < store.lo + store.len as u64 {
-            store.guardband[(target - store.lo) as usize] = f64::NAN;
+        if target >= block.lo && target < block.lo + block.len() as u64 {
+            block.guardband[(target - block.lo) as usize] = f64::NAN;
         }
     }
 }
@@ -526,19 +528,19 @@ fn poison_outcomes(plan: &FaultPlan, shard: u64, attempt: u32, outcomes: &mut [C
     }
 }
 
-/// Reconstructs chip `k`'s [`ChipOutcome`] from the store columns — on
-/// the stack, at fold time, so the columnar engine never materializes
-/// per-shard outcome `Vec`s. The TTF product `epochs_run * epoch` is the
-/// same f64 multiply the reference performs at failure time, so the
-/// reconstruction is bit-exact.
-fn chip_outcome(store: &ChipStore, k: usize, epoch_s: f64) -> ChipOutcome {
+/// Reconstructs chip `k`'s [`ChipOutcome`] from a shard's outcome block
+/// — on the stack, at fold time, so the columnar engine never
+/// materializes per-chip outcome structs. The TTF product `epochs_run *
+/// epoch` is the same f64 multiply the reference performs at failure
+/// time, so the reconstruction is bit-exact.
+fn chip_outcome(block: &ShardOutcomes, k: usize, epoch_s: f64) -> ChipOutcome {
     ChipOutcome {
-        index: store.lo + k as u64,
-        guardband: store.guardband[k],
-        ttf: (store.failed_epoch[k] != ALIVE)
-            .then(|| Seconds::new(f64::from(store.epochs_run[k]) * epoch_s)),
-        epochs_run: u64::from(store.epochs_run[k]),
-        healed_epochs: u64::from(store.healed[k]),
+        index: block.lo + k as u64,
+        guardband: block.guardband[k],
+        ttf: (block.failed_epoch[k] != ALIVE)
+            .then(|| Seconds::new(f64::from(block.epochs_run[k]) * epoch_s)),
+        epochs_run: u64::from(block.epochs_run[k]),
+        healed_epochs: u64::from(block.healed[k]),
     }
 }
 
@@ -749,14 +751,14 @@ impl FleetRun {
         }
     }
 
-    /// Runs `f` over read-only [`StoreView`]s of the pooled shard slabs —
-    /// the column state the most recently folded shards left behind.
-    /// The pool is locked for the duration of `f` (workers recycling
-    /// slabs block on it), so keep `f` short; the daemon uses it to
-    /// render per-shard summaries for its progress endpoint.
+    /// Runs `f` over read-only [`StoreView`]s of the pooled shard slabs'
+    /// outcome blocks — the per-chip results of the most recently folded
+    /// shards. The pool is locked for the duration of `f` (workers
+    /// recycling slabs block on it), so keep `f` short; the daemon uses
+    /// it to render per-shard summaries for its progress endpoint.
     pub fn with_store_views<R>(&self, f: impl FnOnce(&[StoreView<'_>]) -> R) -> R {
         let pool = lock_pool(&self.pool);
-        let views: Vec<StoreView<'_>> = pool.iter().map(|slab| slab.store.view()).collect();
+        let views: Vec<StoreView<'_>> = pool.iter().map(|slab| slab.outcomes.view()).collect();
         f(&views)
     }
 
@@ -807,15 +809,15 @@ impl FleetRun {
                 let mut slab = lock_pool(pool).pop().unwrap_or_default();
                 simulate_shard_columnar(config, cctx, shard, plan, &mut slab);
                 if let Some(p) = plan {
-                    poison_store(p, shard, attempt, &mut slab.store);
+                    poison_block(p, shard, attempt, &mut slab.outcomes);
                 }
                 slab
             },
             (),
             |(), _, slab| {
-                let store = &slab.store;
-                for k in 0..store.len {
-                    if acc.fold_chip(&chip_outcome(store, k, epoch_s)).is_err() {
+                let block = &slab.outcomes;
+                for k in 0..block.len() {
+                    if acc.fold_chip(&chip_outcome(block, k, epoch_s)).is_err() {
                         degraded.rejected_samples += 1;
                         dh_obs::counter!("fleet.rejected_samples").incr();
                     }
@@ -825,7 +827,7 @@ impl FleetRun {
                     .extend(slab.incidents.iter().cloned());
                 acc.budget_chip_epochs += slab.budget_slots;
                 dh_obs::counter!("fleet.shards_folded").incr();
-                dh_obs::counter!("fleet.devices_folded").add(store.len as u64);
+                dh_obs::counter!("fleet.devices_folded").add(block.len() as u64);
                 lock_pool(pool).push(slab);
             },
             retry,
@@ -1405,6 +1407,39 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_slabs_per_chip_state_is_one_group() {
+        // One full 65,536-chip shard of 64-chip groups: the group store
+        // never holds more than one padded group, while the outcome
+        // block holds a row for every chip of the shard.
+        let config = FleetConfig {
+            devices: 65_536,
+            years: 0.01,
+            shard_size: 65_536,
+            group_size: 64,
+            ..FleetConfig::default()
+        };
+        let cctx = ColumnarCtx::new(&config);
+        let mut slab = ShardSlab::default();
+        simulate_shard_columnar(&config, &cctx, 0, None, &mut slab);
+        let padded = 64usize.div_ceil(dh_simd::LANES) * dh_simd::LANES;
+        let caps = slab.store.column_capacities();
+        assert!(
+            caps.iter().all(|&c| (1..=padded).contains(&c)),
+            "group store column capacities {caps:?} exceed one padded group of {padded}"
+        );
+        assert_eq!(slab.store.len, 64);
+        assert_eq!(slab.outcomes.lo, 0);
+        assert_eq!(slab.outcomes.len(), 65_536);
+        let view = slab.outcomes.view();
+        assert_eq!(
+            view.chip_epochs(),
+            65_536,
+            "every chip stepped its one epoch"
+        );
+        assert_eq!(view.chip(65_535).0, 65_535);
     }
 
     #[test]

@@ -128,11 +128,33 @@ pub fn seeded_stream_rng(root: u64, label: &str, index: u64) -> StdRng {
 ///
 /// Shared by every stochastic component in the workspace (trap-parameter
 /// variation, sensor noise, process variation) so none needs a
-/// distributions dependency.
+/// distributions dependency. It is [`normal_uniforms`] followed by
+/// `normal_radius(u1) * normal_angle(u2)`; a caller that batches many
+/// deviates can run the three steps as separate passes and get the same
+/// bits, since Rust never fuses the final multiply.
 pub fn standard_normal<R: rand::Rng>(rng: &mut R) -> f64 {
+    let (u1, u2) = normal_uniforms(rng);
+    normal_radius(u1) * normal_angle(u2)
+}
+
+/// The two uniforms one [`standard_normal`] consumes, in draw order:
+/// `u1` in `[ε, 1)` for the radius, `u2` in `[0, 1)` for the angle.
+pub fn normal_uniforms<R: rand::Rng>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
+    (u1, u2)
+}
+
+/// Box–Muller's radius `√(−2 ln u1)`.
+#[inline]
+pub fn normal_radius(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// Box–Muller's angle term `cos(2π u2)`.
+#[inline]
+pub fn normal_angle(u2: f64) -> f64 {
+    (2.0 * core::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -174,6 +196,19 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
+    }
+
+    #[test]
+    fn standard_normal_is_its_uniforms_and_halves_bit_for_bit() {
+        let mut a = seeded_rng(5, "normal-split");
+        let mut b = seeded_rng(5, "normal-split");
+        for _ in 0..4_096 {
+            // The one-expression form the split replaced.
+            let u1: f64 = b.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = b.gen_range(0.0..1.0);
+            let fused = (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos();
+            assert_eq!(standard_normal(&mut a).to_bits(), fused.to_bits());
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * property-tested over random population geometries, seeds, policy
 //!   mixes, budgets, horizons up to 1.5 years, the physics corners that
 //!   steer the kernel's branches (recovery bias, heal fraction, failure
-//!   guardband) and sensor/poison fault plans, the columnar report and
+//!   guardband), variation models that reach the corner draw's edges
+//!   (zero σ's, both utilization clamps) and sensor/poison fault plans, the columnar report and
 //!   degraded-report fingerprints equal the reference's **bit for bit**
 //!   (and the headline statistics agree to ≤ 1e-12, which bit identity
 //!   makes trivial);
@@ -23,7 +24,7 @@
 use deep_healing::fault::FaultPlan;
 use deep_healing::fleet::{
     run_fleet, run_fleet_reference, run_fleet_supervised, FleetConfig, FleetPolicy,
-    MaintenanceBudget,
+    MaintenanceBudget, VariationModel,
 };
 use deep_healing::units::{Fraction, Volts};
 use dh_exec::RetryPolicy;
@@ -37,6 +38,27 @@ const BIASES: [f64; 3] = [-0.3, -0.004, 0.0];
 const HEAL_FRACTIONS: [f64; 3] = [0.0, 0.15, 0.6];
 /// Failure guardbands: at 0.01 chips fail mid-run.
 const FAIL_GUARDBANDS: [f64; 2] = [0.1, 0.01];
+
+/// Variation models: the default, every σ zero (each corner is its
+/// mean), and a utilization spread wide enough to hit both the 0.05
+/// floor and the clamp at 1.
+fn variations() -> [VariationModel; 3] {
+    [
+        VariationModel::default(),
+        VariationModel {
+            process_sigma: 0.0,
+            em_sigma: 0.0,
+            temp_sigma_c: 0.0,
+            utilization_mean: 0.6,
+            utilization_sigma: 0.0,
+        },
+        VariationModel {
+            utilization_mean: 0.5,
+            utilization_sigma: 1.0,
+            ..VariationModel::default()
+        },
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -53,9 +75,9 @@ proptest! {
         slots in 0u64..4,
         years in 0.05f64..1.5,
         plan_sel in 0usize..4,
-        corner in (0..BIASES.len(), 0..HEAL_FRACTIONS.len(), 0..FAIL_GUARDBANDS.len()),
+        corner in (0..BIASES.len(), 0..HEAL_FRACTIONS.len(), 0..FAIL_GUARDBANDS.len(), 0..3usize),
     ) {
-        let (bias, heal, guard) = corner;
+        let (bias, heal, guard, variation) = corner;
         let config = FleetConfig {
             devices,
             seed,
@@ -63,6 +85,7 @@ proptest! {
             recovery_bias: Volts::new(BIASES[bias]),
             heal_fraction: Fraction::clamped(HEAL_FRACTIONS[heal]),
             fail_guardband: FAIL_GUARDBANDS[guard],
+            variation: variations()[variation].clone(),
             shard_size: group_size * shard_groups,
             group_size,
             policies: match policy_mix {
