@@ -1,12 +1,13 @@
 //! Fleet-scale lifetime simulation driver.
 //!
 //! Runs a `dh-fleet` population end to end and prints the streaming
-//! report plus throughput. This is the acceptance harness for the fleet
-//! subsystem: a 100k-device run completes in one command, and with
-//! `--checkpoint` the run can be killed at any point and re-invoked to
-//! resume from the last shard boundary — the final report is
-//! byte-identical to an uninterrupted run (compare the printed report
-//! fingerprints).
+//! report, the throughput, and last the `dh-obs` metrics the run
+//! recorded (retries, quarantines, heals, step timings). This is the
+//! acceptance harness for the fleet subsystem: a 100k-device run
+//! completes in one command, and with `--checkpoint` the run can be
+//! killed at any point and re-invoked to resume from the last shard
+//! boundary — the final report is byte-identical to an uninterrupted
+//! run (compare the printed report fingerprints).
 //!
 //! ```text
 //! fleet --devices 100000 --years 3 --policy worst-first --budget 8
@@ -146,9 +147,7 @@ fn finish(args: &Args, degraded: &DegradedReport, work: f64, unit: &str, elapsed
         elapsed,
         work / elapsed.max(1e-9)
     );
-    if dh_obs::ENABLED {
-        println!("\nmetrics:\n{}", dh_obs::snapshot().to_json());
-    }
+    println!("\nmetrics:\n{}", dh_obs::snapshot().to_json());
     if args.fail_on_degraded && degraded.is_degraded() {
         eprintln!("error: run degraded (--fail-on-degraded)");
         return ExitCode::from(DEGRADED_EXIT);

@@ -33,10 +33,8 @@
 //!   columnar scenario engine (element·epochs/s, mean ΔVth agreement
 //!   ≤1e-9 mV, run fingerprint recorded).
 //!
-//! With `--obs` (and the `obs` feature compiled in), the snapshot also
-//! embeds the full `dh-obs` metrics registry under a `"metrics"` key.
-//! Without the feature the flag only prints a warning: the default build
-//! must stay instrumentation-free.
+//! The snapshot also embeds the `dh-obs` metrics registry under a
+//! `"metrics"` key: what the rows above recorded. It takes no arguments.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,12 +169,9 @@ fn stress_row(name: &'static str, ensemble: &TrapEnsemble, threads: usize) -> Ro
 }
 
 fn main() {
-    let want_obs = std::env::args().skip(1).any(|a| a == "--obs");
-    if want_obs && !dh_obs::ENABLED {
-        eprintln!(
-            "warning: --obs requested but the `obs` feature is not compiled in; \
-             rebuild with `--features obs` to embed a metrics snapshot"
-        );
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("usage: perf-snapshot (takes no arguments, got {arg:?})");
+        std::process::exit(2);
     }
     let default_threads = dh_exec::max_threads();
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -288,8 +283,8 @@ fn main() {
         ..FleetConfig::default()
     };
     let (serial_s, (serial_report, _)) =
-        timed(|| run_fleet_reference(&fleet_config, None).unwrap());
-    let (opt_s, parallel_report) = timed(|| run_fleet(&fleet_config).unwrap());
+        timed_best(REPS, || run_fleet_reference(&fleet_config, None).unwrap());
+    let (opt_s, parallel_report) = timed_best(REPS, || run_fleet(&fleet_config).unwrap());
     // Allocations are counted on one worker: with more, the count follows
     // how many slabs the run happens to create, not what a shard costs.
     let one_worker_allocs = |devices: u64| {
@@ -370,7 +365,7 @@ fn main() {
         .pack
         .clone();
     let scenario_work = scenario_pack.total_elements() * scenario_pack.epochs;
-    let (scalar_s, scalar_mean) = timed(|| {
+    let (scalar_s, scalar_mean) = timed_best(REPS, || {
         let mut sum = 0.0f64;
         for (gi, block) in scenario_pack.blocks.iter().enumerate() {
             let g = scenario_pack.group_ctx(gi);
@@ -391,7 +386,8 @@ fn main() {
         }
         sum / scenario_pack.total_elements() as f64
     });
-    let (columnar_s, scenario_report) = timed(|| dh_scenario::run_pack(scenario_pack.clone()));
+    let (columnar_s, scenario_report) =
+        timed_best(REPS, || dh_scenario::run_pack(scenario_pack.clone()));
     let columnar_mean = {
         let total: f64 = scenario_report
             .groups
@@ -424,7 +420,6 @@ fn main() {
     });
 
     // --- Report -------------------------------------------------------------
-    let embed_metrics = want_obs && dh_obs::ENABLED;
     let mut json = String::from("{\n  \"threads\": ");
     json.push_str(&default_threads.to_string());
     json.push_str(",\n  \"host_cores\": ");
@@ -432,23 +427,19 @@ fn main() {
     json.push_str(",\n  \"simd_backend\": \"");
     json.push_str(deep_healing::simd::backend_name());
     json.push_str("\",\n");
-    for (i, row) in rows.iter().enumerate() {
+    for row in &rows {
         json.push_str(&format!(
-            "  \"{}\": {{\"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.2}, \"note\": \"{}\"}}{}\n",
+            "  \"{}\": {{\"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.2}, \"note\": \"{}\"}},\n",
             row.name,
             row.baseline_s,
             row.optimized_s,
             row.speedup(),
             row.note,
-            if i + 1 < rows.len() || embed_metrics { "," } else { "" },
         ));
     }
-    if embed_metrics {
-        json.push_str("  \"metrics\": ");
-        json.push_str(&dh_obs::snapshot().to_json());
-        json.push('\n');
-    }
-    json.push_str("}\n");
+    json.push_str("  \"metrics\": ");
+    json.push_str(&dh_obs::snapshot().to_json());
+    json.push_str("\n}\n");
 
     print!("{json}");
     for row in &rows {

@@ -743,11 +743,9 @@ impl TrapEnsemble {
                     )
                 },
             );
-            if dh_obs::ENABLED {
-                dh_obs::counter!("bti.cet.traps_saturated")
-                    .add(saturated_per_chunk.iter().sum::<u64>());
-                dh_obs::counter!("bti.cet.traps_stressed").add(self.occ_soft.len() as u64);
-            }
+            dh_obs::counter!("bti.cet.traps_saturated")
+                .add(saturated_per_chunk.iter().sum::<u64>());
+            dh_obs::counter!("bti.cet.traps_stressed").add(self.occ_soft.len() as u64);
         });
         self.window += Seconds::new(sub * steps as f64);
     }

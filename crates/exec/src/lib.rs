@@ -25,9 +25,8 @@
 //! Every parallel call runs on its calling thread plus helpers from one
 //! lazily started, process-wide pool of parked threads, so a call costs a
 //! wake-up rather than a thread spawn. Thread counts come from
-//! `DH_NUM_THREADS`, then `RAYON_NUM_THREADS` (honoured for familiarity),
-//! then the machine's available parallelism; [`set_max_threads`]
-//! overrides all three at runtime.
+//! `DH_NUM_THREADS`, then the machine's available parallelism;
+//! [`set_max_threads`] overrides both at runtime.
 
 #![warn(missing_docs)]
 

@@ -29,8 +29,8 @@ pub fn set_max_threads(n: Option<usize>) {
     MAX_THREADS_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
 }
 
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var)
+fn env_threads() -> Option<usize> {
+    std::env::var("DH_NUM_THREADS")
         .ok()?
         .trim()
         .parse::<usize>()
@@ -47,16 +47,14 @@ fn hardware_threads() -> usize {
 }
 
 /// The worker count parallel calls will use: the [`set_max_threads`]
-/// override, else `DH_NUM_THREADS`, else `RAYON_NUM_THREADS`, else the
-/// machine's available parallelism.
+/// override, else `DH_NUM_THREADS`, else the machine's available
+/// parallelism.
 pub fn max_threads() -> usize {
     let overridden = MAX_THREADS_OVERRIDE.load(Ordering::SeqCst);
     if overridden > 0 {
         return overridden;
     }
-    env_threads("DH_NUM_THREADS")
-        .or_else(|| env_threads("RAYON_NUM_THREADS"))
-        .unwrap_or_else(hardware_threads)
+    env_threads().unwrap_or_else(hardware_threads)
 }
 
 /// Threads (the caller included) that work on a call over `n_items`

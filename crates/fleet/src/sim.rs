@@ -333,9 +333,8 @@ fn simulate_shard_reference(
             if alive == 0 {
                 break;
             }
-            let healed = policy.select(epoch, config.budget, &chips, &mut selected);
+            policy.select(epoch, config.budget, &chips, &mut selected);
             budget_slots += config.budget.slots_per_group.min(chips.len() as u64);
-            dh_obs::counter!("fleet.chips_healed").add(healed);
             for (chip, &heal) in chips.iter_mut().zip(&selected) {
                 if chip.alive() {
                     chip.step(ctx, heal);
@@ -463,7 +462,7 @@ fn simulate_shard_columnar(
             if alive == 0 {
                 break;
             }
-            let healed = policy.select_columnar(
+            policy.select_columnar(
                 epoch,
                 config.budget,
                 &store.failed_epoch[..len],
@@ -473,7 +472,6 @@ fn simulate_shard_columnar(
                 &mut slab.top,
             );
             slab.budget_slots += config.budget.slots_per_group.min(len as u64);
-            dh_obs::counter!("fleet.chips_healed").add(healed);
             alive -= epoch_step_columns(store, *cctx, &slab.selected, &mut slab.age, epoch);
             if plan.is_some() {
                 slab.newly.clear();
@@ -795,6 +793,7 @@ impl FleetRun {
         let pool = &self.pool;
         let epoch_s = config.epoch.value();
         let acc = &mut self.acc;
+        let healed_before = acc.healed_chip_epochs;
         let degraded = &mut self.degraded;
         let plan = plan.filter(|p| !p.is_noop());
         let outcome = dh_exec::par_map_fold_supervised(
@@ -832,6 +831,7 @@ impl FleetRun {
             },
             retry,
         );
+        dh_obs::counter!("fleet.chips_healed").add(acc.healed_chip_epochs - healed_before);
         degraded.retries += outcome.retries;
         dh_obs::counter!("fleet.shards_quarantined").add(outcome.failures.len() as u64);
         for f in outcome.failures {
@@ -842,13 +842,11 @@ impl FleetRun {
             });
         }
         self.cursor += batch as u64;
-        if dh_obs::ENABLED {
-            let elapsed = started.elapsed().as_secs_f64();
-            let batch_devices = (self.cursor * self.config.shard_size).min(self.config.devices)
-                - first * self.config.shard_size;
-            dh_obs::histogram!("fleet.devices_per_sec")
-                .record(batch_devices as f64 / elapsed.max(1e-9));
-        }
+        let elapsed = started.elapsed().as_secs_f64();
+        let batch_devices = (self.cursor * self.config.shard_size).min(self.config.devices)
+            - first * self.config.shard_size;
+        dh_obs::histogram!("fleet.devices_per_sec")
+            .record(batch_devices as f64 / elapsed.max(1e-9));
         self.is_done()
     }
 
@@ -1129,10 +1127,8 @@ impl Run for SupervisedFleet<'_> {
     }
 
     fn absorb(&mut self, written: Written) {
-        if dh_obs::ENABLED {
-            for (name, n) in written.metrics() {
-                dh_obs::counter(&format!("fleet.{name}")).add(n);
-            }
+        for (name, n) in written.metrics() {
+            dh_obs::counter(&format!("fleet.{name}")).add(n);
         }
         self.run.degraded.absorb(written.disk);
     }

@@ -1,12 +1,12 @@
 //! Lightweight observability for the deep-healing workspace.
 //!
-//! The repo's engine crates (`dh-exec`, `dh-bti`, `dh-em`, `dh-thermal`,
-//! `dh-sched`) are instrumented with **counters**, **histograms**, and
-//! **scoped span timers** registered in a process-wide registry. The whole
-//! layer is compiled to no-ops unless this crate's `enabled` feature is on
-//! (each workspace crate forwards it as its own `obs` feature), so the
-//! default build pays nothing — not even an atomic increment — on the hot
-//! paths the PR 1/PR 2 benches measure.
+//! The engine crates (`dh-exec`, `dh-bti`, `dh-em`, `dh-thermal`,
+//! `dh-sched`, `dh-fleet`, `dh-scenario`, `dh-serve`) are instrumented
+//! with **counters**, **histograms**, and **scoped span timers** registered
+//! in a process-wide registry. The registry is always compiled in:
+//! instrumentation sits at call, step, shard or epoch granularity, never
+//! per chip, trap or element, so what a default build records costs a few
+//! relaxed atomic adds per batch of work.
 //!
 //! # Metric naming convention
 //!
@@ -32,25 +32,21 @@
 //!     // ... timed region ...
 //! }
 //! let snap = dh_obs::snapshot();
-//! if dh_obs::ENABLED {
-//!     assert_eq!(snap.counter("doc.example.hits"), 1);
-//! }
+//! assert_eq!(snap.counter("doc.example.hits"), 1);
+//! assert_eq!(snap.histogram("doc.example.batch_size").unwrap().count, 1);
 //! ```
 //!
-//! Handles may be hoisted out of loops (they are `Copy` when enabled and
-//! zero-sized when disabled); [`counter!`] and [`histogram!`] cache the
-//! registry lookup in a local `static` so repeated calls are one atomic
-//! load.
+//! Resolving a handle by name takes the registry lock, so hot paths hoist
+//! handles out of their loops (they are `Copy`); [`counter!`] and
+//! [`histogram!`] cache the lookup in a local `static` so repeated calls
+//! are one atomic load.
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-
-/// Whether the observability layer is compiled in. `false` means every
-/// counter/histogram/span call is an inlineable no-op and [`snapshot`]
-/// is always empty. The constant lets call sites skip building dynamic
-/// metric names (`if dh_obs::ENABLED { ... }`) without a `cfg` attribute.
-pub const ENABLED: bool = cfg!(feature = "enabled");
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Number of histogram buckets. Buckets are log₂-spaced: bucket `i` counts
 /// values in `[2^(i - BUCKET_ZERO), 2^(i + 1 - BUCKET_ZERO))`, with the
@@ -63,8 +59,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// days in seconds) up.
 const BUCKET_ZERO: i64 = 40;
 
-/// The exclusive upper bound of histogram bucket `i` (shared by the
-/// enabled and disabled builds so snapshots deserialize uniformly).
+/// The exclusive upper bound of histogram bucket `i`.
 #[must_use]
 pub fn bucket_upper_bound(i: usize) -> f64 {
     exp2_i64(i as i64 + 1 - BUCKET_ZERO)
@@ -79,7 +74,6 @@ fn exp2_i64(e: i64) -> f64 {
 /// The bucket index for a recorded value: floor(log₂ v) shifted by
 /// [`BUCKET_ZERO`], clamped into the table. Non-positive and non-finite
 /// values land in bucket 0 (they carry no magnitude information).
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(v > 0.0)` deliberately catches NaN
 fn bucket_index(v: f64) -> usize {
     if !(v > 0.0) || !v.is_finite() {
@@ -259,367 +253,219 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod live {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+#[derive(Debug)]
+struct CounterInner {
+    value: AtomicU64,
+}
 
-    use super::{bucket_index, bucket_upper_bound, HistogramSnapshot, Snapshot, HISTOGRAM_BUCKETS};
+#[derive(Debug)]
+struct HistogramInner {
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    count: AtomicU64,
+    /// f64 bit patterns updated by compare-exchange loops.
+    sum_bits: AtomicU64,
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
+}
 
-    pub struct CounterInner {
-        value: AtomicU64,
-    }
-
-    pub struct HistogramInner {
-        buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-        count: AtomicU64,
-        /// f64 bit patterns updated by compare-exchange loops.
-        sum_bits: AtomicU64,
-        min_bits: AtomicU64,
-        max_bits: AtomicU64,
-    }
-
-    impl HistogramInner {
-        fn new() -> Self {
-            Self {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-                min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-                max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            }
+impl HistogramInner {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_bits: AtomicU64::new(0f64.to_bits()),
+            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
-
-        fn reset(&self) {
-            for b in &self.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            self.count.store(0, Ordering::Relaxed);
-            self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-            self.min_bits
-                .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-            self.max_bits
-                .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Lock-free f64 update via a compare-exchange loop on the bit pattern.
-    fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = f(f64::from_bits(current)).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct Registry {
-        counters: BTreeMap<String, &'static CounterInner>,
-        histograms: BTreeMap<String, &'static HistogramInner>,
-        labels: BTreeMap<String, String>,
-    }
-
-    fn registry() -> &'static Mutex<Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
-    }
-
-    fn lock() -> std::sync::MutexGuard<'static, Registry> {
-        registry()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Handle to a registered counter.
-    #[derive(Clone, Copy)]
-    pub struct Counter {
-        inner: &'static CounterInner,
-    }
-
-    impl Counter {
-        /// Adds 1.
-        #[inline]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Adds `n`.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.inner.value.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// The current value.
-        #[must_use]
-        pub fn get(&self) -> u64 {
-            self.inner.value.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Handle to a registered histogram.
-    #[derive(Clone, Copy)]
-    pub struct Histogram {
-        inner: &'static HistogramInner,
-    }
-
-    impl Histogram {
-        /// Records one value.
-        pub fn record(&self, v: f64) {
-            let h = self.inner;
-            h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            h.count.fetch_add(1, Ordering::Relaxed);
-            if v.is_finite() {
-                update_f64(&h.sum_bits, |s| s + v);
-                update_f64(&h.min_bits, |m| m.min(v));
-                update_f64(&h.max_bits, |m| m.max(v));
-            }
-        }
-
-        /// Number of recorded values so far.
-        #[must_use]
-        pub fn count(&self) -> u64 {
-            self.inner.count.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Resolves (registering on first use) the counter `name`.
-    pub fn counter(name: &str) -> Counter {
-        let mut reg = lock();
-        if let Some(&inner) = reg.counters.get(name) {
-            return Counter { inner };
-        }
-        let inner: &'static CounterInner = Box::leak(Box::new(CounterInner {
-            value: AtomicU64::new(0),
-        }));
-        reg.counters.insert(name.to_string(), inner);
-        Counter { inner }
-    }
-
-    /// Resolves (registering on first use) the histogram `name`.
-    pub fn histogram(name: &str) -> Histogram {
-        let mut reg = lock();
-        if let Some(&inner) = reg.histograms.get(name) {
-            return Histogram { inner };
-        }
-        let inner: &'static HistogramInner = Box::leak(Box::new(HistogramInner::new()));
-        reg.histograms.insert(name.to_string(), inner);
-        Histogram { inner }
-    }
-
-    /// A scoped timer: records the elapsed seconds into its histogram on
-    /// drop.
-    pub struct Span {
-        histogram: Histogram,
-        start: Instant,
-    }
-
-    impl Span {
-        pub(super) fn new(name: &str) -> Self {
-            Self {
-                histogram: histogram(name),
-                start: Instant::now(),
-            }
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            self.histogram.record(self.start.elapsed().as_secs_f64());
-        }
-    }
-
-    pub fn span(name: &str) -> Span {
-        Span::new(name)
-    }
-
-    pub fn label(name: &str, value: &str) {
-        lock().labels.insert(name.to_string(), value.to_string());
-    }
-
-    pub fn snapshot() -> Snapshot {
-        let reg = lock();
-        let counters = reg
-            .counters
-            .iter()
-            .map(|(name, c)| (name.clone(), c.value.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = reg
-            .histograms
-            .iter()
-            .filter(|(_, h)| h.count.load(Ordering::Relaxed) > 0)
-            .map(|(name, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let n = b.load(Ordering::Relaxed);
-                        (n > 0).then(|| (bucket_upper_bound(i), n))
-                    })
-                    .collect();
-                (
-                    name.clone(),
-                    HistogramSnapshot {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
-                        min: f64::from_bits(h.min_bits.load(Ordering::Relaxed)),
-                        max: f64::from_bits(h.max_bits.load(Ordering::Relaxed)),
-                        buckets,
-                    },
-                )
-            })
-            .collect();
-        Snapshot {
-            counters,
-            histograms,
-            labels: reg.labels.clone(),
-        }
-    }
-
-    pub fn reset() {
-        let mut reg = lock();
-        for c in reg.counters.values() {
-            c.value.store(0, Ordering::Relaxed);
-        }
-        for h in reg.histograms.values() {
-            h.reset();
-        }
-        reg.labels.clear();
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod live {
-    use super::Snapshot;
-
-    /// Disabled counter handle: every method is an inlineable no-op.
-    #[derive(Clone, Copy)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        #[must_use]
-        pub fn get(&self) -> u64 {
-            0
+/// Lock-free f64 update via a compare-exchange loop on the bit pattern.
+fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
+    let mut current = cell.load(Ordering::Relaxed);
+    loop {
+        let next = f(f64::from_bits(current)).to_bits();
+        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(seen) => current = seen,
         }
     }
-
-    /// Disabled histogram handle.
-    #[derive(Clone, Copy)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _v: f64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        #[must_use]
-        pub fn count(&self) -> u64 {
-            0
-        }
-    }
-
-    /// Disabled span guard (nothing recorded on drop).
-    pub struct Span;
-
-    #[inline(always)]
-    pub fn counter(_name: &str) -> Counter {
-        Counter
-    }
-
-    #[inline(always)]
-    pub fn histogram(_name: &str) -> Histogram {
-        Histogram
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &str) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn label(_name: &str, _value: &str) {}
-
-    #[inline(always)]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
 }
 
-pub use live::{Counter, Histogram, Span};
+#[derive(Default)]
+struct Registry {
+    counters: BTreeMap<String, &'static CounterInner>,
+    histograms: BTreeMap<String, &'static HistogramInner>,
+    labels: BTreeMap<String, String>,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+}
+
+fn lock() -> std::sync::MutexGuard<'static, Registry> {
+    registry()
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Handle to a registered counter.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter {
+    inner: &'static CounterInner,
+}
+
+impl Counter {
+    /// Adds 1.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.inner.value.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.inner.value.load(Ordering::Relaxed)
+    }
+}
+
+/// Handle to a registered histogram.
+#[derive(Debug, Clone, Copy)]
+pub struct Histogram {
+    inner: &'static HistogramInner,
+}
+
+impl Histogram {
+    /// Records one value.
+    pub fn record(&self, v: f64) {
+        let h = self.inner;
+        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        if v.is_finite() {
+            update_f64(&h.sum_bits, |s| s + v);
+            update_f64(&h.min_bits, |m| m.min(v));
+            update_f64(&h.max_bits, |m| m.max(v));
+        }
+    }
+
+    /// Number of recorded values so far.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.inner.count.load(Ordering::Relaxed)
+    }
+}
 
 /// Resolves (registering on first use) the counter `name`. Prefer
 /// [`counter!`] in hot paths — it caches the registry lookup.
-#[inline]
 pub fn counter(name: &str) -> Counter {
-    live::counter(name)
+    let mut reg = lock();
+    if let Some(&inner) = reg.counters.get(name) {
+        return Counter { inner };
+    }
+    let inner: &'static CounterInner = Box::leak(Box::new(CounterInner {
+        value: AtomicU64::new(0),
+    }));
+    reg.counters.insert(name.to_string(), inner);
+    Counter { inner }
 }
 
 /// Resolves (registering on first use) the histogram `name`. Prefer
 /// [`histogram!`] in hot paths.
-#[inline]
 pub fn histogram(name: &str) -> Histogram {
-    live::histogram(name)
+    let mut reg = lock();
+    if let Some(&inner) = reg.histograms.get(name) {
+        return Histogram { inner };
+    }
+    let inner: &'static HistogramInner = Box::leak(Box::new(HistogramInner::new()));
+    reg.histograms.insert(name.to_string(), inner);
+    Histogram { inner }
+}
+
+/// A scoped timer: records the elapsed seconds into its histogram on
+/// drop.
+pub struct Span {
+    histogram: Histogram,
+    start: Instant,
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.histogram.record(self.start.elapsed().as_secs_f64());
+    }
 }
 
 /// Starts a scoped span timer; the guard records elapsed seconds into the
 /// histogram `name` when dropped. Name the metric with a `_seconds`
 /// suffix.
-#[inline]
 pub fn span(name: &str) -> Span {
-    live::span(name)
+    Span {
+        histogram: histogram(name),
+        start: Instant::now(),
+    }
 }
 
 /// Sets (or overwrites) the identity label `name` for subsequent
-/// snapshots — e.g. `label("scenario", "sram-decoder")` so SSE progress
-/// frames identify the pack being integrated. No-op when disabled.
-#[inline]
+/// snapshots — e.g. `label("scenario", "sram-decoder")` for the pack a
+/// daemon job integrates.
 pub fn label(name: &str, value: &str) {
-    live::label(name, value)
+    lock().labels.insert(name.to_string(), value.to_string());
 }
 
-/// Copies every registered metric out of the registry. Empty when the
-/// layer is disabled.
+/// Copies every registered metric out of the registry.
 #[must_use]
 pub fn snapshot() -> Snapshot {
-    live::snapshot()
-}
-
-/// Zeroes every registered metric (handles stay valid). Tests use this to
-/// isolate their assertions; note the registry is process-wide, so
-/// parallel tests observing the same metrics must tolerate concurrent
-/// increments.
-pub fn reset() {
-    live::reset()
+    let reg = lock();
+    let counters = reg
+        .counters
+        .iter()
+        .map(|(name, c)| (name.clone(), c.value.load(Ordering::Relaxed)))
+        .collect();
+    let histograms = reg
+        .histograms
+        .iter()
+        .filter(|(_, h)| h.count.load(Ordering::Relaxed) > 0)
+        .map(|(name, h)| {
+            let buckets = h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| {
+                    let n = b.load(Ordering::Relaxed);
+                    (n > 0).then(|| (bucket_upper_bound(i), n))
+                })
+                .collect();
+            (
+                name.clone(),
+                HistogramSnapshot {
+                    count: h.count.load(Ordering::Relaxed),
+                    sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
+                    min: f64::from_bits(h.min_bits.load(Ordering::Relaxed)),
+                    max: f64::from_bits(h.max_bits.load(Ordering::Relaxed)),
+                    buckets,
+                },
+            )
+        })
+        .collect();
+    Snapshot {
+        counters,
+        histograms,
+        labels: reg.labels.clone(),
+    }
 }
 
 /// A `static`-cachable counter handle for hot paths: the registry lookup
 /// runs once, later calls are a single atomic pointer load. Used by
 /// [`counter!`].
 pub struct CounterCell {
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     name: &'static str,
-    #[cfg(feature = "enabled")]
-    cell: std::sync::OnceLock<Counter>,
+    cell: OnceLock<Counter>,
 }
 
 impl CounterCell {
@@ -628,31 +474,21 @@ impl CounterCell {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            #[cfg(feature = "enabled")]
-            cell: std::sync::OnceLock::new(),
+            cell: OnceLock::new(),
         }
     }
 
     /// The cached counter handle.
     #[inline]
     pub fn get(&self) -> Counter {
-        #[cfg(feature = "enabled")]
-        {
-            *self.cell.get_or_init(|| counter(self.name))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Counter
-        }
+        *self.cell.get_or_init(|| counter(self.name))
     }
 }
 
 /// A `static`-cachable histogram handle; see [`CounterCell`].
 pub struct HistogramCell {
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     name: &'static str,
-    #[cfg(feature = "enabled")]
-    cell: std::sync::OnceLock<Histogram>,
+    cell: OnceLock<Histogram>,
 }
 
 impl HistogramCell {
@@ -661,22 +497,14 @@ impl HistogramCell {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            #[cfg(feature = "enabled")]
-            cell: std::sync::OnceLock::new(),
+            cell: OnceLock::new(),
         }
     }
 
     /// The cached histogram handle.
     #[inline]
     pub fn get(&self) -> Histogram {
-        #[cfg(feature = "enabled")]
-        {
-            *self.cell.get_or_init(|| histogram(self.name))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Histogram
-        }
+        *self.cell.get_or_init(|| histogram(self.name))
     }
 }
 
@@ -734,29 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_layer_is_inert() {
-        if ENABLED {
-            return;
-        }
-        let c = counter("obs.test.noop");
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        histogram("obs.test.noop_h").record(1.0);
-        let _noop = span("obs.test.noop_seconds");
-        label("scenario", "noop");
-        let snap = snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.labels.is_empty());
-        assert_eq!(snap.counter("anything"), 0);
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\": {}, \"histograms\": {}, \"labels\": {}}"
-        );
-    }
-
-    #[test]
     fn snapshot_json_is_valid_shape_when_empty() {
         let snap = Snapshot::default();
         assert_eq!(
@@ -803,90 +608,85 @@ mod tests {
         assert_eq!(empty.quantile(0.5), 0.0);
     }
 
-    #[cfg(feature = "enabled")]
-    mod enabled {
-        use super::super::*;
+    #[test]
+    fn counters_accumulate_and_snapshot() {
+        let c = counter("obs.test.counter");
+        let before = c.get();
+        c.incr();
+        c.add(4);
+        assert_eq!(c.get(), before + 5);
+        assert!(snapshot().counter("obs.test.counter") >= 5);
+        // Same name resolves to the same underlying cell.
+        counter("obs.test.counter").incr();
+        assert_eq!(c.get(), before + 6);
+    }
 
-        #[test]
-        fn counters_accumulate_and_snapshot() {
-            let c = counter("obs.test.counter");
-            let before = c.get();
-            c.incr();
-            c.add(4);
-            assert_eq!(c.get(), before + 5);
-            assert!(snapshot().counter("obs.test.counter") >= 5);
-            // Same name resolves to the same underlying cell.
-            counter("obs.test.counter").incr();
-            assert_eq!(c.get(), before + 6);
+    #[test]
+    fn histogram_statistics_are_recorded() {
+        let h = histogram("obs.test.hist");
+        for v in [0.5, 1.5, 3.0, 1000.0] {
+            h.record(v);
         }
+        let snap = snapshot();
+        let hs = snap.histogram("obs.test.hist").expect("recorded");
+        assert!(hs.count >= 4);
+        assert!(hs.sum >= 1004.9);
+        assert!(hs.min <= 0.5);
+        assert!(hs.max >= 1000.0);
+        assert!(!hs.buckets.is_empty());
+        assert!(hs.quantile(0.5) >= 1.0);
+        let json = snap.to_json();
+        assert!(json.contains("\"obs.test.hist\""));
+        assert!(json.contains("\"p50\""));
+    }
 
-        #[test]
-        fn histogram_statistics_are_recorded() {
-            let h = histogram("obs.test.hist");
-            for v in [0.5, 1.5, 3.0, 1000.0] {
-                h.record(v);
+    #[test]
+    fn span_records_elapsed_seconds() {
+        {
+            let _timer = span("obs.test.span_seconds");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let snap = snapshot();
+        let hs = snap
+            .histogram("obs.test.span_seconds")
+            .expect("span recorded");
+        assert!(hs.max >= 0.002, "span max {}", hs.max);
+    }
+
+    #[test]
+    fn macros_cache_the_handle() {
+        let a = counter!("obs.test.macro_counter");
+        a.incr();
+        let b = counter!("obs.test.macro_counter");
+        b.incr();
+        assert!(counter("obs.test.macro_counter").get() >= 2);
+        histogram!("obs.test.macro_hist").record(2.0);
+        assert!(histogram("obs.test.macro_hist").count() >= 1);
+    }
+
+    #[test]
+    fn labels_snapshot_with_last_write_winning() {
+        label("obs.test.label", "one");
+        label("obs.test.label", "two");
+        let snap = snapshot();
+        assert_eq!(snap.label("obs.test.label"), Some("two"));
+        assert!(snap.to_json().contains("\"obs.test.label\": \"two\""));
+    }
+
+    #[test]
+    fn concurrent_increments_are_lossless() {
+        let c = counter("obs.test.concurrent");
+        let before = c.get();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        counter("obs.test.concurrent").incr();
+                        histogram("obs.test.concurrent_h").record(1.0);
+                    }
+                });
             }
-            let snap = snapshot();
-            let hs = snap.histogram("obs.test.hist").expect("recorded");
-            assert!(hs.count >= 4);
-            assert!(hs.sum >= 1004.9);
-            assert!(hs.min <= 0.5);
-            assert!(hs.max >= 1000.0);
-            assert!(!hs.buckets.is_empty());
-            assert!(hs.quantile(0.5) >= 1.0);
-            let json = snap.to_json();
-            assert!(json.contains("\"obs.test.hist\""));
-            assert!(json.contains("\"p50\""));
-        }
-
-        #[test]
-        fn span_records_elapsed_seconds() {
-            {
-                let _timer = span("obs.test.span_seconds");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            let snap = snapshot();
-            let hs = snap
-                .histogram("obs.test.span_seconds")
-                .expect("span recorded");
-            assert!(hs.max >= 0.002, "span max {}", hs.max);
-        }
-
-        #[test]
-        fn macros_cache_the_handle() {
-            let a = counter!("obs.test.macro_counter");
-            a.incr();
-            let b = counter!("obs.test.macro_counter");
-            b.incr();
-            assert!(counter("obs.test.macro_counter").get() >= 2);
-            histogram!("obs.test.macro_hist").record(2.0);
-            assert!(histogram("obs.test.macro_hist").count() >= 1);
-        }
-
-        #[test]
-        fn labels_snapshot_with_last_write_winning() {
-            label("obs.test.label", "one");
-            label("obs.test.label", "two");
-            let snap = snapshot();
-            assert_eq!(snap.label("obs.test.label"), Some("two"));
-            assert!(snap.to_json().contains("\"obs.test.label\": \"two\""));
-        }
-
-        #[test]
-        fn concurrent_increments_are_lossless() {
-            let c = counter("obs.test.concurrent");
-            let before = c.get();
-            std::thread::scope(|scope| {
-                for _ in 0..8 {
-                    scope.spawn(|| {
-                        for _ in 0..1000 {
-                            counter("obs.test.concurrent").incr();
-                            histogram("obs.test.concurrent_h").record(1.0);
-                        }
-                    });
-                }
-            });
-            assert_eq!(c.get(), before + 8000);
-        }
+        });
+        assert_eq!(c.get(), before + 8000);
     }
 }

@@ -825,10 +825,8 @@ impl Run for SupervisedScenario<'_> {
     }
 
     fn absorb(&mut self, written: Written) {
-        if dh_obs::ENABLED {
-            for (name, n) in written.metrics() {
-                dh_obs::counter(&format!("scenario.{name}")).add(n);
-            }
+        for (name, n) in written.metrics() {
+            dh_obs::counter(&format!("scenario.{name}")).add(n);
         }
         self.run.degraded.absorb(written.disk);
     }

@@ -2,13 +2,12 @@
 //! and the paper's headline trade-off — recovery time scheduled versus
 //! wearout avoided.
 //!
-//! Every [`crate::ManyCoreSystem`] accumulates a [`MetricsReport`]
-//! regardless of the `obs` feature: the arithmetic is a handful of integer
-//! and float adds per core-epoch, invisible next to the BTI/EM/thermal
-//! models. The `obs` feature additionally mirrors the per-epoch deltas
-//! into the global `dh-obs` registry under per-policy names
-//! (`sched.<policy>.<metric>`), so a metrics snapshot can compare policies
-//! that ran in the same process.
+//! Every [`crate::ManyCoreSystem`] accumulates a [`MetricsReport`]: the
+//! arithmetic is a handful of integer and float adds per core-epoch,
+//! invisible next to the BTI/EM/thermal models. The system also mirrors
+//! the per-epoch deltas into the global `dh-obs` registry under
+//! per-policy names (`sched.<policy>.<metric>`), so a metrics snapshot can
+//! compare policies that ran in the same process.
 
 use core::fmt;
 

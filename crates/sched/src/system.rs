@@ -20,6 +20,7 @@ use dh_bti::{BtiDevice, RecoveryCondition, StressCondition, TrapEnsemble};
 use dh_circuit::assist::{AssistCircuit, Mode};
 use dh_em::black::BlackModel;
 use dh_fault::{FaultPlan, SensorFaultKind, SensorIncident};
+use dh_obs::{Counter, Histogram};
 use dh_thermal::{GridConfig, ThermalGrid};
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
@@ -183,6 +184,75 @@ pub struct ManyCoreSystem {
     metrics: MetricsReport,
     /// Sensors flagged as bad by staleness detection, in flag order.
     sensor_incidents: Vec<SensorIncident>,
+    /// Registry handles for the last stepped policy's metric names.
+    mirror: Option<RegistryMirror>,
+}
+
+/// The registry handles one policy's per-epoch [`MetricsReport`] deltas
+/// are mirrored into, under `sched.{policy}.…` names so one process can
+/// compare policies. Resolving a name formats it and takes the registry
+/// lock, so the system resolves these when the policy changes, not every
+/// epoch.
+#[derive(Debug, Clone, Copy)]
+struct RegistryMirror {
+    policy: &'static str,
+    epochs: Counter,
+    transitions_to_normal: Counter,
+    transitions_to_em_ar: Counter,
+    transitions_to_bti_ar: Counter,
+    core_epochs_normal: Counter,
+    core_epochs_em_ar: Counter,
+    core_epochs_bti_ar: Counter,
+    bti_recovery_seconds: Histogram,
+    bti_healed_mv: Histogram,
+    sensor_faults_detected: Counter,
+    conservative_core_epochs: Counter,
+}
+
+impl RegistryMirror {
+    fn resolve(policy: &'static str) -> Self {
+        let counter = |leaf: &str| dh_obs::counter(&format!("sched.{policy}.{leaf}"));
+        let histogram = |leaf: &str| dh_obs::histogram(&format!("sched.{policy}.{leaf}"));
+        Self {
+            policy,
+            epochs: counter("epochs"),
+            transitions_to_normal: counter("transitions_to_normal"),
+            transitions_to_em_ar: counter("transitions_to_em_ar"),
+            transitions_to_bti_ar: counter("transitions_to_bti_ar"),
+            core_epochs_normal: counter("core_epochs_normal"),
+            core_epochs_em_ar: counter("core_epochs_em_ar"),
+            core_epochs_bti_ar: counter("core_epochs_bti_ar"),
+            bti_recovery_seconds: histogram("bti_recovery_seconds_per_epoch"),
+            bti_healed_mv: histogram("bti_healed_mv_per_epoch"),
+            sensor_faults_detected: counter("sensor_faults_detected"),
+            conservative_core_epochs: counter("conservative_core_epochs"),
+        }
+    }
+
+    /// Adds one epoch: the deltas from `before` to `now`.
+    fn record(&self, now: &MetricsReport, before: &MetricsReport) {
+        self.epochs.incr();
+        self.transitions_to_normal
+            .add(now.transitions_to_normal - before.transitions_to_normal);
+        self.transitions_to_em_ar
+            .add(now.transitions_to_em_ar - before.transitions_to_em_ar);
+        self.transitions_to_bti_ar
+            .add(now.transitions_to_bti_ar - before.transitions_to_bti_ar);
+        self.core_epochs_normal
+            .add(now.epochs_normal - before.epochs_normal);
+        self.core_epochs_em_ar
+            .add(now.epochs_em_ar - before.epochs_em_ar);
+        self.core_epochs_bti_ar
+            .add(now.epochs_bti_ar - before.epochs_bti_ar);
+        self.bti_recovery_seconds
+            .record(now.bti_recovery_seconds - before.bti_recovery_seconds);
+        self.bti_healed_mv
+            .record(now.bti_healed_mv - before.bti_healed_mv);
+        self.sensor_faults_detected
+            .add(now.sensor_faults_detected - before.sensor_faults_detected);
+        self.conservative_core_epochs
+            .add(now.conservative_core_epochs - before.conservative_core_epochs);
+    }
 }
 
 impl ManyCoreSystem {
@@ -247,6 +317,7 @@ impl ManyCoreSystem {
             trap_monitor: None,
             metrics: MetricsReport::default(),
             sensor_incidents: Vec::new(),
+            mirror: None,
         })
     }
 
@@ -563,34 +634,12 @@ impl ManyCoreSystem {
         }
 
         self.metrics.epochs += 1;
-        // Mirror this epoch's deltas into the global registry under
-        // per-policy names, so one process can compare policies. Compiles
-        // to nothing without the `obs` feature.
-        if dh_obs::ENABLED {
-            let m = &self.metrics;
-            let name = policy.name();
-            dh_obs::counter(&format!("sched.{name}.epochs")).incr();
-            dh_obs::counter(&format!("sched.{name}.transitions_to_normal"))
-                .add(m.transitions_to_normal - metrics_before.transitions_to_normal);
-            dh_obs::counter(&format!("sched.{name}.transitions_to_em_ar"))
-                .add(m.transitions_to_em_ar - metrics_before.transitions_to_em_ar);
-            dh_obs::counter(&format!("sched.{name}.transitions_to_bti_ar"))
-                .add(m.transitions_to_bti_ar - metrics_before.transitions_to_bti_ar);
-            dh_obs::counter(&format!("sched.{name}.core_epochs_normal"))
-                .add(m.epochs_normal - metrics_before.epochs_normal);
-            dh_obs::counter(&format!("sched.{name}.core_epochs_em_ar"))
-                .add(m.epochs_em_ar - metrics_before.epochs_em_ar);
-            dh_obs::counter(&format!("sched.{name}.core_epochs_bti_ar"))
-                .add(m.epochs_bti_ar - metrics_before.epochs_bti_ar);
-            dh_obs::histogram(&format!("sched.{name}.bti_recovery_seconds_per_epoch"))
-                .record(m.bti_recovery_seconds - metrics_before.bti_recovery_seconds);
-            dh_obs::histogram(&format!("sched.{name}.bti_healed_mv_per_epoch"))
-                .record(m.bti_healed_mv - metrics_before.bti_healed_mv);
-            dh_obs::counter(&format!("sched.{name}.sensor_faults_detected"))
-                .add(m.sensor_faults_detected - metrics_before.sensor_faults_detected);
-            dh_obs::counter(&format!("sched.{name}.conservative_core_epochs"))
-                .add(m.conservative_core_epochs - metrics_before.conservative_core_epochs);
-        }
+        let name = policy.name();
+        let mirror = match self.mirror {
+            Some(mirror) if mirror.policy == name => mirror,
+            _ => *self.mirror.insert(RegistryMirror::resolve(name)),
+        };
+        mirror.record(&self.metrics, &metrics_before);
 
         self.epoch_index += 1;
         self.time += epoch;
@@ -633,6 +682,19 @@ mod tests {
             sys.step(policy)?;
         }
         Ok(sys)
+    }
+
+    #[test]
+    fn the_registry_mirror_follows_the_stepped_policy() {
+        let mut sys = ManyCoreSystem::new(SystemConfig::default()).unwrap();
+        sys.step(Policy::NoRecovery).unwrap();
+        sys.step(Policy::NoRecovery).unwrap();
+        assert_eq!(sys.mirror.map(|m| m.policy), Some("no-recovery"));
+        let deep = dh_obs::counter("sched.periodic-deep.epochs");
+        let before = deep.get();
+        sys.step(Policy::periodic_deep_default()).unwrap();
+        assert_eq!(sys.mirror.map(|m| m.policy), Some("periodic-deep"));
+        assert!(deep.get() > before);
     }
 
     #[test]

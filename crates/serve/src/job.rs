@@ -599,15 +599,10 @@ fn progress_event(job: &Job, run: &FleetRun) -> String {
             .collect();
         rows.join(", ")
     });
-    let obs = if dh_obs::ENABLED {
-        format!(", \"obs\": {}", dh_obs::snapshot().to_json())
-    } else {
-        String::new()
-    };
     format!(
         "{{\"job\": {}, \"shards_done\": {}, \"shard_count\": {}, \"devices_done\": {}, \
          \"failed\": {}, \"guardband\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \
-         \"p90\": {}, \"p99\": {}}}, \"shards\": [{}]{}}}",
+         \"p90\": {}, \"p99\": {}}}, \"shards\": [{}]}}",
         job.id,
         p.shards_done,
         p.shard_count,
@@ -619,7 +614,6 @@ fn progress_event(job: &Job, run: &FleetRun) -> String {
         num(p.guardband.p90),
         num(p.guardband.p99),
         shards,
-        obs,
     )
 }
 
@@ -771,11 +765,9 @@ impl Runner<'_> {
     /// state the determinism tests pin.
     fn scenario(&self, pack: ScenarioPack) -> Result<Option<Finished>, String> {
         let job = self.job;
-        if dh_obs::ENABLED {
-            dh_obs::label("scenario", &pack.name);
-            dh_obs::label("scenario.blocks", &pack.blocks.len().to_string());
-            dh_obs::label("scenario.elements", &pack.total_elements().to_string());
-        }
+        dh_obs::label("scenario", &pack.name);
+        dh_obs::label("scenario.blocks", &pack.blocks.len().to_string());
+        dh_obs::label("scenario.elements", &pack.total_elements().to_string());
         let opened = match self.store {
             Some(store) => ScenarioRun::resume_from_store(pack.clone(), store),
             None => Ok(ScenarioRun::new(pack.clone())),
@@ -883,20 +875,14 @@ impl Runner<'_> {
 
 fn scenario_progress_event(job: &Job, run: &ScenarioRun) -> String {
     let p = run.progress();
-    let obs = if dh_obs::ENABLED {
-        format!(", \"obs\": {}", dh_obs::snapshot().to_json())
-    } else {
-        String::new()
-    };
     format!(
         "{{\"job\": {}, \"scenario\": \"{}\", \"epoch\": {}, \"total_epochs\": {}, \
-         \"shard_cursor\": {}, \"shards\": {}{}}}",
+         \"shard_cursor\": {}, \"shards\": {}}}",
         job.id,
         escape(&run.pack().name),
         p.epoch,
         p.total_epochs,
         p.shard_cursor,
         p.shards,
-        obs,
     )
 }

@@ -183,6 +183,9 @@ fn a_job_streams_events_and_completes() {
     let progress: Vec<&(String, String)> = frames.iter().filter(|(e, _)| e == "progress").collect();
     // 8 shards in steps of 2.
     assert_eq!(progress.len(), 4, "frames: {frames:?}");
+    // A frame carries its job's progress, never the process-wide registry
+    // (every frame is kept for replay).
+    assert!(progress.iter().all(|(_, data)| !data.contains("\"obs\"")));
     assert!(progress[0].1.contains("\"shards_done\": 2"));
     assert!(progress.last().unwrap().1.contains("\"devices_done\": 256"));
 
@@ -406,6 +409,7 @@ fn scenario_jobs_list_run_and_match_the_engine() {
     let progress: Vec<_> = frames.iter().filter(|(e, _)| e == "progress").collect();
     assert!(!progress.is_empty());
     assert_eq!(job_field(&progress[0].1, "scenario"), "mini-sram");
+    assert!(progress.iter().all(|(_, data)| !data.contains("\"obs\"")));
     let (last_event, last_data) = frames.last().unwrap();
     assert_eq!(last_event, "completed", "frames: {frames:?}");
     let pack = dh_scenario::load_pack_file(&pack_path).unwrap();

@@ -16,7 +16,7 @@
 //!   plainly and once under `#[target_feature(enable = "avx2")]`, and
 //!   picks the AVX2 copy at runtime when the CPU supports it;
 //! * [`use_simd`] / [`force_scalar`] — the runtime switch behind the
-//!   dispatch: cargo feature `simd` compiles the AVX2 copies in,
+//!   dispatch: on x86-64 the AVX2 copies are always compiled in,
 //!   `is_x86_feature_detected!("avx2")` gates them at startup, the
 //!   `DH_SIMD=scalar` environment variable disables them per process, and
 //!   `force_scalar` toggles them per call site (benches compare backends
@@ -164,15 +164,14 @@ pub fn force_scalar(on: bool) {
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Whether [`dispatch!`]-generated call sites should take their AVX2 copy:
-/// the `simd` cargo feature is compiled in, the host CPU reports AVX2,
-/// `DH_SIMD` is not set to `scalar`/`off`/`0`, and [`force_scalar`] is not
-/// active.
+/// the target is x86-64, the host CPU reports AVX2, `DH_SIMD` is not set
+/// to `scalar`/`off`/`0`, and [`force_scalar`] is not active.
 pub fn use_simd() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         !FORCE_SCALAR.load(Ordering::Relaxed) && detected()
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -188,7 +187,7 @@ pub fn backend_name() -> &'static str {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn detected() -> bool {
     use std::sync::OnceLock;
     static DETECTED: OnceLock<bool> = OnceLock::new();

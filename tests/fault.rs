@@ -349,15 +349,12 @@ fn slab_checksum_catches_corruption_the_file_checksum_misses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With instrumentation on (`--features dh-obs/enabled`), every new
-/// failure path counts: retries, quarantines, checkpoint fallbacks,
-/// injected disk faults, and the retention trims that absorb them —
-/// on both the fleet (DHFL) and scenario (DHSP) engines.
+/// Every failure path counts in the obs registry: retries, quarantines,
+/// checkpoint fallbacks, injected disk faults, and the retention trims
+/// that absorb them — on both the fleet (DHFL) and scenario (DHSP)
+/// engines.
 #[test]
 fn failure_path_counters_light_up_the_obs_snapshot() {
-    if !deep_healing::obs::ENABLED {
-        return; // uninstrumented build: the registry stays empty
-    }
     // Fleet chaos: a killed shard, corrupt + missing generations, and
     // seeded disk faults under the checkpoint writer.
     let config = small_fleet();
