@@ -400,10 +400,14 @@ impl Drop for Writer {
     }
 }
 
-/// A store keeping `keep` generations in a fresh temp directory.
+/// A store keeping `keep` generations in a fresh temp directory, named
+/// by process, tag and call so concurrent test processes never share one.
 #[cfg(test)]
 pub(crate) fn temp_store(tag: &str, keep: usize) -> CheckpointStore {
-    let dir = std::env::temp_dir().join(format!("dh-fault-{tag}"));
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dh-fault-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     CheckpointStore::new(dir.join("run.ckpt"), keep)

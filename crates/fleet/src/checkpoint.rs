@@ -257,6 +257,8 @@ impl Checkpoint for Snapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU32, Ordering};
+
     use dh_fault::{DiskFaultKind, DiskIncident, SensorFaultKind};
 
     use super::*;
@@ -275,8 +277,13 @@ mod tests {
         (config, run.snapshot())
     }
 
+    /// A fresh temp directory, named by process, tag and call so
+    /// concurrent test processes never share one.
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dh-fleet-ckpt-{tag}"));
+        static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
+        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+        let name = format!("dh-fleet-ckpt-{}-{tag}-{n}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -13,8 +13,9 @@
 //! * [`AgedMultiplier`] — multiplier critical paths slowing down with
 //!   NBTI ΔVth across process corners, healed by power gating —
 //!
-//! each as a scalar [`dh_bti::WearModel`] reference plus a columnar
-//! store with a [`dh_simd::dispatch!`]-compiled epoch kernel.
+//! each as a scalar [`dh_bti::WearModel`] reference plus a
+//! [`dh_simd::dispatch!`]-compiled epoch kernel that steps the one
+//! columnar [`VictimStore`].
 //!
 //! Experiments are described by **scenario packs**: JSON documents
 //! ([`ScenarioPack`]) naming the block mix, workload trace, maintenance
@@ -39,10 +40,7 @@ mod registry;
 mod run;
 
 pub use error::ScenarioError;
-pub use models::{
-    AgedMultiplier, EpochCtx, GroupCtx, MultiplierStore, SramDecoder, SramStore, WeightMemory,
-    WeightStore,
-};
+pub use models::{AgedMultiplier, EpochCtx, GroupCtx, SramDecoder, VictimStore, WeightMemory};
 pub use pack::{
     BlockGroup, BlockModel, Corner, Maintenance, MaintenancePolicy, ScenarioPack, Workload,
 };

@@ -1,15 +1,17 @@
 //! The three scenario victim models and the physics they share.
 //!
-//! Each model comes in two forms with the same math:
+//! Each model's math exists twice:
 //!
 //! * a **scalar unit** (one decoder row, one weight-memory bank, one
 //!   multiplier instance) implementing [`dh_bti::WearModel`] — the
 //!   readable reference the property tests integrate element by
 //!   element; and
-//! * a **columnar store** (struct-of-arrays over a shard of elements)
-//!   whose epoch kernel is compiled through [`dh_simd::dispatch!`], so
+//! * an **epoch kernel** compiled through [`dh_simd::dispatch!`] that
+//!   steps a shard of elements in the one columnar [`VictimStore`], so
 //!   the batch engine gets the auto-vectorized path with the crate's
-//!   usual scalar/AVX2 bit-identity contract.
+//!   usual scalar/AVX2 bit-identity contract. The store holds `(r, p)`
+//!   per stressed device for every model; a model adds only its
+//!   per-element duty and rate draw and its kernel's duty rule.
 //!
 //! The shared physics is the paper's recoverable/permanent BTI split
 //! reduced to an epoch-granular form: under stress the total shift
@@ -21,11 +23,14 @@
 
 pub mod multiplier;
 pub mod sram;
+mod store;
 pub mod weight;
 
-pub use multiplier::{AgedMultiplier, MultiplierStore};
-pub use sram::{SramDecoder, SramStore};
-pub use weight::{WeightMemory, WeightStore};
+pub use multiplier::AgedMultiplier;
+pub use sram::SramDecoder;
+pub(crate) use store::Saved;
+pub use store::VictimStore;
+pub use weight::WeightMemory;
 
 use dh_fault::wire::{fnv1a, fnv1a_u64, FNV_OFFSET};
 

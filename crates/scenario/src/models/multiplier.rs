@@ -144,7 +144,7 @@ dh_simd::dispatch! {
     /// One epoch over a shard of multiplier instances — the columnar
     /// twin of [`AgedMultiplier::run_epoch`].
     #[allow(clippy::too_many_arguments)]
-    fn multiplier_epoch_kernel(
+    pub(crate) fn multiplier_epoch_kernel(
         duty_scale: &[f64],
         rate_s: &[f64],
         rate_r: &[f64],
@@ -166,110 +166,11 @@ dh_simd::dispatch! {
     }
 }
 
-/// Columnar state for a shard of multiplier instances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiplierStore {
-    duty_scale: Vec<f64>,
-    rate_s: Vec<f64>,
-    rate_r: Vec<f64>,
-    rate_ra: Vec<f64>,
-    fresh_delay_ps: Vec<f64>,
-    r: Vec<f64>,
-    p: Vec<f64>,
-    failed: Vec<u64>,
-}
-
-impl MultiplierStore {
-    /// Builds the shard covering instances `lo .. lo + len` of a group.
-    pub fn build(
-        ctx: GroupCtx,
-        base_delay_ps: f64,
-        corners: &[Corner],
-        lo: u64,
-        len: usize,
-    ) -> Self {
-        let mut store = Self {
-            duty_scale: Vec::with_capacity(len),
-            rate_s: Vec::with_capacity(len),
-            rate_r: Vec::with_capacity(len),
-            rate_ra: Vec::with_capacity(len),
-            fresh_delay_ps: Vec::with_capacity(len),
-            r: vec![0.0; len],
-            p: vec![0.0; len],
-            failed: vec![0; len],
-        };
-        for k in 0..len as u64 {
-            let rank = lo + k;
-            let corner = &corners[corner_of(ctx, corners, rank)];
-            let variation = ctx.variation(rank) * corner.rate_scale;
-            store.duty_scale.push(duty_scale(ctx, rank));
-            store
-                .rate_s
-                .push(stress_rate_per_hour(ctx.vdd_v, ctx.temperature_k) * variation);
-            store
-                .rate_r
-                .push(recovery_rate_per_hour(0.0, ctx.temperature_k) * variation);
-            store.rate_ra.push(
-                recovery_rate_per_hour(ctx.maintenance_bias_v, ctx.temperature_k) * variation,
-            );
-            store
-                .fresh_delay_ps
-                .push(base_delay_ps * corner.delay_scale);
-        }
-        store
-    }
-
-    /// Elements in the shard.
-    pub fn len(&self) -> usize {
-        self.r.len()
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.r.is_empty()
-    }
-
-    /// Advances every instance by one epoch.
-    pub fn step_epoch(&mut self, ctx: EpochCtx) {
-        multiplier_epoch_kernel(
-            &self.duty_scale,
-            &self.rate_s,
-            &self.rate_r,
-            &self.rate_ra,
-            &mut self.r,
-            &mut self.p,
-            &mut self.failed,
-            ctx,
-        );
-    }
-
-    /// The failure-relevant metric of instance `i`: |ΔVth| in mV.
-    pub fn metric(&self, i: usize) -> f64 {
-        self.r[i] + self.p[i]
-    }
-
-    /// The delivered critical-path delay of instance `i`, ps.
-    pub fn delay_ps(&self, i: usize) -> f64 {
-        self.fresh_delay_ps[i] * (1.0 + DELAY_PER_MV * self.metric(i))
-    }
-
-    /// 1-based epoch instance `i` first crossed the threshold (0 = alive).
-    pub fn failed_epoch(&self, i: usize) -> u64 {
-        self.failed[i]
-    }
-
-    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
-        (vec![&self.r[..], &self.p[..]], &self.failed)
-    }
-
-    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
-        (vec![&mut self.r[..], &mut self.p[..]], &mut self.failed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::VictimStore;
+    use crate::pack::BlockModel;
 
     fn corners() -> Vec<Corner> {
         vec![
@@ -326,21 +227,24 @@ mod tests {
     #[test]
     fn aging_slows_the_delivered_delay() {
         let g = group();
-        let mut store = MultiplierStore::build(g, 800.0, &corners(), 0, 32);
-        let fresh: Vec<f64> = (0..32).map(|i| store.delay_ps(i)).collect();
-        for e in 1..=36 {
-            store.step_epoch(EpochCtx {
-                epoch_hours: 730.0,
-                activity: 0.8,
-                inverted: false,
-                gated: false,
-                active_recovery: false,
-                fail_threshold_mv: 80.0,
-                epoch: e,
-            });
-        }
-        for (i, &fresh_ps) in fresh.iter().enumerate() {
-            assert!(store.delay_ps(i) > fresh_ps);
+        let stress = g.stress_condition();
+        let (passive, _) = g.recovery_conditions();
+        for rank in 0..32 {
+            let mut unit = AgedMultiplier::from_group(g, 800.0, &corners(), rank);
+            let fresh_ps = unit.delay_ps();
+            for e in 1..=36 {
+                let ctx = EpochCtx {
+                    epoch_hours: 730.0,
+                    activity: 0.8,
+                    inverted: false,
+                    gated: false,
+                    active_recovery: false,
+                    fail_threshold_mv: 80.0,
+                    epoch: e,
+                };
+                unit.run_epoch(ctx, stress, passive);
+            }
+            assert!(unit.delay_ps() > fresh_ps, "instance {rank}");
         }
     }
 
@@ -348,7 +252,11 @@ mod tests {
     fn store_matches_the_wear_model_reference() {
         let g = group();
         let cs = corners();
-        let mut store = MultiplierStore::build(g, 650.0, &cs, 17, 29);
+        let model = BlockModel::AgedMultiplier {
+            base_delay_ps: 650.0,
+            corners: cs.clone(),
+        };
+        let mut store = VictimStore::build(&model, g, &[], 17, 29);
         let stress = g.stress_condition();
         let (passive, active) = g.recovery_conditions();
         let mut units: Vec<AgedMultiplier> = (0..29)
@@ -376,8 +284,6 @@ mod tests {
         for (i, unit) in units.iter().enumerate() {
             let err = (store.metric(i) - unit.delta_vth_mv()).abs();
             assert!(err <= 1e-12, "instance {i}: {err:e}");
-            let derr = (store.delay_ps(i) - unit.delay_ps()).abs();
-            assert!(derr <= 1e-9, "instance {i} delay: {derr:e}");
         }
     }
 }

@@ -52,8 +52,8 @@ fn effective_duty(base_duty: f64, ctx: EpochCtx) -> f64 {
 /// Scalar reference unit: one decoder row as a [`WearModel`].
 ///
 /// Holds its base duty and a per-row process-variation factor; the
-/// [`SramStore`] kernel is the batched restatement of exactly this
-/// element's arithmetic.
+/// [`VictimStore`](super::VictimStore) kernel is the batched restatement
+/// of exactly this element's arithmetic.
 #[derive(Debug, Clone)]
 pub struct SramDecoder {
     /// Workload-independent stressed duty of this row.
@@ -126,7 +126,7 @@ dh_simd::dispatch! {
     /// [`SramDecoder::run_epoch`], compiled scalar and AVX2 from the
     /// same source.
     #[allow(clippy::too_many_arguments)]
-    fn sram_epoch_kernel(
+    pub(crate) fn sram_epoch_kernel(
         base_duty: &[f64],
         rate_s: &[f64],
         rate_r: &[f64],
@@ -148,105 +148,14 @@ dh_simd::dispatch! {
     }
 }
 
-/// Columnar state for a shard of decoder rows: constant parameter
-/// columns hoisted at build time, mutable state columns stepped by the
-/// dispatched kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SramStore {
-    base_duty: Vec<f64>,
-    rate_s: Vec<f64>,
-    rate_r: Vec<f64>,
-    rate_ra: Vec<f64>,
-    r: Vec<f64>,
-    p: Vec<f64>,
-    failed: Vec<u64>,
-}
-
-impl SramStore {
-    /// Builds the shard covering ranks `lo .. lo + len` of a group.
-    pub fn build(ctx: GroupCtx, skew: f64, lo: u64, len: usize) -> Self {
-        let mut store = Self {
-            base_duty: Vec::with_capacity(len),
-            rate_s: Vec::with_capacity(len),
-            rate_r: Vec::with_capacity(len),
-            rate_ra: Vec::with_capacity(len),
-            r: vec![0.0; len],
-            p: vec![0.0; len],
-            failed: vec![0; len],
-        };
-        for k in 0..len as u64 {
-            let rank = lo + k;
-            let variation = ctx.variation(rank);
-            store.base_duty.push(zipf_duty(rank, skew));
-            store
-                .rate_s
-                .push(stress_rate_per_hour(ctx.vdd_v, ctx.temperature_k) * variation);
-            store
-                .rate_r
-                .push(recovery_rate_per_hour(0.0, ctx.temperature_k) * variation);
-            store.rate_ra.push(
-                recovery_rate_per_hour(ctx.maintenance_bias_v, ctx.temperature_k) * variation,
-            );
-        }
-        store
-    }
-
-    /// Elements in the shard.
-    pub fn len(&self) -> usize {
-        self.r.len()
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.r.is_empty()
-    }
-
-    /// Advances every row by one epoch.
-    pub fn step_epoch(&mut self, ctx: EpochCtx) {
-        sram_epoch_kernel(
-            &self.base_duty,
-            &self.rate_s,
-            &self.rate_r,
-            &self.rate_ra,
-            &mut self.r,
-            &mut self.p,
-            &mut self.failed,
-            ctx,
-        );
-    }
-
-    /// The failure-relevant metric of row `i`: total |ΔVth| in mV.
-    pub fn metric(&self, i: usize) -> f64 {
-        self.r[i] + self.p[i]
-    }
-
-    /// Total |ΔVth| of row `i`, mV.
-    pub fn delta_vth_mv(&self, i: usize) -> f64 {
-        self.r[i] + self.p[i]
-    }
-
-    /// 1-based epoch row `i` first crossed the threshold (0 = alive).
-    pub fn failed_epoch(&self, i: usize) -> u64 {
-        self.failed[i]
-    }
-
-    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
-        (vec![&self.r[..], &self.p[..]], &self.failed)
-    }
-
-    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
-        (vec![&mut self.r[..], &mut self.p[..]], &mut self.failed)
-    }
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::models::VictimStore;
+    use crate::pack::BlockModel;
 
-    /// Test hook for the engine: drops the last stress rate, so the
-    /// kernel's bounds check panics at the shard's last element.
-    pub(crate) fn truncate_rates(store: &mut SramStore) {
-        store.rate_s.pop();
+    fn build(skew: f64, lo: u64, len: usize) -> VictimStore {
+        VictimStore::build(&BlockModel::SramDecoder { skew }, ctx(), &[], lo, len)
     }
 
     fn ctx() -> GroupCtx {
@@ -274,29 +183,29 @@ pub(crate) mod tests {
 
     #[test]
     fn cold_rows_age_faster_than_hot_rows() {
-        let mut store = SramStore::build(ctx(), 1.1, 0, 256);
+        let mut store = build(1.1, 0, 256);
         for e in 1..=24 {
             store.step_epoch(epoch_ctx(e, false));
         }
         // Row 0 is the hottest (lowest stressed duty), row 255 nearly idle.
-        assert!(store.delta_vth_mv(255) > store.delta_vth_mv(0) * 2.0);
+        assert!(store.metric(255) > store.metric(0) * 2.0);
     }
 
     #[test]
     fn inversion_epochs_slow_the_cold_rows() {
-        let mut plain = SramStore::build(ctx(), 1.1, 0, 64);
-        let mut healed = SramStore::build(ctx(), 1.1, 0, 64);
+        let mut plain = build(1.1, 0, 64);
+        let mut healed = build(1.1, 0, 64);
         for e in 1..=36 {
             plain.step_epoch(epoch_ctx(e, false));
             healed.step_epoch(epoch_ctx(e, e % 4 == 0));
         }
-        assert!(healed.delta_vth_mv(63) < plain.delta_vth_mv(63));
+        assert!(healed.metric(63) < plain.metric(63));
     }
 
     #[test]
     fn store_matches_the_wear_model_reference() {
         let g = ctx();
-        let mut store = SramStore::build(g, 1.3, 5, 33);
+        let mut store = build(1.3, 5, 33);
         let stress = g.stress_condition();
         let (passive, active) = g.recovery_conditions();
         let mut units: Vec<SramDecoder> = (0..33)
@@ -314,7 +223,7 @@ pub(crate) mod tests {
             }
         }
         for (i, unit) in units.iter().enumerate() {
-            let err = (store.delta_vth_mv(i) - unit.delta_vth_mv()).abs();
+            let err = (store.metric(i) - unit.delta_vth_mv()).abs();
             assert!(err <= 1e-12, "row {i}: {err:e}");
         }
     }

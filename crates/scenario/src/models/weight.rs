@@ -146,7 +146,7 @@ dh_simd::dispatch! {
     /// One epoch over a shard of weight banks — the columnar twin of
     /// [`WeightMemory::run_epoch`].
     #[allow(clippy::too_many_arguments)]
-    fn weight_epoch_kernel(
+    pub(crate) fn weight_epoch_kernel(
         zero_duty: &[f64],
         rate_s: &[f64],
         rate_r: &[f64],
@@ -174,107 +174,11 @@ dh_simd::dispatch! {
     }
 }
 
-/// Columnar state for a shard of weight-memory banks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightStore {
-    zero_duty: Vec<f64>,
-    rate_s: Vec<f64>,
-    rate_r: Vec<f64>,
-    rate_ra: Vec<f64>,
-    r_a: Vec<f64>,
-    p_a: Vec<f64>,
-    r_b: Vec<f64>,
-    p_b: Vec<f64>,
-    failed: Vec<u64>,
-}
-
-impl WeightStore {
-    /// Builds the shard covering banks `lo .. lo + len` of a group.
-    pub fn build(ctx: GroupCtx, trace: &[f64], lo: u64, len: usize) -> Self {
-        let mut store = Self {
-            zero_duty: Vec::with_capacity(len),
-            rate_s: Vec::with_capacity(len),
-            rate_r: Vec::with_capacity(len),
-            rate_ra: Vec::with_capacity(len),
-            r_a: vec![0.0; len],
-            p_a: vec![0.0; len],
-            r_b: vec![0.0; len],
-            p_b: vec![0.0; len],
-            failed: vec![0; len],
-        };
-        for k in 0..len as u64 {
-            let rank = lo + k;
-            let variation = ctx.variation(rank);
-            store.zero_duty.push(bank_zero_duty(ctx, trace, rank));
-            store
-                .rate_s
-                .push(stress_rate_per_hour(ctx.vdd_v, ctx.temperature_k) * variation);
-            store
-                .rate_r
-                .push(recovery_rate_per_hour(0.0, ctx.temperature_k) * variation);
-            store.rate_ra.push(
-                recovery_rate_per_hour(ctx.maintenance_bias_v, ctx.temperature_k) * variation,
-            );
-        }
-        store
-    }
-
-    /// Elements in the shard.
-    pub fn len(&self) -> usize {
-        self.r_a.len()
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.r_a.is_empty()
-    }
-
-    /// Advances every bank by one epoch.
-    pub fn step_epoch(&mut self, ctx: EpochCtx) {
-        weight_epoch_kernel(
-            &self.zero_duty,
-            &self.rate_s,
-            &self.rate_r,
-            &self.rate_ra,
-            &mut self.r_a,
-            &mut self.p_a,
-            &mut self.r_b,
-            &mut self.p_b,
-            &mut self.failed,
-            ctx,
-        );
-    }
-
-    /// The failure-relevant metric of bank `i`: the worse side's
-    /// |ΔVth| in mV.
-    pub fn metric(&self, i: usize) -> f64 {
-        (self.r_a[i] + self.p_a[i]).max(self.r_b[i] + self.p_b[i])
-    }
-
-    /// 1-based epoch bank `i` first crossed the threshold (0 = alive).
-    pub fn failed_epoch(&self, i: usize) -> u64 {
-        self.failed[i]
-    }
-
-    pub(crate) fn state_columns(&self) -> (Vec<&[f64]>, &[u64]) {
-        let cols = vec![&self.r_a[..], &self.p_a[..], &self.r_b[..], &self.p_b[..]];
-        (cols, &self.failed)
-    }
-
-    pub(crate) fn state_columns_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
-        let cols = vec![
-            &mut self.r_a[..],
-            &mut self.p_a[..],
-            &mut self.r_b[..],
-            &mut self.p_b[..],
-        ];
-        (cols, &mut self.failed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::VictimStore;
+    use crate::pack::BlockModel;
 
     #[test]
     fn skewed_banks_age_one_side_and_inversion_balances() {
@@ -289,7 +193,7 @@ mod tests {
         // All-zeros trace: side A takes all the stress.
         let trace = [0.95];
         let mk = |inverted_every: u64| {
-            let mut s = WeightStore::build(g, &trace, 0, 16);
+            let mut s = VictimStore::build(&BlockModel::WeightMemory, g, &trace, 0, 16);
             for e in 1..=48u64 {
                 let inv = inverted_every != 0 && e % inverted_every == 0;
                 s.step_epoch(EpochCtx {
@@ -320,7 +224,7 @@ mod tests {
             maintenance_bias_v: 0.25,
         };
         let trace = [0.2, 0.8, 0.5];
-        let mut store = WeightStore::build(g, &trace, 9, 21);
+        let mut store = VictimStore::build(&BlockModel::WeightMemory, g, &trace, 9, 21);
         let stress = g.stress_condition();
         let (passive, active) = g.recovery_conditions();
         let mut units: Vec<WeightMemory> = (0..21)

@@ -188,6 +188,7 @@ mod tests {
     #[test]
     fn directory_packs_shadow_builtins() {
         let dir = std::env::temp_dir().join(format!("dh-scenario-reg-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let reg = ScenarioRegistry::builtin();
         let mut pack = reg.get("sram-decoder").unwrap().pack.clone();

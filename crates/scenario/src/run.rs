@@ -37,8 +37,8 @@ use dh_fault::{
 };
 
 use crate::error::ScenarioError;
-use crate::models::{EpochCtx, MultiplierStore, SramStore, WeightStore};
-use crate::pack::{BlockModel, ScenarioPack};
+use crate::models::{Saved, VictimStore};
+use crate::pack::ScenarioPack;
 
 /// Checkpoint magic: "DHSP" (Deep-Healing Scenario Pack state).
 const MAGIC: &[u8; 4] = b"DHSP";
@@ -53,120 +53,8 @@ const LEGACY_VERSION: u64 = 2;
 struct Shard {
     group: usize,
     lo: u64,
-    store: Store,
+    store: VictimStore,
 }
-
-/// The columnar store behind a shard, one variant per victim model.
-#[derive(Debug, Clone)]
-enum Store {
-    Sram(SramStore),
-    Weight(WeightStore),
-    Mult(MultiplierStore),
-}
-
-impl Store {
-    fn build(pack: &ScenarioPack, group: usize, lo: u64, len: usize) -> Self {
-        let ctx = pack.group_ctx(group);
-        match &pack.blocks[group].model {
-            BlockModel::SramDecoder { skew } => Self::Sram(SramStore::build(ctx, *skew, lo, len)),
-            BlockModel::WeightMemory => {
-                Self::Weight(WeightStore::build(ctx, &pack.workload.trace, lo, len))
-            }
-            BlockModel::AgedMultiplier {
-                base_delay_ps,
-                corners,
-            } => Self::Mult(MultiplierStore::build(
-                ctx,
-                *base_delay_ps,
-                corners,
-                lo,
-                len,
-            )),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Sram(s) => s.len(),
-            Self::Weight(s) => s.len(),
-            Self::Mult(s) => s.len(),
-        }
-    }
-
-    fn step_epoch(&mut self, ctx: EpochCtx) {
-        match self {
-            Self::Sram(s) => s.step_epoch(ctx),
-            Self::Weight(s) => s.step_epoch(ctx),
-            Self::Mult(s) => s.step_epoch(ctx),
-        }
-    }
-
-    fn metric(&self, i: usize) -> f64 {
-        match self {
-            Self::Sram(s) => s.metric(i),
-            Self::Weight(s) => s.metric(i),
-            Self::Mult(s) => s.metric(i),
-        }
-    }
-
-    fn failed_epoch(&self, i: usize) -> u64 {
-        match self {
-            Self::Sram(s) => s.failed_epoch(i),
-            Self::Weight(s) => s.failed_epoch(i),
-            Self::Mult(s) => s.failed_epoch(i),
-        }
-    }
-
-    /// The mutable state as `(f64 columns in fixed order, failed)`.
-    fn state(&self) -> (Vec<&[f64]>, &[u64]) {
-        match self {
-            Self::Sram(s) => s.state_columns(),
-            Self::Weight(s) => s.state_columns(),
-            Self::Mult(s) => s.state_columns(),
-        }
-    }
-
-    fn state_mut(&mut self) -> (Vec<&mut [f64]>, &mut [u64]) {
-        match self {
-            Self::Sram(s) => s.state_columns_mut(),
-            Self::Weight(s) => s.state_columns_mut(),
-            Self::Mult(s) => s.state_columns_mut(),
-        }
-    }
-
-    /// Elements with a non-finite value in any state column.
-    fn non_finite(&self) -> usize {
-        let (cols, _) = self.state();
-        let finite = |col: &&[f64]| col.iter().fold(true, |ok, v| ok & v.is_finite());
-        if cols.iter().all(finite) {
-            return 0;
-        }
-        (0..self.len())
-            .filter(|&i| cols.iter().any(|col| !col[i].is_finite()))
-            .count()
-    }
-
-    /// Copies the mutable state into `saved`.
-    fn save(&self, (values, failed): &mut Saved) {
-        let (cols, f) = self.state();
-        values.clear();
-        cols.iter().for_each(|col| values.extend_from_slice(col));
-        failed.clear();
-        failed.extend_from_slice(f);
-    }
-
-    /// Puts back the state [`Store::save`] copied.
-    fn restore(&mut self, (values, failed): &Saved) {
-        let (cols, f) = self.state_mut();
-        for (col, saved) in cols.into_iter().zip(values.chunks(f.len())) {
-            col.copy_from_slice(saved);
-        }
-        f.copy_from_slice(failed);
-    }
-}
-
-/// A shard's saved state: its f64 state columns back to back, and failed.
-type Saved = (Vec<f64>, Vec<u64>);
 
 thread_local! {
     /// Each worker's save buffer, reused across shards and windows.
@@ -198,7 +86,7 @@ impl Window<'_> {
     /// plan's faults keyed on `(epoch, shard, attempt)`.
     fn step_shard(
         &self,
-        store: &mut Store,
+        store: &mut VictimStore,
         shard: usize,
         epochs: RangeInclusive<u64>,
         saved: &mut Saved,
@@ -345,13 +233,14 @@ impl ScenarioRun {
         let pack_fp = pack.fingerprint();
         let mut shards = Vec::new();
         for (group, block) in pack.blocks.iter().enumerate() {
+            let (ctx, trace) = (pack.group_ctx(group), &pack.workload.trace);
             let mut lo = 0u64;
             while lo < block.count {
                 let len = (block.count - lo).min(pack.shard_size) as usize;
                 shards.push(Shard {
                     group,
                     lo,
-                    store: Store::build(&pack, group, lo, len),
+                    store: VictimStore::build(&block.model, ctx, trace, lo, len),
                 });
                 lo += len as u64;
             }
@@ -652,7 +541,7 @@ impl ScenarioRun {
                 )));
             }
             let (cols, failed) = shard.store.state_mut();
-            for (c, col) in cols.into_iter().enumerate() {
+            for (c, col) in cols.iter_mut().enumerate() {
                 take_f64s(&mut view, col, "state column")?;
                 // The engine rejects every epoch that leaves a non-finite
                 // state value, so the writer never stores one.
@@ -835,6 +724,7 @@ impl Run for SupervisedScenario<'_> {
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     use dh_fault::DiskFaultKind;
 
@@ -848,7 +738,7 @@ mod tests {
     }
 
     /// A change to a freshly built store.
-    type Sabotage = fn(&mut Store);
+    type Sabotage = fn(&mut VictimStore);
 
     /// [`ScenarioRun::new`]'s test hook: sabotages the shard
     /// [`BROKEN_SHARD`] names.
@@ -858,20 +748,11 @@ mod tests {
         }
     }
 
-    /// Cuts an SRAM decoder shard's stress rates one short, so its real
-    /// kernel panics on a bounds check.
-    fn truncate_rates(store: &mut Store) {
-        let Store::Sram(store) = store else {
-            panic!("not an SRAM decoder shard");
-        };
-        crate::models::sram::tests::truncate_rates(store);
-    }
-
-    /// Puts a NaN in the shard's last element, which every epoch keeps.
-    fn poison_state(store: &mut Store) {
-        let (mut cols, _) = store.state_mut();
-        let last = cols[0].len() - 1;
-        cols[0][last] = f64::NAN;
+    /// Puts a NaN in the last state column (`p`, or a weight bank's `p_b`)
+    /// of the shard's last element, which every epoch keeps.
+    fn poison_state(store: &mut VictimStore) {
+        let (cols, failed) = store.state_mut();
+        cols.last_mut().unwrap()[failed.len() - 1] = f64::NAN;
     }
 
     fn small_pack() -> ScenarioPack {
@@ -884,6 +765,25 @@ mod tests {
         pack.shard_size = 300;
         pack.blocks[0].count = 700;
         pack.blocks[1].count = 500;
+        pack
+    }
+
+    /// `small_pack` with one block per victim model, each in two shards:
+    /// SRAM decoder rows in shards 0–1, weight banks in 2–3 and
+    /// multipliers in 4–5.
+    fn mixed_pack() -> ScenarioPack {
+        let registry = ScenarioRegistry::builtin();
+        let block = |name| {
+            let mut block = registry.get(name).unwrap().pack.blocks[0].clone();
+            block.count = 400;
+            block
+        };
+        let mut pack = small_pack();
+        pack.blocks = vec![
+            block("sram-decoder"),
+            block("dnn-weight-memory"),
+            block("aged-multiplier"),
+        ];
         pack
     }
 
@@ -1050,8 +950,13 @@ mod tests {
         FaultPlan::new(dh_fault::FaultSpec::parse(spec).unwrap(), seed)
     }
 
+    /// A fresh temp directory, named by process, tag and call so
+    /// concurrent test processes never share one.
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dh-scenario-ckpt-{tag}"));
+        static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
+        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+        let name = format!("dh-scenario-ckpt-{}-{tag}-{n}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -1134,13 +1039,13 @@ mod tests {
             .collect()
     }
 
-    /// Runs `small_pack` the way `run_pack` and a plain `fleet
+    /// Runs `mixed_pack` the way `run_pack` and a plain `fleet
     /// --scenario` do, with shard `broken` sabotaged, at one thread, at
     /// every thread and forced-scalar. Requires the three to agree, the
     /// broken shard to end at its first state and every other shard where
     /// a clean run ends; returns the degraded report.
     fn sabotaged_run(broken: usize, sabotage: Sabotage) -> DegradedReport {
-        let pack = small_pack();
+        let pack = mixed_pack();
         let mut clean = ScenarioRun::new(pack.clone());
         step_to_end(&mut clean);
         let retry = RetryPolicy::immediate(2);
@@ -1174,28 +1079,36 @@ mod tests {
         degraded_reports.swap_remove(0)
     }
 
+    /// One shard of each victim model in `mixed_pack`.
+    const ONE_SHARD_PER_MODEL: [usize; 3] = [1, 3, 5];
+
     #[test]
     fn a_real_kernel_panic_quarantines_its_shard_and_the_run_completes() {
-        let degraded = sabotaged_run(3, truncate_rates);
-        assert_eq!(degraded.quarantined.len(), 1, "{degraded:?}");
-        let failure = &degraded.quarantined[0];
-        assert_eq!((failure.shard, failure.attempts), (3, 2));
-        assert!(
-            failure.error.contains("index out of bounds"),
-            "{}",
-            failure.error
-        );
-        // The failed fused pass and the one retry of its first epoch.
-        assert_eq!(degraded.retries, 2);
+        for broken in ONE_SHARD_PER_MODEL {
+            let degraded = sabotaged_run(broken, VictimStore::truncate_rates);
+            assert_eq!(degraded.quarantined.len(), 1, "{degraded:?}");
+            let failure = &degraded.quarantined[0];
+            assert_eq!((failure.shard, failure.attempts), (broken as u64, 2));
+            assert!(
+                failure.error.contains("index out of bounds"),
+                "{}",
+                failure.error
+            );
+            // The failed fused pass and the one retry of its first epoch.
+            assert_eq!(degraded.retries, 2, "shard {broken}");
+        }
     }
 
     #[test]
     fn a_shard_that_keeps_a_non_finite_value_has_every_epoch_rejected() {
-        let degraded = sabotaged_run(3, poison_state);
-        assert!(degraded.quarantined.is_empty(), "{degraded:?}");
-        // The failed fused pass, then the poisoned element in each of the
-        // pack's six epochs.
-        assert_eq!((degraded.retries, degraded.rejected_samples), (1, 6));
+        for broken in ONE_SHARD_PER_MODEL {
+            let degraded = sabotaged_run(broken, poison_state);
+            assert!(degraded.quarantined.is_empty(), "{degraded:?}");
+            // The failed fused pass, then the poisoned element in each of
+            // the pack's six epochs.
+            let counts = (degraded.retries, degraded.rejected_samples);
+            assert_eq!(counts, (1, 6), "shard {broken}");
+        }
     }
 
     #[test]
