@@ -33,6 +33,7 @@
 //! fleet --scenario ./my-pack.json --checkpoint /tmp/run.dhsp
 //! ```
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -40,7 +41,7 @@ use deep_healing::fault::{DegradedReport, FaultPlan};
 use deep_healing::fleet::{
     run_fleet_supervised, CheckpointStore, FleetConfig, FleetPolicy, MaintenanceBudget,
 };
-use dh_bench::banner;
+use dh_bench::Banner;
 use dh_exec::RetryPolicy;
 use dh_scenario::{run_pack_supervised, ScenarioRegistry};
 
@@ -59,7 +60,7 @@ usage: fleet [flags]
   --checkpoint PATH     resume from / checkpoint to PATH (resumes from the
                         newest of --keep generations that validates)
   --checkpoint-every N  writes: one per N shards folded; in scenario mode,
-                        one per N steps of nproc shards  (default 8, N >= 1)
+                        one per N x nproc shard-epochs   (default 8, N >= 1)
   --inject SPEC         fault plan, e.g. panic=0.01,ckpt-flip=1,stuck-chip=5
                         (works in scenario mode too; see dh-fault for the
                         spec grammar)
@@ -91,6 +92,43 @@ struct Args {
     fail_on_degraded: bool,
 }
 
+/// The CLI's stdout, which every line goes through. When the reader
+/// goes away (`fleet … | grep -q …`), printing stops and the run goes on
+/// to its own exit code; any other write error fails the invocation once
+/// the run has ended.
+#[derive(Default)]
+struct Out {
+    /// The write error that stopped the printing, if any.
+    error: Option<std::io::Error>,
+}
+
+impl Out {
+    fn print(&mut self, text: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = std::io::stdout().write_fmt(text).err();
+        }
+    }
+
+    /// The invocation's exit code: the run's `code`, or 1 after a stdout
+    /// error other than a closed reader.
+    fn exit(self, code: ExitCode) -> ExitCode {
+        match self.error {
+            Some(e) if e.kind() != ErrorKind::BrokenPipe => {
+                eprintln!("error: writing to stdout: {e}");
+                ExitCode::FAILURE
+            }
+            _ => code,
+        }
+    }
+}
+
+/// `println!` through an [`Out`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        $out.print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Exit code for `--fail-on-degraded`: the run *finished* (the report
 /// printed is real), but it only survived by degrading — distinct from
 /// 1 (runtime failure) and 2 (usage error) so CI can tell them apart.
@@ -98,14 +136,14 @@ const DEGRADED_EXIT: u8 = 3;
 
 /// The fault plan `--inject` asks for (seeded by `--inject-seed`, else
 /// `seed`), announced on stdout; `None` without `--inject`.
-fn fault_plan(args: &Args, seed: u64) -> Result<Option<FaultPlan>, ExitCode> {
+fn fault_plan(out: &mut Out, args: &Args, seed: u64) -> Result<Option<FaultPlan>, ExitCode> {
     let Some(spec) = &args.inject else {
         return Ok(None);
     };
     let seed = args.inject_seed.unwrap_or(seed);
     match FaultPlan::parse(spec, seed) {
         Ok(plan) => {
-            println!("injecting faults [{spec}] with fault seed {seed}\n");
+            outln!(out, "injecting faults [{spec}] with fault seed {seed}\n");
             Ok(Some(plan))
         }
         Err(why) => {
@@ -116,9 +154,10 @@ fn fault_plan(args: &Args, seed: u64) -> Result<Option<FaultPlan>, ExitCode> {
 }
 
 /// The `--checkpoint` store, announced on stdout with its cadence.
-fn checkpoint_store(args: &Args, cadence: &str) -> Option<CheckpointStore> {
+fn checkpoint_store(out: &mut Out, args: &Args, cadence: &str) -> Option<CheckpointStore> {
     let path = args.checkpoint.as_ref()?;
-    println!(
+    outln!(
+        out,
         "checkpointing to {} every {} {cadence}, keeping {} generation(s)\n",
         path.display(),
         args.checkpoint_every,
@@ -138,16 +177,24 @@ fn retry_policy(args: &Args) -> RetryPolicy {
 /// The epilogue shared by the fleet and scenario paths: the degraded
 /// block (always under `--inject`, otherwise only when non-empty), the
 /// wall-time line, the metrics, and the `--fail-on-degraded` exit code.
-fn finish(args: &Args, degraded: &DegradedReport, work: f64, unit: &str, elapsed: f64) -> ExitCode {
+fn finish(
+    out: &mut Out,
+    args: &Args,
+    degraded: &DegradedReport,
+    work: f64,
+    unit: &str,
+    elapsed: f64,
+) -> ExitCode {
     if args.inject.is_some() || degraded.is_degraded() {
-        println!("\n{}", degraded.render());
+        outln!(out, "\n{}", degraded.render());
     }
-    println!(
+    outln!(
+        out,
         "\nwall time: {:.2} s ({:.0} {unit}/s this invocation)",
         elapsed,
         work / elapsed.max(1e-9)
     );
-    println!("\nmetrics:\n{}", dh_obs::snapshot().to_json());
+    outln!(out, "\nmetrics:\n{}", dh_obs::snapshot().to_json());
     if args.fail_on_degraded && degraded.is_degraded() {
         eprintln!("error: run degraded (--fail-on-degraded)");
         return ExitCode::from(DEGRADED_EXIT);
@@ -260,7 +307,7 @@ fn scenario_registry(args: &Args) -> Result<ScenarioRegistry, dh_scenario::Scena
 }
 
 /// The `--list-scenarios` table.
-fn list_scenarios(args: &Args) -> ExitCode {
+fn list_scenarios(out: &mut Out, args: &Args) -> ExitCode {
     let registry = match scenario_registry(args) {
         Ok(reg) => reg,
         Err(why) => {
@@ -268,10 +315,11 @@ fn list_scenarios(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    banner("Scenario registry");
+    outln!(out, "{}", Banner("Scenario registry"));
     for entry in registry.entries() {
         let p = &entry.pack;
-        println!(
+        outln!(
+            out,
             "{:<20} [{:<9}] {} epochs, {} elements in {} group(s)\n    {}",
             p.name,
             entry.source.name(),
@@ -286,7 +334,7 @@ fn list_scenarios(args: &Args) -> ExitCode {
 
 /// The `--scenario` run path: resolve the pack, then run it (resuming
 /// from `--checkpoint` when a generation validates) and report.
-fn run_scenario(args: &Args, arg: &str) -> ExitCode {
+fn run_scenario(out: &mut Out, args: &Args, arg: &str) -> ExitCode {
     let pack = match scenario_registry(args).and_then(|reg| reg.resolve(arg)) {
         Ok(mut pack) => {
             if let Some(epochs) = args.epochs {
@@ -306,8 +354,9 @@ fn run_scenario(args: &Args, arg: &str) -> ExitCode {
         }
     };
 
-    banner("Scenario run");
-    println!(
+    outln!(out, "{}", Banner("Scenario run"));
+    outln!(
+        out,
         "scenario {:?} (pack fingerprint {:#018x}): {} elements in {} group(s), \
          {} epochs of {} h, maintenance {} every {} epoch(s)\n",
         pack.name,
@@ -320,11 +369,12 @@ fn run_scenario(args: &Args, arg: &str) -> ExitCode {
         pack.maintenance.interval_epochs,
     );
 
-    let plan = match fault_plan(args, pack.seed) {
+    let plan = match fault_plan(out, args, pack.seed) {
         Ok(plan) => plan,
         Err(code) => return code,
     };
     let store = checkpoint_store(
+        out,
         args,
         &format!("step(s) of {} shards", dh_exec::max_threads()),
     );
@@ -344,8 +394,9 @@ fn run_scenario(args: &Args, arg: &str) -> ExitCode {
         }
     };
     let elapsed = started.elapsed().as_secs_f64();
-    println!("{}", report.render());
+    outln!(out, "{}", report.render());
     finish(
+        out,
         args,
         &degraded,
         element_epochs as f64,
@@ -370,13 +421,20 @@ fn main() -> ExitCode {
         Some(n) => dh_exec::set_max_threads(Some(n)),
     }
 
-    if args.list_scenarios {
-        return list_scenarios(&args);
-    }
-    if let Some(arg) = args.scenario.clone() {
-        return run_scenario(&args, &arg);
-    }
+    let mut out = Out::default();
+    let code = if args.list_scenarios {
+        list_scenarios(&mut out, &args)
+    } else if let Some(arg) = &args.scenario {
+        run_scenario(&mut out, &args, arg)
+    } else {
+        run_fleet(&mut out, &args)
+    };
+    out.exit(code)
+}
 
+/// The fleet run path: size and check the config, then run it (resuming
+/// from `--checkpoint` when a generation validates) and report.
+fn run_fleet(out: &mut Out, args: &Args) -> ExitCode {
     let mut config = args.config.clone();
     if !args.shard_size_given {
         // Size shards from the population and worker count (about four
@@ -394,8 +452,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let policy_names: Vec<&str> = config.policies.iter().map(|p| p.name()).collect();
-    banner("Fleet lifetime simulation");
-    println!(
+    outln!(out, "{}", Banner("Fleet lifetime simulation"));
+    outln!(
+        out,
         "{} devices, {} y horizon ({} epochs), policy mix [{}], \
          {} slots per {}-chip group, {} shards of {}, seed {}\n",
         config.devices,
@@ -409,16 +468,16 @@ fn main() -> ExitCode {
         config.seed,
     );
 
-    let plan = match fault_plan(&args, config.seed) {
+    let plan = match fault_plan(out, args, config.seed) {
         Ok(plan) => plan,
         Err(code) => return code,
     };
-    let store = checkpoint_store(&args, "shard(s)");
+    let store = checkpoint_store(out, args, "shard(s)");
     let started = Instant::now();
     let outcome = run_fleet_supervised(
         &config,
         plan.as_ref(),
-        &retry_policy(&args),
+        &retry_policy(args),
         store.as_ref().map(|s| (s, args.checkpoint_every)),
     );
     let (report, degraded) = match outcome {
@@ -429,6 +488,13 @@ fn main() -> ExitCode {
         }
     };
     let elapsed = started.elapsed().as_secs_f64();
-    println!("{}", report.render());
-    finish(&args, &degraded, report.devices as f64, "devices", elapsed)
+    outln!(out, "{}", report.render());
+    finish(
+        out,
+        args,
+        &degraded,
+        report.devices as f64,
+        "devices",
+        elapsed,
+    )
 }

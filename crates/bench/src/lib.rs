@@ -6,10 +6,20 @@
 //! runs; `perf-snapshot` times each kernel against its oracle. The
 //! paper's tables and figures are printed by the `deep-healing` binary.
 
-/// Prints a figure/table banner.
+/// A figure/table banner: the title boxed between two rules, three
+/// lines in all.
+pub struct Banner<'a>(pub &'a str);
+
+impl std::fmt::Display for Banner<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let line = "=".repeat(self.0.len() + 4);
+        writeln!(f, "{line}\n| {} |\n{line}", self.0)
+    }
+}
+
+/// Prints a figure/table banner and an empty line.
 pub fn banner(title: &str) {
-    let line = "=".repeat(title.len() + 4);
-    println!("{line}\n| {title} |\n{line}\n");
+    println!("{}", Banner(title));
 }
 
 /// Prints a short paper-vs-ours verdict line.

@@ -1,8 +1,11 @@
 //! A default-build `fleet` run answers "what degraded" from its own
 //! output: the metrics block counts the same quarantines, retries and
-//! heals that the report and the degraded block print.
+//! heals that the report and the degraded block print. A reader that
+//! stops reading (`fleet … | grep -q …`) ends the printing, not the run.
 
-use std::process::Command;
+use std::process::{Command, ExitStatus, Stdio};
+
+use deep_healing::fault::TempDir;
 
 /// The integer that follows the first occurrence of `label` in `text`.
 fn number_after(text: &str, label: &str) -> u64 {
@@ -46,4 +49,31 @@ fn the_metrics_block_counts_what_the_degraded_report_shows() {
         retried
     );
     assert_eq!(number_after(metrics, "\"fleet.chips_healed\": "), healed);
+}
+
+/// Runs `fleet` with `args`, its stdout the write end of a pipe whose
+/// reader is already gone.
+fn run_with_stdout_closed(args: &[&str]) -> ExitStatus {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--devices", "4096", "--years", "0.05", "--seed", "1"])
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::null())
+        .status()
+        .expect("fleet runs")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_printing_and_the_run_keeps_its_exit_code() {
+    let dir = TempDir::new("fleet-cli-closed-stdout");
+    let checkpoint = dir.join("run.dhfl");
+    let path = checkpoint.to_str().expect("a UTF-8 temp path");
+    let status = run_with_stdout_closed(&["--checkpoint", path]);
+    assert_eq!(status.code(), Some(0), "{status}");
+    assert!(checkpoint.exists(), "the run finished and checkpointed");
+    let degraded = ["--inject", "kill-shard=1", "--fail-on-degraded"];
+    let status = run_with_stdout_closed(&degraded);
+    assert_eq!(status.code(), Some(3), "{status}");
 }

@@ -400,17 +400,29 @@ impl Drop for Writer {
     }
 }
 
-/// A store keeping `keep` generations in a fresh temp directory, named
-/// by process, tag and call so concurrent test processes never share one.
+/// A store keeping its generations in a [`crate::TempDir`], which goes
+/// when the store does.
 #[cfg(test)]
-pub(crate) fn temp_store(tag: &str, keep: usize) -> CheckpointStore {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
-    let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dh-fault-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    CheckpointStore::new(dir.join("run.ckpt"), keep)
+pub(crate) struct TempStore {
+    store: CheckpointStore,
+    _dir: crate::TempDir,
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempStore {
+    type Target = CheckpointStore;
+
+    fn deref(&self) -> &CheckpointStore {
+        &self.store
+    }
+}
+
+/// A store keeping `keep` generations in a fresh temp directory.
+#[cfg(test)]
+pub(crate) fn temp_store(tag: &str, keep: usize) -> TempStore {
+    let dir = crate::TempDir::new(&format!("fault-{tag}"));
+    let store = CheckpointStore::new(dir.join("run.ckpt"), keep);
+    TempStore { store, _dir: dir }
 }
 
 #[cfg(test)]
@@ -595,7 +607,7 @@ mod tests {
     fn async_writer_reports_disk_incidents_at_finish() {
         let store = temp_store("ckpt-async-disk", 2);
         let plan = FaultPlan::parse("disk-fsync=1", 7).unwrap();
-        let mut writer = Writer::spawn(store, Some(plan));
+        let mut writer = Writer::spawn(store.clone(), Some(plan));
         for cursor in 0..3 {
             writer
                 .submit(|buf| Cursor(cursor).encode_into(buf))

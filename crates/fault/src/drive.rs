@@ -2,28 +2,19 @@
 //! surface.
 //!
 //! The fleet engine, the scenario engine, the `fleet` CLI and both
-//! `dh-serve` job kinds all run through [`drive`]. Each engine adapts its
-//! run to [`Run`] on a small struct that borrows the run, its fault plan
-//! and its retry policy; the driver owns the checkpoint cadence, the
-//! write-index discipline fault plans key on, and the rule that a run's
-//! own disk incidents never reach its checkpoints.
+//! `dh-serve` job kinds all run through [`drive`]. Each engine's run type
+//! implements [`Run`], and its caller hands `drive` one step as a closure
+//! over the engine's own `step_supervised`, with the fault plan, retry
+//! policy and step size bound in. The driver owns the checkpoint cadence
+//! (a write after every step), the write-index discipline fault plans key
+//! on, and the rule that a run's own disk incidents never reach its
+//! checkpoints.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore, Writer, Written};
 use crate::{DegradedReport, FaultPlan};
 
-/// A resumable run the driver can step and checkpoint.
+/// A resumable run the driver can checkpoint.
 pub trait Run: Checkpoint {
-    /// Takes up to `steps` steps of up to `stride` more shards each under
-    /// supervision, stopping early when the run completes, and returns
-    /// whether it is complete. [`drive`] asks its `cancel` and calls its
-    /// `on_step` once per call, so nothing observes the run between the
-    /// steps of one call and a run may fuse them. Stepping a complete run
-    /// is a no-op that returns `true`.
-    fn step(&mut self, stride: u64, steps: u64) -> bool;
-
-    /// The faults injected into the run's steps and checkpoint writes.
-    fn plan(&self) -> Option<&FaultPlan>;
-
     /// Everything the run has survived so far.
     fn degraded(&self) -> &DegradedReport;
 
@@ -33,25 +24,14 @@ pub trait Run: Checkpoint {
     fn absorb(&mut self, written: Written);
 }
 
-/// Where and how often [`drive`] checkpoints.
-#[derive(Debug, Clone, Copy)]
-pub struct Checkpoints<'a> {
-    /// The generation store the writes land in.
-    pub store: &'a CheckpointStore,
-    /// Steps between writes (0 counts as 1).
-    pub every: u64,
-}
-
-/// Steps `run` `stride` shards at a time until it completes or `cancel`
-/// returns `true`. Without `checkpoints` every [`Run::step`] call takes
-/// one step. With them, every call takes the `every` steps up to the next
-/// write (fewer when the run ends first), and a write-behind writer
-/// thread lands a checkpoint after each call: after steps `every`,
-/// `2·every`, … and once after the final step, with [`Run::plan`]'s
-/// checkpoint corruption and disk faults injected. `cancel` is asked
-/// before, and `on_step` called after, every call — once per write
-/// window. Write indices count from 0 on every call of `drive`, so a
-/// fault plan hits the same writes on every identically seeded process.
+/// Calls `step` until it returns `true` (the run is complete) or `cancel`
+/// returns `true`. `cancel` is asked before, and `on_step` called after,
+/// every step. With a `store`, a write-behind writer thread lands a
+/// checkpoint after every step, the last one included, with `plan`'s
+/// checkpoint corruption and disk faults injected; `step` hands the plan
+/// to the engine itself for shard faults. Write indices count from 0 on
+/// every call of `drive`, so a fault plan hits the same writes on every
+/// identically seeded process.
 ///
 /// Once the writer has drained — on completion and on cancel — its
 /// report goes to [`Run::absorb`]. No checkpoint written by this call
@@ -64,18 +44,18 @@ pub struct Checkpoints<'a> {
 /// the error is returned.
 pub fn drive<R: Run>(
     run: &mut R,
-    stride: u64,
-    checkpoints: Option<Checkpoints<'_>>,
+    mut step: impl FnMut(&mut R) -> bool,
+    store: Option<&CheckpointStore>,
+    plan: Option<&FaultPlan>,
     mut cancel: impl FnMut() -> bool,
     mut on_step: impl FnMut(&R),
 ) -> Result<bool, CheckpointError> {
-    let steps = checkpoints.map_or(1, |c| c.every.max(1));
-    let mut writer = checkpoints.map(|c| Writer::spawn(c.store.clone(), run.plan().cloned()));
+    let mut writer = store.map(|store| Writer::spawn(store.clone(), plan.cloned()));
     let finished = loop {
         if cancel() {
             break false;
         }
-        let done = run.step(stride, steps);
+        let done = step(run);
         if let Some(writer) = &mut writer {
             writer.submit(|buf| run.encode_into(buf))?;
         }
@@ -98,17 +78,16 @@ mod tests {
     use crate::checkpoint::temp_store;
     use crate::wire::{put_u64, take_u64};
 
-    /// A run of `total` one-shard steps whose checkpoint is its step
-    /// count and the disk incidents in its report.
+    /// A run of `total` shards whose checkpoint is its shard count and
+    /// the disk incidents in its report.
     #[derive(Default)]
     struct Fake {
         total: u64,
         steps: u64,
-        plan: Option<FaultPlan>,
         degraded: DegradedReport,
-        /// The `steps` of every [`Run::step`] call, in order.
+        /// The shards of every [`Fake::step`] call, in order.
         calls: Vec<u64>,
-        /// The step count at every encode, in order.
+        /// The shard count at every encode, in order.
         encoded: RefCell<Vec<u64>>,
         absorbed: Option<Written>,
     }
@@ -122,17 +101,16 @@ mod tests {
         }
     }
 
-    impl Run for Fake {
-        fn step(&mut self, stride: u64, steps: u64) -> bool {
-            self.calls.push(steps);
-            self.steps = (self.steps + stride * steps).min(self.total);
+    impl Fake {
+        /// Steps up to `shards` more shards; returns whether it is done.
+        fn step(&mut self, shards: u64) -> bool {
+            self.calls.push(shards);
+            self.steps = (self.steps + shards).min(self.total);
             self.steps == self.total
         }
+    }
 
-        fn plan(&self) -> Option<&FaultPlan> {
-            self.plan.as_ref()
-        }
-
+    impl Run for Fake {
         fn degraded(&self) -> &DegradedReport {
             &self.degraded
         }
@@ -143,7 +121,7 @@ mod tests {
         }
     }
 
-    /// A fresh [`Fake`] of `total` steps.
+    /// A fresh [`Fake`] of `total` shards.
     fn fake(total: u64) -> Fake {
         Fake {
             total,
@@ -151,8 +129,8 @@ mod tests {
         }
     }
 
-    /// Drives `run` one shard per step, writing into `store` every
-    /// `every` steps under the fault plan `spec`, until `cancel`.
+    /// Drives `run` `every` shards per step, writing into `store` after
+    /// every step under the fault plan `spec`, until `cancel`.
     fn drive_into(
         run: &mut Fake,
         store: &CheckpointStore,
@@ -160,8 +138,9 @@ mod tests {
         spec: &str,
         cancel: impl FnMut() -> bool,
     ) -> Result<bool, CheckpointError> {
-        run.plan = Some(FaultPlan::parse(spec, 5).unwrap());
-        drive(run, 1, Some(Checkpoints { store, every }), cancel, |_| {})
+        let plan = FaultPlan::parse(spec, 5).unwrap();
+        let step = |run: &mut Fake| run.step(every);
+        drive(run, step, Some(store), Some(&plan), cancel, |_| {})
     }
 
     /// `(steps, disk incidents)` of every generation on disk, newest first.
@@ -176,14 +155,6 @@ mod tests {
             .collect()
     }
 
-    /// The step after which each write landed when the driver took one
-    /// step per call: every `every`-th step and the final one.
-    fn one_step_per_call(total: u64, every: u64) -> Vec<u64> {
-        (1..=total)
-            .filter(|s| s.is_multiple_of(every.max(1)) || *s == total)
-            .collect()
-    }
-
     #[test]
     fn writes_land_every_stride_and_once_after_the_final_step() {
         let store = temp_store("drive-cadence", 8);
@@ -192,19 +163,19 @@ mod tests {
             (6, 3, vec![3, 6]),
             (2, 5, vec![2]),
             (3, 1, vec![1, 2, 3]),
-            (3, 0, vec![1, 2, 3]),
         ] {
             let mut run = fake(total);
-            let checkpoints = Checkpoints {
-                store: &store,
-                every,
-            };
+            let step = |run: &mut Fake| run.step(every);
             let mut seen = 0;
-            assert!(drive(&mut run, 1, Some(checkpoints), || false, |_| seen += 1).unwrap());
-            assert_eq!(*run.encoded.borrow(), expect, "{total} steps every {every}");
-            // One call per write window, each asking for the `every` steps
-            // up to the next write; the last window ends with the run.
-            assert_eq!(run.calls, vec![every.max(1); expect.len()]);
+            let on_step = |_: &Fake| seen += 1;
+            assert!(drive(&mut run, step, Some(&store), None, || false, on_step).unwrap());
+            assert_eq!(
+                *run.encoded.borrow(),
+                expect,
+                "{total} shards every {every}"
+            );
+            // One write per step; the last step ends with the run.
+            assert_eq!(run.calls, vec![every; expect.len()]);
             assert_eq!(seen, run.calls.len(), "on_step runs once per call");
             let written = run.absorbed.expect("absorbed once the writer drained");
             assert_eq!(written.writes, expect.len() as u64);
@@ -218,29 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_windows_write_after_the_same_steps_with_the_same_indices() {
-        let store = temp_store("drive-fused", 2);
-        for total in 1..=9 {
-            for every in 1..=4 {
-                let mut run = fake(total);
-                assert!(drive_into(&mut run, &store, every, "disk-torn=2", || false).unwrap());
-                let expect = one_step_per_call(total, every);
-                assert_eq!(*run.encoded.borrow(), expect, "{total} steps every {every}");
-                // Every second write (indices 1, 3, …) is torn, as it was
-                // when every call took one step.
-                let torn: Vec<u64> = run
-                    .degraded
-                    .disk_incidents
-                    .iter()
-                    .map(|i| i.write_index)
-                    .collect();
-                let odd: Vec<u64> = (0..expect.len() as u64).filter(|i| i % 2 == 1).collect();
-                assert_eq!(torn, odd, "{total} steps every {every}");
-            }
-        }
-    }
-
-    #[test]
     fn runs_without_checkpoints_take_one_step_per_call() {
         let mut run = fake(5);
         let mut asked = 0;
@@ -248,8 +196,9 @@ mod tests {
             asked += 1;
             false
         };
-        assert!(drive(&mut run, 2, None, cancel, |_| {}).unwrap());
-        assert_eq!(run.calls, vec![1, 1, 1]);
+        let step = |run: &mut Fake| run.step(2);
+        assert!(drive(&mut run, step, None, None, cancel, |_| {}).unwrap());
+        assert_eq!(run.calls, vec![2, 2, 2]);
         assert_eq!(asked, 3, "cancel is asked once per call");
         assert!(run.encoded.borrow().is_empty());
     }

@@ -28,6 +28,9 @@
 //! [`CheckpointStore`] of fsynced, rotated generations with newest-valid
 //! fallback, its write-behind writer thread, and [`drive`] — the one
 //! step → write → absorb loop every engine and surface runs through.
+//! Each engine's run type implements [`Run`], and its caller hands
+//! `drive` one step as a closure over the engine's own supervised step,
+//! so this crate needs neither the engines nor their executor.
 
 #![warn(missing_docs)]
 
@@ -36,13 +39,16 @@ mod drive;
 mod plan;
 mod report;
 mod spec;
+mod temp;
 pub mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore, Written};
-pub use drive::{drive, Checkpoints, Run};
+pub use drive::{drive, Run};
 pub use plan::{CheckpointCorruption, FaultPlan, PoisonKind};
 pub use report::{
     CheckpointFallback, DegradedReport, DiskFaultKind, DiskIncident, SensorFaultKind,
     SensorIncident, ShardFailure,
 };
 pub use spec::{FaultSpec, FaultSpecError};
+#[doc(hidden)]
+pub use temp::TempDir;

@@ -257,9 +257,7 @@ impl Checkpoint for Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    use dh_fault::{DiskFaultKind, DiskIncident, SensorFaultKind};
+    use dh_fault::{DiskFaultKind, DiskIncident, SensorFaultKind, TempDir};
 
     use super::*;
     use crate::sim::{FleetConfig, FleetRun};
@@ -275,18 +273,6 @@ mod tests {
         let mut run = FleetRun::new(config.clone()).unwrap();
         run.step_supervised(1, None, &dh_exec::RetryPolicy::immediate(1));
         (config, run.snapshot())
-    }
-
-    /// A fresh temp directory, named by process, tag and call so
-    /// concurrent test processes never share one.
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
-        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-        let name = format!("dh-fleet-ckpt-{}-{tag}-{n}", std::process::id());
-        let dir = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     /// Re-computes the whole-file checksum after a deliberate edit.
@@ -423,7 +409,8 @@ mod tests {
     #[test]
     fn files_round_trip_and_missing_files_are_none() {
         let (_config, snap) = snapshot_after_one_step();
-        let store = dh_fault::CheckpointStore::new(temp_dir("single").join("snap.dhfl"), 1);
+        let dir = TempDir::new("fleet-ckpt-single");
+        let store = dh_fault::CheckpointStore::new(dir.join("snap.dhfl"), 1);
         let bytes = store.write(&snap).unwrap();
         assert_eq!(bytes, snap.encode().len() as u64);
         let (back, fallbacks) = store.read_newest_valid(Snapshot::decode);
@@ -462,7 +449,8 @@ mod tests {
     #[test]
     fn injected_writes_corrupt_exactly_the_planned_generations() {
         let (_config, snap) = snapshot_after_one_step();
-        let store = dh_fault::CheckpointStore::new(temp_dir("inject").join("snap.dhfl"), 2);
+        let dir = TempDir::new("fleet-ckpt-inject");
+        let store = dh_fault::CheckpointStore::new(dir.join("snap.dhfl"), 2);
         let plan = dh_fault::FaultPlan::parse("ckpt-flip=2", 5).unwrap();
         let newest = || Snapshot::decode(&std::fs::read(store.base_path()).unwrap());
         store

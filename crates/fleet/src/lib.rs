@@ -67,7 +67,7 @@ pub use error::FleetError;
 pub use policy::{FleetPolicy, MaintenanceBudget};
 pub use sim::{
     run_fleet, run_fleet_reference, run_fleet_supervised, FleetConfig, FleetProgress, FleetReport,
-    FleetRun, SupervisedFleet,
+    FleetRun,
 };
 pub use stats::{NonFinite, P2Quantile, StreamingMoments, StreamingSummary, SummaryStats};
 pub use store::StoreView;

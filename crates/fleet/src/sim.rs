@@ -19,8 +19,9 @@
 //! run completes with a [`DegradedReport`] enumerating everything it
 //! survived. With no fault plan (or a no-op one) nothing is injected and
 //! a clean run's report is the baseline. Every entry point — and the
-//! `fleet` CLI and the `dh-serve` daemon — hands a [`SupervisedFleet`] to
-//! [`dh_fault::drive`], the one step → checkpoint → absorb loop.
+//! `fleet` CLI and the `dh-serve` daemon — hands a [`FleetRun`] and a
+//! closure over its `step_supervised` to [`dh_fault::drive`], the one
+//! step → checkpoint → absorb loop.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -29,8 +30,8 @@ use dh_em::black::BlackModel;
 use dh_exec::RetryPolicy;
 use dh_fault::wire::{fnv1a, fnv1a_f64, fnv1a_u64, put_u64, take_u64, FNV_OFFSET};
 use dh_fault::{
-    drive, Checkpoint, CheckpointStore, Checkpoints, DegradedReport, FaultPlan, Run,
-    SensorFaultKind, SensorIncident, ShardFailure, Written,
+    drive, Checkpoint, CheckpointStore, DegradedReport, FaultPlan, Run, SensorFaultKind,
+    SensorIncident, ShardFailure, Written,
 };
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
@@ -1081,56 +1082,29 @@ pub fn run_fleet_supervised(
         Some((store, _)) => FleetRun::resume_from_store(config, store)?,
         None => FleetRun::new(config)?,
     };
-    let stride = checkpoints.map_or(u64::MAX, |(_, every)| every);
-    let checkpoints = checkpoints.map(|(store, _)| Checkpoints { store, every: 1 });
-    let mut supervised = SupervisedFleet {
-        run: &mut run,
-        plan,
-        retry,
-    };
-    drive(&mut supervised, stride, checkpoints, || false, |_| {})?;
+    let every = checkpoints.map_or(u64::MAX, |(_, every)| every);
+    let step = |run: &mut FleetRun| run.step_supervised(every, plan, retry);
+    let store = checkpoints.map(|(store, _)| store);
+    drive(&mut run, step, store, plan, || false, |_| {})?;
     Ok((run.report()?, run.degraded))
 }
 
-/// A [`FleetRun`] stepped under a fault plan and retry policy: the
-/// [`dh_fault::Run`] every surface hands to [`dh_fault::drive`].
-#[derive(Debug)]
-pub struct SupervisedFleet<'a> {
-    /// The run being stepped.
-    pub run: &'a mut FleetRun,
-    /// The faults to inject (`None` injects nothing).
-    pub plan: Option<&'a FaultPlan>,
-    /// Attempts per shard before quarantine.
-    pub retry: &'a RetryPolicy,
-}
-
-impl Checkpoint for SupervisedFleet<'_> {
+impl Checkpoint for FleetRun {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.run.snapshot().encode_into(buf);
+        self.snapshot().encode_into(buf);
     }
 }
 
-impl Run for SupervisedFleet<'_> {
-    /// A fleet step folds whole shards across every epoch, so `steps`
-    /// steps of `stride` shards are one step of their product.
-    fn step(&mut self, stride: u64, steps: u64) -> bool {
-        self.run
-            .step_supervised(stride.saturating_mul(steps), self.plan, self.retry)
-    }
-
-    fn plan(&self) -> Option<&FaultPlan> {
-        self.plan
-    }
-
+impl Run for FleetRun {
     fn degraded(&self) -> &DegradedReport {
-        self.run.degraded()
+        &self.degraded
     }
 
     fn absorb(&mut self, written: Written) {
         for (name, n) in written.metrics() {
             dh_obs::counter(&format!("fleet.{name}")).add(n);
         }
-        self.run.degraded.absorb(written.disk);
+        self.degraded.absorb(written.disk);
     }
 }
 

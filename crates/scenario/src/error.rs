@@ -50,6 +50,11 @@ pub enum ScenarioError {
     /// pack (fingerprint mismatch) — resuming it would silently blend
     /// two scenarios.
     Mismatch(String),
+    /// A run with no fault plan still degraded — a real shard panic or a
+    /// non-finite state value — so its report is not the clean run's.
+    /// [`crate::run_pack`] returns this where [`crate::run_pack_supervised`]
+    /// would hand back the report.
+    Degraded(Box<dh_fault::DegradedReport>),
 }
 
 impl ScenarioError {
@@ -77,6 +82,7 @@ impl fmt::Display for ScenarioError {
             Self::Io { path, why } => write!(f, "{path}: {why}"),
             Self::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             Self::Mismatch(why) => write!(f, "checkpoint mismatch: {why}"),
+            Self::Degraded(report) => write!(f, "scenario run degraded:\n{}", report.render()),
         }
     }
 }

@@ -47,5 +47,5 @@ pub use pack::{
 pub use registry::{load_pack_file, PackSource, RegisteredPack, ScenarioRegistry};
 pub use run::{
     run_pack, run_pack_supervised, GroupReport, Progress, ScenarioCheckpointStore, ScenarioReport,
-    ScenarioRun, SupervisedScenario,
+    ScenarioRun,
 };

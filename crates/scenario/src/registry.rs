@@ -187,9 +187,7 @@ mod tests {
 
     #[test]
     fn directory_packs_shadow_builtins() {
-        let dir = std::env::temp_dir().join(format!("dh-scenario-reg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = dh_fault::TempDir::new("scenario-reg");
         let reg = ScenarioRegistry::builtin();
         let mut pack = reg.get("sram-decoder").unwrap().pack.clone();
         pack.epochs = 7;
@@ -204,6 +202,5 @@ mod tests {
             .resolve(dir.join("override.json").to_str().unwrap())
             .unwrap();
         assert_eq!(by_path.epochs, 7);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

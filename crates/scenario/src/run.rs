@@ -21,7 +21,8 @@
 //! quarantined, and an epoch that leaves a non-finite state value is
 //! rejected. Checkpoints land through the shared
 //! [`dh_fault::CheckpointStore`] ([`ScenarioCheckpointStore`]), and every
-//! surface runs a [`SupervisedScenario`] through [`dh_fault::drive`].
+//! surface hands a [`ScenarioRun`] and a closure over its
+//! [`ScenarioRun::step_supervised`] to [`dh_fault::drive`].
 
 use std::cell::RefCell;
 use std::ops::RangeInclusive;
@@ -32,8 +33,8 @@ use dh_fault::wire::{
     FNV_OFFSET,
 };
 use dh_fault::{
-    drive, Checkpoint, CheckpointStore, Checkpoints, DegradedReport, FaultPlan, Run,
-    SensorIncident, ShardFailure, Written,
+    drive, Checkpoint, CheckpointStore, DegradedReport, FaultPlan, Run, SensorIncident,
+    ShardFailure, Written,
 };
 
 use crate::error::ScenarioError;
@@ -278,27 +279,41 @@ impl ScenarioRun {
         }
     }
 
-    /// Moves the run to the position `steps` steps reach, where a step
-    /// covers up to `max_shards` shards of the in-flight epoch and stops at
-    /// its end (a no-op once done), in one parallel call: each shard steps
-    /// all of its epochs in the window in place, under supervision. No
-    /// shard reads another's columns and every fault is keyed on `(epoch,
-    /// shard, attempt)`, so the state and the degraded report are the ones
-    /// step-at-a-time stepping reaches.
-    fn step_window(
+    /// Steps the next `max_shards` shards in `(epoch, shard)` order (at
+    /// least one, a no-op once done): shard-epochs that may run past the
+    /// end of an epoch, in one parallel call where each shard steps all of
+    /// its epochs in place, shard-major. Shard panics, injected by `plan`
+    /// or real, are retried per `retry`; a shard that keeps failing is
+    /// quarantined, frozen at its last good state. An epoch that leaves a
+    /// non-finite state value is rejected, its element count added to
+    /// `rejected_samples`. Every such event lands in
+    /// [`ScenarioRun::degraded`] instead of aborting. No shard reads
+    /// another's columns and every fault is keyed on `(epoch, shard,
+    /// attempt)`, so one step of `a + b` shards reaches the state and
+    /// degraded report of a step of `a` and then one of `b`.
+    pub fn step_supervised(
         &mut self,
         max_shards: usize,
-        steps: u64,
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
     ) -> Progress {
-        let plan = plan.filter(|p| !p.is_noop());
-        let (from_epoch, from_cursor) = (self.epoch, self.shard_cursor);
-        let (epoch, cursor) = self.position_after(max_shards, steps);
-        if (epoch, cursor) == (from_epoch, from_cursor) {
+        let n = self.shards.len();
+        if n == 0 {
+            // No shard has an epoch to step, so the run ends at once.
+            self.epoch = self.pack.epochs;
             return self.progress();
         }
-        let n = self.shards.len();
+        let plan = plan.filter(|p| !p.is_noop());
+        let (from_epoch, from_cursor) = (self.epoch, self.shard_cursor);
+        let from = from_epoch
+            .saturating_mul(n as u64)
+            .saturating_add(from_cursor as u64);
+        let end = self.pack.epochs.saturating_mul(n as u64);
+        let to = from.saturating_add((max_shards as u64).max(1)).min(end);
+        if to <= from {
+            return self.progress();
+        }
+        let (epoch, cursor) = (to / n as u64, (to % n as u64) as usize);
         // Register always-stuck wear sensors once, at the very start of the
         // run (resumes re-load them from the checkpoint).
         let incidents = &mut self.degraded.sensor_incidents;
@@ -314,7 +329,7 @@ impl ScenarioRun {
             incidents.extend((0..n as u64).filter_map(stuck));
         }
         // Shard `s` has integrated `from_epoch + (s < from_cursor)` epochs
-        // and ends the window at `epoch + (s < cursor)`. Only a window that
+        // and ends the step at `epoch + (s < cursor)`. Only a step that
         // wraps into a later epoch reaches the shards before `from_cursor`.
         let lo = if epoch == from_epoch || (epoch == from_epoch + 1 && cursor == 0) {
             from_cursor
@@ -357,54 +372,13 @@ impl ScenarioRun {
                 error: failure.message,
             });
         }
-        let at = |epoch: u64, cursor: usize| epoch * n as u64 + cursor as u64;
-        dh_obs::counter!("scenario.shard_steps")
-            .add(at(epoch, cursor) - at(from_epoch, from_cursor));
+        dh_obs::counter!("scenario.shard_steps").add(to - from);
         if epoch > from_epoch {
             dh_obs::counter!("scenario.epochs").add(epoch - from_epoch);
         }
         self.epoch = epoch;
         self.shard_cursor = cursor;
         self.progress()
-    }
-
-    /// The `(epoch, shard cursor)` that `steps` steps of up to
-    /// `max_shards` shards reach from here, each step stopping at the end
-    /// of its epoch, clipped at the end of the run. One iteration per
-    /// epoch crossed, so the cost is bounded by the run's remaining steps
-    /// however large `steps` is.
-    fn position_after(&self, max_shards: usize, steps: u64) -> (u64, usize) {
-        let n = self.shards.len();
-        let per_step = max_shards.max(1);
-        let (mut epoch, mut cursor, mut steps) = (self.epoch, self.shard_cursor, steps);
-        while steps > 0 && epoch < self.pack.epochs {
-            let to_epoch_end = (n - cursor).div_ceil(per_step) as u64;
-            if steps < to_epoch_end {
-                // `steps · per_step < n - cursor`, so this neither
-                // overflows nor reaches the epoch's end.
-                cursor += steps as usize * per_step;
-                break;
-            }
-            steps -= to_epoch_end;
-            epoch += 1;
-            cursor = 0;
-        }
-        (epoch, cursor)
-    }
-
-    /// Steps up to `max_shards` shards of the in-flight epoch (a no-op once
-    /// done). Shard panics, injected by `plan` or real, are retried per
-    /// `retry`; a shard that keeps failing is quarantined, frozen at its
-    /// last good state. An epoch that leaves a non-finite state value is
-    /// rejected, its element count added to `rejected_samples`. Every such
-    /// event lands in [`ScenarioRun::degraded`] instead of aborting.
-    pub fn step_supervised(
-        &mut self,
-        max_shards: usize,
-        plan: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-    ) -> Progress {
-        self.step_window(max_shards, 1, plan, retry)
     }
 
     /// Aggregates the current state into per-group reports plus the
@@ -519,9 +493,10 @@ impl ScenarioRun {
                 run.shards.len()
             )));
         }
-        // The writer keeps the cursor inside the epoch in flight and stops
-        // at the pack's horizon; any other position is a forged file.
-        if cursor >= shard_count
+        // The writer keeps the cursor inside the epoch in flight (at 0 for
+        // a pack with no shards) and stops at the pack's horizon; any other
+        // position is a forged file.
+        if cursor >= shard_count.max(1)
             || run.epoch > run.pack.epochs
             || (run.epoch == run.pack.epochs && cursor != 0)
         {
@@ -591,24 +566,30 @@ impl ScenarioRun {
 pub type ScenarioCheckpointStore = CheckpointStore;
 
 /// Integrates a pack start to finish with no fault plan and reports.
-/// Shard panics are contained as in [`run_pack_supervised`], which also
-/// returns the degraded report this drops.
-pub fn run_pack(pack: ScenarioPack) -> ScenarioReport {
-    let (report, _) = run_pack_supervised(pack, None, &RetryPolicy::immediate(1), None)
-        .expect("a run without checkpoints does no I/O");
-    report
+/// Shard panics are contained as in [`run_pack_supervised`].
+///
+/// # Errors
+///
+/// A run that degraded anyway — a real shard panic or a non-finite state
+/// value — is [`ScenarioError::Degraded`].
+pub fn run_pack(pack: ScenarioPack) -> Result<ScenarioReport, ScenarioError> {
+    let (report, degraded) = run_pack_supervised(pack, None, &RetryPolicy::immediate(1), None)?;
+    if degraded.is_degraded() {
+        return Err(ScenarioError::Degraded(Box::new(degraded)));
+    }
+    Ok(report)
 }
 
 /// Integrates a pack under supervision: shard panics, real or injected by
 /// `plan`, are retried per `retry` and quarantined on exhaustion,
-/// checkpoints (when a store is given) are written every `every` steps of
-/// [`dh_exec::max_threads`] shards through the disk-fault-injecting
-/// writer, and a corrupt newest generation falls back to an older one on
-/// resume. A checkpointed run steps each window between two writes in one
-/// parallel call, shard-major; nothing observes a run without checkpoints
-/// until it ends, so it is one window. Returns the report plus the
-/// accumulated [`DegradedReport`]; a no-op plan produces a report
-/// bit-identical to [`run_pack`].
+/// checkpoints (when a store is given) are written after every step of
+/// `every` × [`dh_exec::max_threads`] shard-epochs through the
+/// disk-fault-injecting writer, and a corrupt newest generation falls
+/// back to an older one on resume. Each step is one parallel call,
+/// shard-major; nothing observes a run without checkpoints until it ends,
+/// so it is one step. Returns the report plus the accumulated
+/// [`DegradedReport`]; a no-op plan produces a report bit-identical to
+/// [`run_pack`].
 ///
 /// # Errors
 ///
@@ -623,31 +604,16 @@ pub fn run_pack_supervised(
 ) -> Result<(ScenarioReport, DegradedReport), ScenarioError> {
     let Some((store, every)) = checkpoints else {
         let mut run = ScenarioRun::new(pack);
-        run.step_window(usize::MAX, u64::MAX, plan, retry);
+        run.step_supervised(usize::MAX, plan, retry);
         return Ok((run.report(), run.degraded));
     };
     let mut run = ScenarioRun::resume_from_store(pack, store)?;
-    let mut supervised = SupervisedScenario {
-        run: &mut run,
-        plan,
-        retry,
-    };
-    let checkpoints = Some(Checkpoints { store, every });
-    let stride = dh_exec::max_threads() as u64;
-    drive(&mut supervised, stride, checkpoints, || false, |_| {})?;
+    let shards = usize::try_from(every)
+        .unwrap_or(usize::MAX)
+        .saturating_mul(dh_exec::max_threads());
+    let step = |run: &mut ScenarioRun| run.step_supervised(shards, plan, retry).done;
+    drive(&mut run, step, Some(store), plan, || false, |_| {})?;
     Ok((run.report(), run.degraded))
-}
-
-/// A [`ScenarioRun`] stepped under a fault plan and retry policy: the
-/// [`dh_fault::Run`] every surface hands to [`dh_fault::drive`].
-#[derive(Debug)]
-pub struct SupervisedScenario<'a> {
-    /// The run being stepped.
-    pub run: &'a mut ScenarioRun,
-    /// The faults to inject (`None` injects nothing).
-    pub plan: Option<&'a FaultPlan>,
-    /// Attempts per shard before quarantine.
-    pub retry: &'a RetryPolicy,
 }
 
 impl Checkpoint for ScenarioRun {
@@ -691,42 +657,24 @@ impl Checkpoint for ScenarioRun {
     }
 }
 
-impl Checkpoint for SupervisedScenario<'_> {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.run.encode_into(buf);
-    }
-}
-
-impl Run for SupervisedScenario<'_> {
-    /// The whole window in one supervised parallel call.
-    fn step(&mut self, stride: u64, steps: u64) -> bool {
-        let stride = usize::try_from(stride).unwrap_or(usize::MAX);
-        let progress = self.run.step_window(stride, steps, self.plan, self.retry);
-        progress.done
-    }
-
-    fn plan(&self) -> Option<&FaultPlan> {
-        self.plan
-    }
-
+impl Run for ScenarioRun {
     fn degraded(&self) -> &DegradedReport {
-        &self.run.degraded
+        &self.degraded
     }
 
     fn absorb(&mut self, written: Written) {
         for (name, n) in written.metrics() {
             dh_obs::counter(&format!("scenario.{name}")).add(n);
         }
-        self.run.degraded.absorb(written.disk);
+        self.degraded.absorb(written.disk);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
-    use dh_fault::DiskFaultKind;
+    use dh_fault::{DiskFaultKind, TempDir};
 
     use super::*;
     use crate::registry::ScenarioRegistry;
@@ -791,9 +739,9 @@ mod tests {
     fn serial_and_parallel_runs_are_bit_identical() {
         let pack = small_pack();
         dh_exec::set_max_threads(Some(1));
-        let serial = run_pack(pack.clone());
+        let serial = run_pack(pack.clone()).unwrap();
         dh_exec::set_max_threads(None);
-        let parallel = run_pack(pack);
+        let parallel = run_pack(pack).unwrap();
         assert_eq!(serial.fingerprint, parallel.fingerprint);
         assert_eq!(serial, parallel);
     }
@@ -932,7 +880,7 @@ mod tests {
         let mut pack = small_pack();
         pack.epochs = 40;
         pack.fail_threshold_mv = 10.0;
-        let report = run_pack(pack);
+        let report = run_pack(pack).unwrap();
         assert_eq!(report.groups.len(), 2);
         let total_failed: u64 = report.groups.iter().map(|g| g.failed).sum();
         assert!(total_failed > 0, "{report:?}");
@@ -950,22 +898,10 @@ mod tests {
         FaultPlan::new(dh_fault::FaultSpec::parse(spec).unwrap(), seed)
     }
 
-    /// A fresh temp directory, named by process, tag and call so
-    /// concurrent test processes never share one.
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
-        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-        let name = format!("dh-scenario-ckpt-{}-{tag}-{n}", std::process::id());
-        let dir = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn supervised_noop_plan_is_bit_identical_to_the_strict_path() {
         let pack = small_pack();
-        let clean = run_pack(pack.clone());
+        let clean = run_pack(pack.clone()).unwrap();
         let noop = plan("", 7);
         let retry = RetryPolicy::immediate(3);
         let (report, degraded) = run_pack_supervised(pack, Some(&noop), &retry, None).unwrap();
@@ -1060,7 +996,7 @@ mod tests {
             }
             let (report, degraded) = run_pack_supervised(pack.clone(), None, &retry, None).unwrap();
             let mut run = ScenarioRun::new(pack.clone());
-            run.step_window(usize::MAX, u64::MAX, None, &retry);
+            run.step_supervised(usize::MAX, None, &retry);
             dh_exec::set_max_threads(None);
             dh_simd::force_scalar(false);
             let same = (report.fingerprint, &degraded);
@@ -1123,7 +1059,7 @@ mod tests {
         step(&mut fused, 2);
         let mut stepped = fused.clone();
         while !stepped.step_supervised(1, Some(&p), &retry).done {}
-        fused.step_window(usize::MAX, u64::MAX, Some(&p), &retry);
+        fused.step_supervised(usize::MAX, Some(&p), &retry);
         assert_eq!(fused.degraded, stepped.degraded);
         let order: Vec<u64> = fused.degraded.quarantined.iter().map(|q| q.shard).collect();
         assert_eq!(order, [2, 3, 4, 0, 1]);
@@ -1143,12 +1079,7 @@ mod tests {
                         break;
                     }
                 }
-                let mut supervised = SupervisedScenario {
-                    run: &mut fused,
-                    plan: Some(&p),
-                    retry: &retry,
-                };
-                let done = supervised.step(2, window);
+                let done = fused.step_supervised(2 * window, Some(&p), &retry).done;
                 assert_eq!(fused.progress(), stepped.progress(), "window {window}");
                 // The bytes carry the degraded report as well as the state.
                 assert_eq!(fused.encode_checkpoint(), stepped.encode_checkpoint());
@@ -1158,6 +1089,60 @@ mod tests {
             }
             assert!(fused.degraded.is_degraded(), "the plan injected faults");
         }
+    }
+
+    #[test]
+    fn a_step_runs_past_the_end_of_its_epoch() {
+        let pack = small_pack();
+        let shards = ScenarioRun::new(pack.clone()).progress().shards;
+        let mut fused = ScenarioRun::new(pack.clone());
+        let progress = step(&mut fused, shards + 2);
+        assert_eq!((progress.epoch, progress.shard_cursor), (1, 2));
+        let mut stepped = ScenarioRun::new(pack);
+        for _ in 0..shards + 2 {
+            step(&mut stepped, 1);
+        }
+        assert_eq!(fused.encode_checkpoint(), stepped.encode_checkpoint());
+    }
+
+    #[test]
+    fn a_pack_with_no_shards_completes() {
+        let mut pack = small_pack();
+        pack.blocks.clear();
+        let dir = TempDir::new("scenario-ckpt-empty");
+        let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 2);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let retry = RetryPolicy::immediate(1);
+            let plain = run_pack(pack.clone()).unwrap();
+            // The second checkpointed run resumes from the first's file.
+            let checkpointed =
+                [(); 2].map(|_| run_pack_supervised(pack.clone(), None, &retry, Some((&store, 1))));
+            done.send((plain, checkpointed)).unwrap();
+        });
+        let timeout = std::time::Duration::from_secs(10);
+        let (plain, checkpointed) = finished.recv_timeout(timeout).unwrap();
+        assert_eq!(plain.epochs_run, small_pack().epochs);
+        for (report, degraded) in checkpointed.map(Result::unwrap) {
+            assert_eq!(report, plain);
+            assert!(!degraded.is_degraded(), "{degraded:?}");
+        }
+    }
+
+    #[test]
+    fn run_pack_refuses_a_run_that_degraded() {
+        let pack = mixed_pack();
+        let retry = RetryPolicy::immediate(1);
+        let (report, _) = run_pack_supervised(pack.clone(), None, &retry, None).unwrap();
+        assert_eq!(run_pack(pack.clone()).unwrap(), report);
+        BROKEN_SHARD.set(Some((3, VictimStore::truncate_rates)));
+        let outcome = run_pack(pack);
+        BROKEN_SHARD.set(None);
+        let Err(ScenarioError::Degraded(degraded)) = outcome else {
+            panic!("{:?}", outcome.map(|report| report.fingerprint));
+        };
+        let quarantined: Vec<u64> = degraded.quarantined.iter().map(|q| q.shard).collect();
+        assert_eq!(quarantined, [3]);
     }
 
     #[test]
@@ -1206,7 +1191,7 @@ mod tests {
 
     #[test]
     fn store_falls_back_over_corrupt_generations_and_rejects_wrong_packs() {
-        let dir = temp_dir("fallback");
+        let dir = TempDir::new("scenario-ckpt-fallback");
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
@@ -1236,7 +1221,7 @@ mod tests {
 
     #[test]
     fn enospc_and_fsync_faults_keep_the_previous_generation() {
-        let dir = temp_dir("disk");
+        let dir = TempDir::new("scenario-ckpt-disk");
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
         let mut run = ScenarioRun::new(pack.clone());
@@ -1281,10 +1266,10 @@ mod tests {
 
     #[test]
     fn recoverable_faults_leave_the_report_fingerprint_unchanged() {
-        let dir = temp_dir("recoverable");
+        let dir = TempDir::new("scenario-ckpt-recoverable");
         let store = ScenarioCheckpointStore::new(dir.join("scenario.dhsp"), 3);
         let pack = small_pack();
-        let clean = run_pack(pack.clone());
+        let clean = run_pack(pack.clone()).unwrap();
         // Panics (fully retried), checkpoint corruption, and disk faults
         // are all recoverable: none of them may perturb the state.
         let p = plan("panic=0.2,ckpt-flip=2,disk-full=0.3,disk-torn=3", 17);

@@ -17,11 +17,11 @@
 
 use dh_bti::WearModel;
 use dh_exec::RetryPolicy;
-use dh_fault::{DegradedReport, FaultPlan, Run};
+use dh_fault::{DegradedReport, FaultPlan};
 use dh_scenario::{
     AgedMultiplier, BlockGroup, BlockModel, Corner, EpochCtx, GroupCtx, Maintenance,
     MaintenancePolicy, ScenarioCheckpointStore, ScenarioError, ScenarioPack, ScenarioRegistry,
-    ScenarioRun, SramDecoder, SupervisedScenario, VictimStore, WeightMemory, Workload,
+    ScenarioRun, SramDecoder, VictimStore, WeightMemory, Workload,
 };
 use proptest::prelude::*;
 
@@ -386,9 +386,9 @@ fn shrunk_builtins() -> Vec<ScenarioPack> {
 fn builtin_packs_are_thread_count_invariant() {
     for pack in shrunk_builtins() {
         dh_exec::set_max_threads(Some(1));
-        let serial = dh_scenario::run_pack(pack.clone());
+        let serial = dh_scenario::run_pack(pack.clone()).unwrap();
         dh_exec::set_max_threads(None);
-        let parallel = dh_scenario::run_pack(pack.clone());
+        let parallel = dh_scenario::run_pack(pack.clone()).unwrap();
         assert_eq!(
             serial.fingerprint, parallel.fingerprint,
             "{}: serial vs parallel",
@@ -400,8 +400,7 @@ fn builtin_packs_are_thread_count_invariant() {
 
 #[test]
 fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("dh-scenario-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dh_fault::TempDir::new("scenario-props");
     let retry = dh_exec::RetryPolicy::immediate(1);
     let to_end =
         |run: &mut ScenarioRun| while !run.step_supervised(usize::MAX, None, &retry).done {};
@@ -409,11 +408,11 @@ fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
         let mut straight = ScenarioRun::new(pack.clone());
         to_end(&mut straight);
 
-        // "Kill" mid-epoch: step an odd shard count, checkpoint to disk,
-        // drop the run, resume from the file, finish.
+        // "Kill" mid-epoch: step one epoch and one shard, checkpoint to
+        // disk, drop the run, resume from the file, finish.
         let mut stepped = ScenarioRun::new(pack.clone());
-        stepped.step_supervised(usize::MAX, None, &retry);
-        stepped.step_supervised(1, None, &retry);
+        let shards = stepped.progress().shards;
+        stepped.step_supervised(shards + 1, None, &retry);
         let store = ScenarioCheckpointStore::new(dir.join(format!("{}.dhsp", pack.name)), 1);
         store.write(&stepped).unwrap();
         let interrupted = stepped.progress();
@@ -430,7 +429,6 @@ fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
             pack.name
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Faulted runs of the shrunk built-in packs, each plan at seed 9 with
@@ -539,7 +537,7 @@ proptest! {
         // Lead in with a stride of its own, so the window can start at any
         // shard of any epoch, not only at multiples of its stride.
         let lead_stride = 1 + lead_stride_draw % shards;
-        let lead = lead_draw % (pack.epochs * shards.div_ceil(lead_stride) as u64);
+        let lead = lead_draw % (pack.epochs * shards as u64).div_ceil(lead_stride as u64);
         let mut start = ScenarioRun::new(pack.clone());
         step_at_a_time(&mut start, lead_stride, lead, plan);
         if from_file == 1 {
@@ -555,8 +553,7 @@ proptest! {
             _ => dh_simd::force_scalar(true),
         }
         let retry = RetryPolicy::immediate(4);
-        let mut supervised = SupervisedScenario { run: &mut fused, plan, retry: &retry };
-        let done = supervised.step(stride as u64, window);
+        let done = fused.step_supervised(stride * window as usize, plan, &retry).done;
         dh_exec::set_max_threads(None);
         dh_simd::force_scalar(false);
 

@@ -16,7 +16,8 @@ usage: dh-serve [flags]
   --addr HOST:PORT   bind address                        (default 127.0.0.1:7477)
   --queue N          queued-job bound before 429s        (default 16)
   --concurrency N    jobs running at once                (default 2)
-  --step-shards N    shards folded between progress events (default 4)
+  --step-shards N    shards per step, one progress event each; a scenario
+                     step's shard-epochs run on across epoch ends (default 4)
   --pace-ms N        artificial delay between batches    (default 0)
   --data-dir PATH    checkpoint directory                (default dh-serve-data)
   --scenario-dir DIR extra scenario packs (*.json; shadow built-ins)

@@ -9,9 +9,10 @@
 //! queueing unboundedly.
 //!
 //! Both job kinds run through [`dh_fault::drive`], the loop the library
-//! and the CLI use, with the daemon's concerns as its callbacks: a cancel
-//! check before every step and a progress event after it. A job that is
-//! killed and resubmitted resumes from disk and lands on a report
+//! and the CLI use: the step is a closure over the engine's own
+//! `step_supervised`, and the daemon's concerns are the other callbacks,
+//! a cancel check before every step and a progress event after it. A job
+//! that is killed and resubmitted resumes from disk and lands on a report
 //! byte-identical to an uninterrupted run.
 
 use std::collections::VecDeque;
@@ -21,9 +22,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dh_exec::RetryPolicy;
-use dh_fault::{drive, CheckpointStore, Checkpoints, DegradedReport, FaultPlan, Run};
-use dh_fleet::{FleetConfig, FleetRun, SupervisedFleet};
-use dh_scenario::{ScenarioPack, ScenarioRegistry, ScenarioRun, SupervisedScenario};
+use dh_fault::{drive, CheckpointStore, DegradedReport, FaultPlan, Run};
+use dh_fleet::{FleetConfig, FleetRun};
+use dh_scenario::{ScenarioPack, ScenarioRegistry, ScenarioRun};
 
 use crate::api::{parse_spec, retry_after_hint, JobSpec, ServeError};
 use crate::json::{escape, num, Json};
@@ -259,8 +260,8 @@ impl Job {
 pub struct RunnerSettings {
     /// Queued-job bound; the submit path 429s beyond it.
     pub queue_capacity: usize,
-    /// Shards folded per batch when the job does not checkpoint
-    /// (checkpointing jobs batch by their `checkpoint_every`).
+    /// Shards per step when the job does not checkpoint (checkpointing
+    /// jobs step by their `checkpoint_every`).
     pub step_shards: u64,
     /// Artificial delay between batches. Zero in production; tests use
     /// it to hold jobs observably in-flight.
@@ -736,14 +737,11 @@ impl Runner<'_> {
                 run.degraded().checkpoint_fallbacks.len(),
             ),
         );
-        let mut supervised = SupervisedFleet {
-            run: &mut run,
-            plan: self.plan,
-            retry: self.retry,
-        };
-        if !self.drive(&mut supervised, |s| {
-            (s.run.cursor(), progress_event(job, s.run))
-        })? {
+        if !self.drive(
+            &mut run,
+            |run, shards| run.step_supervised(shards, self.plan, self.retry),
+            |run| (run.cursor(), progress_event(job, run)),
+        )? {
             return Ok(None);
         }
         let report = run.report().map_err(|e| e.to_string())?;
@@ -794,13 +792,12 @@ impl Runner<'_> {
                 run.degraded.checkpoint_fallbacks.len(),
             ),
         );
-        let mut supervised = SupervisedScenario {
-            run: &mut run,
-            plan: self.plan,
-            retry: self.retry,
+        let step = |run: &mut ScenarioRun, shards: u64| {
+            let shards = usize::try_from(shards).unwrap_or(usize::MAX);
+            run.step_supervised(shards, self.plan, self.retry).done
         };
-        if !self.drive(&mut supervised, |s| {
-            (shards_done(s.run), scenario_progress_event(job, s.run))
+        if !self.drive(&mut run, step, |run| {
+            (shards_done(run), scenario_progress_event(job, run))
         })? {
             return Ok(None);
         }
@@ -820,8 +817,8 @@ impl Runner<'_> {
         }))
     }
 
-    /// Drives a job's run the daemon's way: `checkpoint_every` shards per
-    /// step and a write after every step when the job checkpoints,
+    /// Drives a job's run the daemon's way: `step` takes `checkpoint_every`
+    /// shards, with a write after it, when the job checkpoints,
     /// `--step-shards` otherwise; a cancel check before every step; and
     /// after it the shard count from `progress`, its progress event, and
     /// the pace sleep. Raises the registry's disk flag, before any
@@ -830,19 +827,19 @@ impl Runner<'_> {
     fn drive<R: Run>(
         &self,
         run: &mut R,
+        mut step: impl FnMut(&mut R, u64) -> bool,
         progress: impl Fn(&R) -> (u64, String),
     ) -> Result<bool, String> {
         let (job, settings) = (self.job, self.settings);
-        let stride = match self.store {
+        let shards = match self.store {
             Some(_) => job.spec.checkpoint_every,
             None => settings.step_shards,
-        }
-        .max(1);
-        let checkpoints = self.store.map(|store| Checkpoints { store, every: 1 });
+        };
         let finished = drive(
             run,
-            stride,
-            checkpoints,
+            |run| step(run, shards),
+            self.store,
+            self.plan,
             || job.cancel_requested(),
             |run| {
                 let (shards_done, event) = progress(run);

@@ -68,7 +68,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads running jobs concurrently.
     pub concurrency: usize,
-    /// Shards folded between progress events for non-checkpointing jobs.
+    /// Shards per step (one progress event each) for non-checkpointing
+    /// jobs; a scenario step counts shard-epochs across epoch ends.
     pub step_shards: u64,
     /// Artificial delay between batches (tests; zero in production).
     pub pace: Duration,

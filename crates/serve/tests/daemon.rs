@@ -6,36 +6,32 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
+use dh_fault::TempDir;
 use dh_fleet::{run_fleet, FleetConfig, FleetPolicy, MaintenanceBudget};
 use dh_serve::client::{request, sse, Response};
 use dh_serve::{ServeConfig, Server};
 
-static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
-
-/// A directory name unique among this process's tests. Another process
-/// that once had this pid may have left the same directory behind, with
-/// its jobs and checkpoints, so any such leftover is removed first.
-fn temp_data_dir(tag: &str) -> PathBuf {
-    let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dh-serve-test-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh directory for one test, removed when the guard drops.
+fn temp_data_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("serve-test-{tag}"))
 }
 
-fn start(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (Server, SocketAddr, PathBuf) {
+/// Starts a daemon on its own data directory. The guard comes first, so
+/// a `let (dir, server, addr)` binding drops the server before the
+/// directory it writes into.
+fn start(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (TempDir, Server, SocketAddr) {
     let data_dir = temp_data_dir(tag);
     let mut config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        data_dir: data_dir.clone(),
+        data_dir: data_dir.to_path_buf(),
         ..ServeConfig::default()
     };
     tweak(&mut config);
     let server = Server::start(config).expect("server should bind");
     let addr = server.local_addr();
-    (server, addr, data_dir)
+    (data_dir, server, addr)
 }
 
 /// A job body matching [`test_config`]: 256 devices in 8 shards of 32,
@@ -105,7 +101,7 @@ fn wait_status(addr: SocketAddr, id: &str, wanted: &str) -> String {
 
 #[test]
 fn health_and_unknown_routes() {
-    let (server, addr, _) = start("health", |_| {});
+    let (_dir, server, addr) = start("health", |_| {});
     let ok = request(addr, "GET", "/healthz", None).unwrap();
     assert_eq!(ok.status, 200);
     assert!(ok.body.contains("ok"));
@@ -123,7 +119,7 @@ fn health_and_unknown_routes() {
 
 #[test]
 fn an_unterminated_request_line_is_refused_at_the_head_limit() {
-    let (server, addr, _) = start("head-limit", |_| {});
+    let (_dir, server, addr) = start("head-limit", |_| {});
     let mut stream = TcpStream::connect(addr).unwrap();
     // 20 KiB with no newline, and the socket stays open: the 400 must not
     // wait for a line end or for the daemon's read timeout.
@@ -147,7 +143,7 @@ fn an_unterminated_request_line_is_refused_at_the_head_limit() {
 
 #[test]
 fn submissions_are_validated_with_typed_errors() {
-    let (server, addr, _) = start("validate", |_| {});
+    let (_dir, server, addr) = start("validate", |_| {});
     let zero_devices = submit(addr, "{\"config\": {\"devices\": 0}}");
     assert_eq!(zero_devices.status, 422);
     assert_eq!(job_field(&zero_devices.body, "error"), "invalid_config");
@@ -170,7 +166,7 @@ fn submissions_are_validated_with_typed_errors() {
 
 #[test]
 fn a_job_streams_events_and_completes() {
-    let (server, addr, _) = start("sse", |c| c.step_shards = 2);
+    let (_dir, server, addr) = start("sse", |c| c.step_shards = 2);
     let accepted = submit(addr, &job_body(""));
     assert_eq!(accepted.status, 202);
     let id = job_field(&accepted.body, "id");
@@ -202,7 +198,7 @@ fn a_job_streams_events_and_completes() {
 
 #[test]
 fn a_full_queue_backpressures_with_429_not_a_crash() {
-    let (server, addr, _) = start("backpressure", |c| {
+    let (_dir, server, addr) = start("backpressure", |c| {
         c.concurrency = 1;
         c.queue_capacity = 1;
         c.step_shards = 1;
@@ -232,7 +228,7 @@ fn a_full_queue_backpressures_with_429_not_a_crash() {
 
 #[test]
 fn cancelling_a_running_job_releases_its_slot() {
-    let (server, addr, _) = start("cancel", |c| {
+    let (_dir, server, addr) = start("cancel", |c| {
         c.concurrency = 1;
         c.queue_capacity = 2;
         c.step_shards = 1;
@@ -264,7 +260,7 @@ fn cancelling_a_running_job_releases_its_slot() {
 
 #[test]
 fn resume_from_checkpoint_matches_the_uninterrupted_fingerprint() {
-    let (server, addr, data_dir) = start("resume", |c| {
+    let (data_dir, server, addr) = start("resume", |c| {
         c.concurrency = 1;
         c.step_shards = 1;
         c.pace = Duration::from_millis(120);
@@ -310,7 +306,7 @@ fn resume_from_checkpoint_matches_the_uninterrupted_fingerprint() {
 
 #[test]
 fn injected_shard_kills_degrade_the_job_not_the_daemon() {
-    let (server, addr, _) = start("chaos", |c| c.step_shards = 4);
+    let (_dir, server, addr) = start("chaos", |c| c.step_shards = 4);
     // kill-shard=1 makes one shard panic on every attempt: it must end
     // quarantined while the other 7 shards complete.
     let accepted = submit(
@@ -377,8 +373,8 @@ fn write_test_pack(dir: &std::path::Path) -> PathBuf {
 fn scenario_jobs_list_run_and_match_the_engine() {
     let scenario_dir = temp_data_dir("scenario-packs");
     let pack_path = write_test_pack(&scenario_dir);
-    let (server, addr, _) = start("scenario", |c| {
-        c.scenario_dir = Some(scenario_dir.clone());
+    let (_dir, server, addr) = start("scenario", |c| {
+        c.scenario_dir = Some(scenario_dir.to_path_buf());
         c.step_shards = 3;
     });
 
@@ -413,18 +409,17 @@ fn scenario_jobs_list_run_and_match_the_engine() {
     let (last_event, last_data) = frames.last().unwrap();
     assert_eq!(last_event, "completed", "frames: {frames:?}");
     let pack = dh_scenario::load_pack_file(&pack_path).unwrap();
-    let expected = dh_scenario::run_pack(pack).fingerprint;
+    let expected = dh_scenario::run_pack(pack).unwrap().fingerprint;
     assert_eq!(
         job_field(last_data, "fingerprint"),
         format!("{expected:#018x}"),
     );
-    let _ = std::fs::remove_dir_all(&scenario_dir);
     server.shutdown();
 }
 
 #[test]
 fn scenario_submissions_are_validated_with_typed_errors() {
-    let (server, addr, _) = start("scenario-validate", |_| {});
+    let (_dir, server, addr) = start("scenario-validate", |_| {});
     let unknown = submit(addr, "{\"scenario\": \"no-such-pack\"}");
     assert_eq!(unknown.status, 422);
     assert_eq!(job_field(&unknown.body, "error"), "invalid_config");
@@ -453,8 +448,8 @@ fn scenario_submissions_are_validated_with_typed_errors() {
 fn scenario_kill_resume_lands_on_the_uninterrupted_fingerprint() {
     let scenario_dir = temp_data_dir("scenario-resume-packs");
     let pack_path = write_test_pack(&scenario_dir);
-    let (server, addr, data_dir) = start("scenario-resume", |c| {
-        c.scenario_dir = Some(scenario_dir.clone());
+    let (data_dir, server, addr) = start("scenario-resume", |c| {
+        c.scenario_dir = Some(scenario_dir.to_path_buf());
         c.concurrency = 1;
         c.pace = Duration::from_millis(60);
     });
@@ -494,12 +489,11 @@ fn scenario_kill_resume_lands_on_the_uninterrupted_fingerprint() {
     let (last_event, last_data) = frames.last().unwrap();
     assert_eq!(last_event, "completed", "frames: {frames:?}");
     let pack = dh_scenario::load_pack_file(&pack_path).unwrap();
-    let expected = dh_scenario::run_pack(pack).fingerprint;
+    let expected = dh_scenario::run_pack(pack).unwrap().fingerprint;
     assert_eq!(
         job_field(last_data, "fingerprint"),
         format!("{expected:#018x}"),
     );
-    let _ = std::fs::remove_dir_all(&scenario_dir);
     server.shutdown();
 }
 
@@ -509,7 +503,7 @@ fn a_restarted_daemon_reports_previous_jobs_instead_of_404() {
     let scenario_dir = temp_data_dir("restart-packs");
     write_test_pack(&scenario_dir);
     let tweak = |c: &mut ServeConfig| {
-        c.scenario_dir = Some(scenario_dir.clone());
+        c.scenario_dir = Some(scenario_dir.to_path_buf());
     };
 
     // Life 1: one completed fleet job, one checkpointing scenario job
@@ -517,7 +511,7 @@ fn a_restarted_daemon_reports_previous_jobs_instead_of_404() {
     let (completed_fp, cancelled_id, completed_id) = {
         let mut config = ServeConfig {
             addr: "127.0.0.1:0".into(),
-            data_dir: data_dir.clone(),
+            data_dir: data_dir.to_path_buf(),
             concurrency: 1,
             pace: Duration::from_millis(60),
             ..ServeConfig::default()
@@ -567,7 +561,7 @@ fn a_restarted_daemon_reports_previous_jobs_instead_of_404() {
     // Life 2: same data dir, fresh process.
     let mut config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        data_dir: data_dir.clone(),
+        data_dir: data_dir.to_path_buf(),
         ..ServeConfig::default()
     };
     tweak(&mut config);
@@ -600,13 +594,12 @@ fn a_restarted_daemon_reports_previous_jobs_instead_of_404() {
     let fresh = submit(addr, &job_body(""));
     let fresh_id: u64 = job_field(&fresh.body, "id").parse().unwrap();
     assert!(fresh_id >= 10, "id {fresh_id} collides with restored jobs");
-    let _ = std::fs::remove_dir_all(&scenario_dir);
     server.shutdown();
 }
 
 #[test]
 fn the_watchdog_degrades_a_stalled_job_and_frees_its_slot() {
-    let (server, addr, _) = start("watchdog", |c| {
+    let (_dir, server, addr) = start("watchdog", |c| {
         c.concurrency = 1;
         // Un-checkpointed jobs fold all 8 shards in one batch and never
         // hit the pace sleep; the checkpointing job below batches per
@@ -650,8 +643,8 @@ fn the_watchdog_degrades_a_stalled_job_and_frees_its_slot() {
 fn scenario_chaos_degrades_the_job_and_healthz_reports_the_disk() {
     let scenario_dir = temp_data_dir("scenario-chaos-packs");
     let pack_path = write_test_pack(&scenario_dir);
-    let (server, addr, _) = start("scenario-chaos", |c| {
-        c.scenario_dir = Some(scenario_dir.clone());
+    let (_dir, server, addr) = start("scenario-chaos", |c| {
+        c.scenario_dir = Some(scenario_dir.to_path_buf());
     });
 
     // Before any disk incident the health document says the disk is ok.
@@ -675,7 +668,7 @@ fn scenario_chaos_degrades_the_job_and_healthz_reports_the_disk() {
     let incidents: u64 = job_field(last_data, "disk_incidents").parse().unwrap();
     assert!(incidents > 0, "{last_data}");
     let pack = dh_scenario::load_pack_file(&pack_path).unwrap();
-    let expected = dh_scenario::run_pack(pack).fingerprint;
+    let expected = dh_scenario::run_pack(pack).unwrap().fingerprint;
     assert_eq!(
         job_field(last_data, "fingerprint"),
         format!("{expected:#018x}"),
@@ -686,13 +679,12 @@ fn scenario_chaos_degrades_the_job_and_healthz_reports_the_disk() {
     let health = request(addr, "GET", "/healthz", None).unwrap();
     assert_eq!(health.status, 200);
     assert_eq!(job_field(&health.body, "disk"), "degraded");
-    let _ = std::fs::remove_dir_all(&scenario_dir);
     server.shutdown();
 }
 
 #[test]
 fn shutdown_endpoint_stops_the_daemon() {
-    let (server, addr, _) = start("shutdown", |_| {});
+    let (_dir, server, addr) = start("shutdown", |_| {});
     let r = request(addr, "POST", "/shutdown", None).unwrap();
     assert_eq!(r.status, 200);
     server.wait_for_shutdown();

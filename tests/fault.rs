@@ -15,11 +15,8 @@
 //! * **Determinism**: an identically-seeded chaos campaign produces
 //!   bit-identical fleet *and* degraded fingerprints run to run.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use deep_healing::fault::wire::{fnv1a, FNV_OFFSET};
-use deep_healing::fault::{FaultPlan, SensorFaultKind};
+use deep_healing::fault::{FaultPlan, SensorFaultKind, TempDir};
 use deep_healing::fleet::{
     run_fleet, run_fleet_supervised, CheckpointStore, FleetConfig, FleetPolicy, FleetRun,
     MaintenanceBudget, SENSOR_STALE_EPOCHS,
@@ -41,19 +38,6 @@ fn small_fleet() -> FleetConfig {
         budget: MaintenanceBudget { slots_per_group: 2 },
         ..FleetConfig::default()
     }
-}
-
-/// Hands out a new empty temp dir per call. The name carries the process
-/// id and a counter, so two test processes running at once never share
-/// one; a leftover of the same name (an earlier process that had this
-/// pid) is removed first.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
-    let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dh-fault-test-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Steps a run one shard at a time, checkpointing after each of the
@@ -86,7 +70,7 @@ proptest! {
         let config = small_fleet();
         let baseline = run_fleet(&config).unwrap();
 
-        let dir = fresh_dir("proptest");
+        let dir = TempDir::new("fault-test-proptest");
         let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
         seed_generations(&config, &store);
 
@@ -131,7 +115,6 @@ proptest! {
             // never even read.
             prop_assert!(degraded.checkpoint_fallbacks.is_empty());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -184,9 +167,9 @@ proptest! {
         let truncate = mode == 1;
         let name = BUILTIN_PACKS[pack_index];
         let pack = small_pack(name);
-        let baseline = run_pack(pack.clone());
+        let baseline = run_pack(pack.clone()).unwrap();
 
-        let dir = fresh_dir(&format!("scenario-proptest-{name}"));
+        let dir = TempDir::new(&format!("fault-test-scenario-proptest-{name}"));
         let store = ScenarioCheckpointStore::new(dir.join("run.dhsp"), 3);
         seed_scenario_generations(&pack, &store);
 
@@ -226,7 +209,6 @@ proptest! {
         } else {
             prop_assert!(degraded.checkpoint_fallbacks.is_empty());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// No plan and a no-op plan must fold the exact same sequence as
@@ -238,7 +220,7 @@ proptest! {
     ) {
         let mut pack = small_pack(BUILTIN_PACKS[pack_index]);
         pack.epochs = epochs;
-        let strict = run_pack(pack.clone());
+        let strict = run_pack(pack.clone()).unwrap();
 
         let noop = FaultPlan::parse("", 99).unwrap();
         for plan in [None, Some(&noop)] {
@@ -320,7 +302,7 @@ fn stuck_sensor_is_flagged_and_reported() {
 fn slab_checksum_catches_corruption_the_file_checksum_misses() {
     let config = small_fleet();
     let baseline = run_fleet(&config).unwrap();
-    let dir = fresh_dir("slab");
+    let dir = TempDir::new("fault-test-slab");
     let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
     seed_generations(&config, &store);
 
@@ -346,7 +328,6 @@ fn slab_checksum_catches_corruption_the_file_checksum_misses() {
         "the slab checksum must be what rejected it: {}",
         degraded.checkpoint_fallbacks[0].reason
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every failure path counts in the obs registry: retries, quarantines,
@@ -358,7 +339,7 @@ fn failure_path_counters_light_up_the_obs_snapshot() {
     // Fleet chaos: a killed shard, corrupt + missing generations, and
     // seeded disk faults under the checkpoint writer.
     let config = small_fleet();
-    let dir = fresh_dir("obs-chaos-fleet");
+    let dir = TempDir::new("fault-test-obs-chaos-fleet");
     let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
     std::fs::write(store.generation_path(0), b"not a checkpoint").unwrap();
     let plan = FaultPlan::parse("kill-shard=1,disk-full=0.5,disk-torn=2", 7).unwrap();
@@ -372,7 +353,7 @@ fn failure_path_counters_light_up_the_obs_snapshot() {
 
     // Scenario chaos, same shape, through the DHSP store.
     let pack = small_pack("sram-decoder");
-    let sdir = fresh_dir("obs-chaos-scenario");
+    let sdir = TempDir::new("fault-test-obs-chaos-scenario");
     let sstore = ScenarioCheckpointStore::new(sdir.join("run.dhsp"), 3);
     std::fs::write(sstore.generation_path(0), b"not a checkpoint").unwrap();
     let splan = FaultPlan::parse("panic=0.3,disk-full=0.5,disk-torn=2", 17).unwrap();
@@ -403,26 +384,22 @@ fn failure_path_counters_light_up_the_obs_snapshot() {
             snap.to_json()
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&sdir);
 }
 
 #[test]
 fn identically_seeded_chaos_campaigns_are_bit_identical() {
     let config = small_fleet();
     let run = |tag: &str| {
-        let dir = fresh_dir(tag);
+        let dir = TempDir::new(&format!("fault-test-{tag}"));
         let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
         let plan = FaultPlan::parse("panic=0.35,ckpt-flip=2,stuck-chip=5", 99).unwrap();
-        let out = run_fleet_supervised(
+        run_fleet_supervised(
             &config,
             Some(&plan),
             &RetryPolicy::immediate(2),
             Some((&store, 1)),
         )
-        .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        out
+        .unwrap()
     };
     let (report_a, degraded_a) = run("campaign-a");
     let (report_b, degraded_b) = run("campaign-b");

@@ -14,6 +14,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use deep_healing::fault::TempDir;
 use deep_healing::fleet::{
     run_fleet_supervised, CheckpointStore, FleetConfig, FleetPolicy, FleetReport, FleetRun,
     MaintenanceBudget, Snapshot, StreamingSummary,
@@ -170,9 +171,7 @@ fn killed_and_resumed_run_reports_byte_identically() {
     let config = small_fleet();
     let uninterrupted = run_fleet(&config).unwrap();
 
-    let dir = std::env::temp_dir().join("dh-fleet-resume-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("fleet-resume-test");
     let store = CheckpointStore::new(dir.join("run.dhfl"), 3);
 
     // "Kill" a run partway: fold two of the six shards, checkpoint, and
@@ -197,7 +196,6 @@ fn killed_and_resumed_run_reports_byte_identically() {
 
     // The newest checkpoint left on disk is the completed run.
     assert_eq!(newest_cursor(&store), config.shard_count());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -234,8 +232,7 @@ fn legacy_v2_checkpoint_fixture_resumes_to_the_pinned_report() {
 fn resume_is_thread_count_invariant() {
     let _g = lock();
     let config = small_fleet();
-    let dir = std::env::temp_dir().join("dh-fleet-resume-threads-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("fleet-resume-threads-test");
 
     // Start serially, checkpoint, then resume on the full worker pool —
     // the partitioning of work before and after the kill is irrelevant.
@@ -248,5 +245,4 @@ fn resume_is_thread_count_invariant() {
     let resumed = with_threads(None, || resume(&config, &store, 2));
     let whole = with_threads(None, || run_fleet(&config).unwrap());
     assert_reports_identical(&whole, &resumed, "serial start, parallel finish");
-    std::fs::remove_file(store.base_path()).unwrap();
 }
