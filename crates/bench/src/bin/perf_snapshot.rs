@@ -23,8 +23,8 @@
 //!   (`run_fleet_reference`, serial AoS chip stepping) vs the columnar
 //!   `ChipStore` engine at the default thread count, with
 //!   device·epochs/s for both. The row asserts the reports are
-//!   bit-identical, that the fingerprint is invariant under `DH_SIMD`
-//!   backend forcing, and that the columnar engine's allocations/run,
+//!   bit-identical, that the fingerprint is the same under every SIMD
+//!   backend the host runs, and that the columnar engine's allocations/run,
 //!   counted on one worker, are the same at twice the devices (nothing
 //!   allocates per shard or per group) and stay well below the 17,557
 //!   the engine made before its slab pool.
@@ -323,16 +323,15 @@ fn main() {
         "columnar fleet run allocated {fleet_allocs} times; the slab pool \
          must cut the pre-pool count (17,557) by well over half"
     );
-    // SIMD-backend invariance: forcing the scalar backend must not move a
-    // single bit of the fleet report.
-    deep_healing::simd::force_scalar(true);
-    let scalar_report = run_fleet(&fleet_config).unwrap();
-    deep_healing::simd::force_scalar(false);
-    assert_eq!(
-        serial_report.fingerprint(),
-        scalar_report.fingerprint(),
-        "fleet report must be bit-identical with the SIMD backend forced off"
-    );
+    // SIMD-backend invariance: forcing any backend the host runs must not
+    // move a single bit of the fleet report.
+    for (b, report) in deep_healing::simd::each_backend(|_| run_fleet(&fleet_config).unwrap()) {
+        assert_eq!(
+            serial_report.fingerprint(),
+            report.fingerprint(),
+            "fleet report must be bit-identical with the {b} backend forced"
+        );
+    }
     rows.push(Row {
         name: "fleet_sim",
         baseline_s: serial_s,

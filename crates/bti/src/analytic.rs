@@ -22,7 +22,7 @@
 //!    one-time recovery after 24 h of stress is stuck above ~27 %.
 
 use dh_units::arrhenius;
-use dh_units::{Fraction, Seconds};
+use dh_units::{Fraction, Seconds, Volts};
 
 use crate::calibration::{self, TableOneTargets, UniversalRelaxation, DEFAULT_BETA};
 use crate::condition::{RecoveryCondition, StressCondition};
@@ -112,14 +112,31 @@ impl StressLaw {
         if cond == self.reference {
             return 1.0;
         }
-        let dv = cond.gate_voltage.value() - self.reference.gate_voltage.value();
-        let v_term = (self.gamma_stress_per_volt * dv).exp();
+        self.amplitude_scale_at(cond, self.voltage_scale(cond.gate_voltage))
+    }
+
+    /// The voltage half of [`Self::amplitude_scale`]:
+    /// `exp(γ_s·(V − V_ref))`. A caller that scales many temperatures at
+    /// one voltage computes it once for [`Self::amplitude_scale_at`].
+    pub fn voltage_scale(&self, gate_voltage: Volts) -> f64 {
+        let dv = gate_voltage.value() - self.reference.gate_voltage.value();
+        (self.gamma_stress_per_volt * dv).exp()
+    }
+
+    /// [`Self::amplitude_scale`] with its voltage half supplied:
+    /// `voltage_scale` must be `self.voltage_scale(cond.gate_voltage)`.
+    /// Bit-identical to `amplitude_scale(cond)`, 1.0 at the reference
+    /// included.
+    pub fn amplitude_scale_at(&self, cond: StressCondition, voltage_scale: f64) -> f64 {
+        if cond == self.reference {
+            return 1.0;
+        }
         let t_term = arrhenius::acceleration_factor(
             self.ea_stress_ev,
             self.reference.temperature,
             cond.temperature,
         );
-        v_term * t_term
+        voltage_scale * t_term
     }
 
     /// Fresh-device wearout in millivolts after `t` of stress at `cond`.
@@ -428,6 +445,30 @@ mod tests {
         let w_acc = law.wearout_mv(STRESS_24H, StressCondition::ACCELERATED);
         assert!(w_use < 0.5 * w_acc, "use {w_use} vs accelerated {w_acc}");
         assert!(w_use > 0.0);
+    }
+
+    #[test]
+    fn amplitude_scale_at_one_voltage_is_bit_identical() {
+        let law = StressLaw::default();
+        let reference = law.reference;
+        for v in [0.9, 1.0, reference.gate_voltage.value(), 1.4] {
+            let v = Volts::new(v);
+            let v_scale = law.voltage_scale(v);
+            for t in [233.15, 300.0, reference.temperature.value(), 398.15] {
+                let cond = StressCondition {
+                    gate_voltage: v,
+                    temperature: dh_units::Kelvin::new(t),
+                };
+                let split = law.amplitude_scale_at(cond, v_scale);
+                assert_eq!(
+                    split.to_bits(),
+                    law.amplitude_scale(cond).to_bits(),
+                    "{cond:?}"
+                );
+            }
+        }
+        // The reference keeps its exact 1.0, whatever voltage half is passed.
+        assert_eq!(law.amplitude_scale_at(reference, f64::NAN), 1.0);
     }
 
     #[test]

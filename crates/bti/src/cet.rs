@@ -49,10 +49,11 @@
 //! The exponentials run through `dh-simd`: traps advance in lane groups
 //! of [`dh_simd::LANES`] through branch-free polynomial
 //! `exp(−x)`/`1 − exp(−x)` kernels that LLVM vectorizes under
-//! `#[target_feature(enable = "avx2")]`, with a scalar compilation of the
-//! *same source* selected at runtime when AVX2 is unavailable (or forced
-//! off) — both backends execute the identical per-element IEEE op
-//! sequence, so results are bit-identical either way. The saturated fast
+//! `#[target_feature(enable = "avx512f")]` or `"avx2"`, whichever is the
+//! widest the CPU runs, with a scalar compilation of the *same source*
+//! selected at runtime when neither is available (or forced off) — every
+//! backend executes the identical per-element IEEE op sequence, so
+//! results are bit-identical under each. The saturated fast
 //! path (skipping the polynomial once every lane of a group saturates) is
 //! widened to lane granularity; because `dh_simd::one_minus_exp_neg`
 //! returns exactly 1.0 at saturation, the skip is a pure optimization and
@@ -258,10 +259,10 @@ fn gate_value(window: f64, tau_onset: f64, m: f64) -> f64 {
     1.0 - (-((window / tau_onset).powf(m))).exp()
 }
 
-/// SIMD lane width the stress kernel advances traps at. The saturated
-/// fast-path decision is made per lane *group* (all lanes saturated), and
-/// because that decision is part of the shared kernel body it is the same
-/// under every backend.
+/// Lane-group width the stress kernel advances traps at (a source-level
+/// width, not a register width). The saturated fast-path decision is made
+/// per lane *group* (all lanes saturated), and because that decision is
+/// part of the shared kernel body it is the same under every backend.
 const LANES: usize = dh_simd::LANES;
 
 /// Advances one lane group of traps through every sub-step of a stress
@@ -701,9 +702,9 @@ impl TrapEnsemble {
     /// precomputed rate-table entries and the `dh-simd` polynomial
     /// `1 − exp(−x)`. Lane groups whose every capture exponent saturates
     /// (see [`EXP_SATURATE`]) skip the polynomial bit-exactly. The kernel
-    /// body is compiled for both AVX2 and plain scalar and dispatched at
-    /// runtime; results are bit-identical at any thread count and under
-    /// either backend.
+    /// body is compiled for AVX-512, AVX2 and plain scalar and dispatched
+    /// at runtime; results are bit-identical at any thread count and under
+    /// every backend.
     pub fn stress(&mut self, dt: Seconds, cond: StressCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
@@ -796,9 +797,9 @@ impl TrapEnsemble {
     /// One exponential per trap over the precomputed emission-rate column,
     /// evaluated by the `dh-simd` polynomial `exp(−x)` (exactly 0.0 past
     /// [`dh_simd::EXP_NEG_UNDERFLOW`], which zeroes the occupancy). The
-    /// kernel body is compiled for both AVX2 and plain scalar and
+    /// kernel body is compiled for AVX-512, AVX2 and plain scalar and
     /// dispatched at runtime; bit-identical at any thread count and under
-    /// either backend.
+    /// every backend.
     pub fn recover(&mut self, dt: Seconds, cond: RecoveryCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
@@ -1156,11 +1157,11 @@ mod tests {
 
     #[test]
     fn simd_and_scalar_backends_are_bit_identical() {
-        // The dispatch!-generated kernels compile one body twice; flipping
-        // the backend mid-process must not change a single bit of any
-        // occupancy column (this also makes the flip safe while other
+        // The dispatch!-generated kernels compile one body per backend;
+        // flipping the backend mid-process must not change a single bit of
+        // any occupancy column (this also makes the flip safe while other
         // tests run concurrently).
-        let run = || {
+        let runs = dh_simd::each_backend(|_| {
             let mut e = ensemble();
             e.stress(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
             e.recover(
@@ -1170,16 +1171,22 @@ mod tests {
             e.stress(Seconds::from_hours(24.0), StressCondition::ACCELERATED);
             e.recover(Seconds::from_hours(6.0), RecoveryCondition::PASSIVE);
             e
-        };
-        let auto = run();
-        dh_simd::force_scalar(true);
-        let scalar = run();
-        dh_simd::force_scalar(false);
-        let (sa, ha) = auto.occupancy_columns();
-        let (ss, hs) = scalar.occupancy_columns();
-        for i in 0..sa.len() {
-            assert_eq!(sa[i].to_bits(), ss[i].to_bits(), "soft occupancy lane {i}");
-            assert_eq!(ha[i].to_bits(), hs[i].to_bits(), "hard occupancy lane {i}");
+        });
+        let (ss, hs) = runs[0].1.occupancy_columns();
+        for (b, e) in &runs[1..] {
+            let (sa, ha) = e.occupancy_columns();
+            for i in 0..sa.len() {
+                assert_eq!(
+                    sa[i].to_bits(),
+                    ss[i].to_bits(),
+                    "{b} soft occupancy lane {i}"
+                );
+                assert_eq!(
+                    ha[i].to_bits(),
+                    hs[i].to_bits(),
+                    "{b} hard occupancy lane {i}"
+                );
+            }
         }
     }
 

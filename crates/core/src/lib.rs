@@ -17,7 +17,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`units`] | physical-quantity newtypes, constants, time series |
-//! | [`simd`] | batched `exp(−x)`/`1−exp(−x)` kernels with runtime AVX2/scalar dispatch |
+//! | [`simd`] | batched `exp(−x)`/`1−exp(−x)` kernels with runtime AVX-512/AVX2/scalar dispatch |
 //! | [`bti`] | BTI models: analytic universal relaxation + CET trap ensemble (Table I, Fig. 4) |
 //! | [`em`] | EM models: Korhonen stress PDE, void growth/healing, Black statistics (Figs. 5–7) |
 //! | [`thermal`] | thermal chamber and RC floorplan grid (dark-silicon healing) |

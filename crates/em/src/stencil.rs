@@ -2,13 +2,14 @@
 //!
 //! The two hot loops of [`crate::sim::EmWire`]'s explicit substep — the
 //! face-flux gather and the interior control-volume update — compiled for
-//! both AVX2 and plain scalar through [`dh_simd::dispatch!`]. Divisions
-//! by the (loop-invariant) mesh spacings are replaced by multiplications
-//! with reciprocal tables hoisted once per `advance` call: `vdivpd` is an
-//! order of magnitude slower than `vmulpd` and would dominate the
-//! vectorized stencil. Both backends execute the identical per-element
-//! IEEE sequence, so trajectories are bit-identical under either; the
-//! unit test pins both kernels to the division form within rounding.
+//! AVX-512, AVX2 and plain scalar through [`dh_simd::dispatch!`].
+//! Divisions by the (loop-invariant) mesh spacings are replaced by
+//! multiplications with reciprocal tables hoisted once per `advance`
+//! call: `vdivpd` is an order of magnitude slower than `vmulpd` and would
+//! dominate the vectorized stencil. Every backend executes the identical
+//! per-element IEEE sequence, so trajectories are bit-identical under
+//! each; the unit test pins both kernels to the division form within
+//! rounding.
 
 /// Face fluxes `F[i] = −κ[i]·((σ[i+1] − σ[i])·inv_dx[i] + g[i])` between
 /// nodes `i` and `i+1`.
@@ -77,22 +78,21 @@ mod tests {
         let dt = 1e-3;
 
         for g in [&g, &g_balanced] {
-            let run = || {
+            let runs = dh_simd::each_backend(|_| {
                 let mut s = sigma.clone();
                 let mut flux = vec![0.0; n - 1];
                 face_fluxes(&mut flux, &s, &kappa, g, &inv_dx);
                 interior_update(&mut s, &flux, &inv_w, dt);
                 (s, flux)
-            };
-            let (s_auto, f_auto) = run();
-            dh_simd::force_scalar(true);
-            let (s_scalar, f_scalar) = run();
-            dh_simd::force_scalar(false);
-            for (a, b) in s_auto.iter().zip(&s_scalar) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in f_auto.iter().zip(&f_scalar) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            });
+            let (s_scalar, f_scalar) = &runs[0].1;
+            for (backend, (s, f)) in &runs[1..] {
+                for (a, b) in s.iter().zip(s_scalar) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{backend} sigma");
+                }
+                for (a, b) in f.iter().zip(f_scalar) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{backend} flux");
+                }
             }
 
             // Multiplying by the reciprocal tables differs from dividing by
@@ -102,19 +102,19 @@ mod tests {
                 let want = -kappa[i] * (grad + g[i]);
                 let tol = 1e-14 * kappa[i] * (grad.abs() + g[i].abs());
                 assert!(
-                    (f_auto[i] - want).abs() <= tol,
+                    (f_scalar[i] - want).abs() <= tol,
                     "face {i}: {} vs {want}",
-                    f_auto[i]
+                    f_scalar[i]
                 );
             }
             for i in 1..n - 1 {
-                let increment = -dt * (f_auto[i] - f_auto[i - 1]) / w[i];
+                let increment = -dt * (f_scalar[i] - f_scalar[i - 1]) / w[i];
                 let want = sigma[i] + increment;
                 let tol = 1e-14 * (sigma[i].abs() + increment.abs());
                 assert!(
-                    (s_auto[i] - want).abs() <= tol,
+                    (s_scalar[i] - want).abs() <= tol,
                     "node {i}: {} vs {want}",
-                    s_auto[i]
+                    s_scalar[i]
                 );
             }
         }

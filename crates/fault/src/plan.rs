@@ -98,6 +98,19 @@ impl FaultPlan {
         self.spec.is_empty()
     }
 
+    /// True when the plan can fail or poison a shard step: a `panic`
+    /// probability, a `kill-shard`, a `poison` probability or a
+    /// `poison-chip`. Checkpoint, disk and sensor faults never touch a
+    /// shard step, so an engine may step the shards of a plan without
+    /// these exactly as it steps them without a plan.
+    pub fn injects_shard_faults(&self) -> bool {
+        let s = &self.spec;
+        s.panic_probability > 0.0
+            || s.kill_shard.is_some()
+            || s.poison_probability > 0.0
+            || s.poison_chip.is_some()
+    }
+
     /// Mixes `(shard, attempt)` into one stream index so retries of the
     /// same shard draw fresh, but still deterministic, fault decisions.
     fn attempt_index(shard: u64, attempt: u32) -> u64 {
@@ -370,6 +383,24 @@ mod tests {
             assert_eq!(p.checkpoint_corruption(i), None);
             assert_eq!(p.sensor_fault(i), None);
             assert_eq!(p.disk_fault(i), None);
+        }
+        assert!(!p.injects_shard_faults());
+    }
+
+    #[test]
+    fn only_panic_kill_and_poison_faults_touch_shard_steps() {
+        for spec in ["panic=0.1", "kill-shard=3", "poison=0.2", "poison-chip=7"] {
+            assert!(plan(spec).injects_shard_faults(), "{spec}");
+            assert!(plan(&format!("{spec},disk-full=0.5")).injects_shard_faults());
+        }
+        for spec in [
+            "",
+            "panic=0,poison=0",
+            "ckpt-flip=2,ckpt-truncate=3",
+            "stuck=0.5,stuck-chip=1",
+            "disk-full=0.4,disk-torn=3,disk-fsync=0.1,disk-slow=2",
+        ] {
+            assert!(!plan(spec).injects_shard_faults(), "{spec:?}");
         }
     }
 

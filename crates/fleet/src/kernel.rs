@@ -1,13 +1,16 @@
 //! Column-sweep epoch kernels over the [`ChipStore`] columns.
 //!
-//! Each kernel is compiled twice through [`dh_simd::dispatch!`] — a
-//! scalar body and an AVX2-enabled body the compiler may autovectorize —
-//! under the crate-wide bit-identity contract: both bodies are the same
-//! Rust source, floating-point expressions are never reassociated, and
-//! the transcendentals resolve to the same libm symbols, so the two
-//! backends produce bit-identical columns (pinned by
+//! Each kernel is compiled three times through [`dh_simd::dispatch!`] —
+//! a scalar body and AVX2- and AVX-512-enabled bodies the compiler may
+//! autovectorize — under the crate-wide bit-identity contract: every body
+//! is the same Rust source, floating-point expressions are never
+//! reassociated, and the transcendentals resolve to the same libm
+//! symbols, so every backend produces bit-identical columns (pinned by
 //! `dispatch_backends_agree` below and the `fleet_columnar` proptest
-//! against the per-chip reference path).
+//! against the per-chip reference path). Those libm `pow`/`exp` calls
+//! stay scalar calls under every backend, so these sweeps gain little
+//! from the wider bodies; the scenario and CET kernels, whose
+//! exponentials are `dh_simd` polynomials, are where the width pays.
 //!
 //! The math is [`crate::chip::ChipState::step`] / `BtiDevice::{stress,
 //! recover}` / [`crate::chip::ChipState::sense`] on columns: same
@@ -315,7 +318,7 @@ mod tests {
 
     #[test]
     fn dispatch_backends_agree() {
-        // Step a small store a few epochs under both backends and compare
+        // Step a small store a few epochs under every backend and compare
         // every state column bit for bit.
         let config = FleetConfig {
             devices: 16,
@@ -323,8 +326,7 @@ mod tests {
             group_size: 16,
             ..FleetConfig::default()
         };
-        let run = |force: bool| {
-            dh_simd::force_scalar(force);
+        let runs = dh_simd::each_backend(|_| {
             let ctx = ColumnarCtx::new(&config);
             let mut store = ChipStore::new();
             store.reset(&config, &ctx, 0, 16);
@@ -333,18 +335,23 @@ mod tests {
             for e in 0..32 {
                 epoch_step_columns(&mut store, ctx, &selected, &mut age, e);
             }
-            dh_simd::force_scalar(false);
             store
-        };
-        let simd = run(false);
-        let scalar = run(true);
-        for k in 0..16 {
-            assert_eq!(simd.rec[k].to_bits(), scalar.rec[k].to_bits(), "rec[{k}]");
-            assert_eq!(simd.soft[k].to_bits(), scalar.soft[k].to_bits());
-            assert_eq!(simd.hard[k].to_bits(), scalar.hard[k].to_bits());
-            assert_eq!(simd.em[k].to_bits(), scalar.em[k].to_bits());
-            assert_eq!(simd.score[k].to_bits(), scalar.score[k].to_bits());
-            assert_eq!(simd.guardband[k].to_bits(), scalar.guardband[k].to_bits());
+        });
+        let (_, scalar) = &runs[0];
+        for (b, store) in &runs[1..] {
+            for k in 0..16 {
+                assert_eq!(
+                    store.rec[k].to_bits(),
+                    scalar.rec[k].to_bits(),
+                    "{b} rec[{k}]"
+                );
+                assert_eq!(store.soft[k].to_bits(), scalar.soft[k].to_bits(), "{b}");
+                assert_eq!(store.hard[k].to_bits(), scalar.hard[k].to_bits(), "{b}");
+                assert_eq!(store.em[k].to_bits(), scalar.em[k].to_bits(), "{b}");
+                assert_eq!(store.score[k].to_bits(), scalar.score[k].to_bits(), "{b}");
+                let (g, gs) = (store.guardband[k], scalar.guardband[k]);
+                assert_eq!(g.to_bits(), gs.to_bits(), "{b}");
+            }
         }
     }
 }

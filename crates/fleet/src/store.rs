@@ -61,7 +61,7 @@ pub(crate) const F_CROSS_PD: u32 = 1 << 7;
 
 /// Run-wide constants the columnar kernels close over. Everything is
 /// `Copy` (no lifetimes) so the struct can cross the `dispatch!` macro's
-/// scalar/AVX2 function boundary by value.
+/// per-backend function boundary by value.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ColumnarCtx {
     /// The paper-calibrated analytic BTI model — hoisted once per run
@@ -80,6 +80,9 @@ pub(crate) struct ColumnarCtx {
     /// equivalent-age reconstruction divides by when a recovery segment
     /// opens.
     pub a_ref: f64,
+    /// `voltage_scale(vdd)`: the voltage half of every chip's stress
+    /// amplitude, one value for the fleet-wide `vdd`.
+    pub vdd_scale: f64,
     /// Power-law exponent n and the reference's `1.0 / n`.
     pub n: f64,
     pub inv_n: f64,
@@ -101,6 +104,7 @@ impl ColumnarCtx {
             chip_stream: StreamSeed::new(config.seed, CHIP_STREAM),
             heal_dt: config.epoch.value() * config.heal_fraction.value(),
             a_ref: law.a_mv * law.amplitude_scale(StressCondition::ACCELERATED),
+            vdd_scale: law.voltage_scale(config.vdd),
             n: law.n,
             inv_n: 1.0 / law.n,
             em_pinned_floor: config.em_pinned_floor.value(),
@@ -581,7 +585,7 @@ impl ChipStore {
                 gate_voltage: config.vdd,
                 temperature,
             };
-            self.a_stress[k] = law.a_mv * law.amplitude_scale(stress_cond);
+            self.a_stress[k] = law.a_mv * law.amplitude_scale_at(stress_cond, cctx.vdd_scale);
             self.theta_p[k] = model.theta(RecoveryCondition {
                 gate_voltage: Volts::ZERO,
                 temperature,

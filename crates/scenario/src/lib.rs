@@ -14,8 +14,9 @@
 //!   NBTI ΔVth across process corners, healed by power gating —
 //!
 //! each as a scalar [`dh_bti::WearModel`] reference plus a
-//! [`dh_simd::dispatch!`]-compiled epoch kernel that steps the one
-//! columnar [`VictimStore`].
+//! [`dh_simd::dispatch!`]-compiled epoch kernel (scalar, AVX2 and
+//! AVX-512 bodies, bit-identical) that steps the one columnar
+//! [`VictimStore`].
 //!
 //! Experiments are described by **scenario packs**: JSON documents
 //! ([`ScenarioPack`]) naming the block mix, workload trace, maintenance

@@ -8,8 +8,9 @@
 //!   element; and
 //! * an **epoch kernel** compiled through [`dh_simd::dispatch!`] that
 //!   steps a shard of elements in the one columnar [`VictimStore`], so
-//!   the batch engine gets the auto-vectorized path with the crate's
-//!   usual scalar/AVX2 bit-identity contract. The store holds `(r, p)`
+//!   the batch engine gets the auto-vectorized path (eight `f64` lanes
+//!   under AVX-512, four under AVX2) with the crate's usual bit-identity
+//!   contract across the scalar and vector bodies. The store holds `(r, p)`
 //!   per stressed device for every model; a model adds only its
 //!   per-element duty and rate draw and its kernel's duty rule.
 //!

@@ -123,8 +123,8 @@ impl WearModel for SramDecoder {
 
 dh_simd::dispatch! {
     /// One epoch over a shard of decoder rows — the columnar twin of
-    /// [`SramDecoder::run_epoch`], compiled scalar and AVX2 from the
-    /// same source.
+    /// [`SramDecoder::run_epoch`], compiled scalar, AVX2 and AVX-512
+    /// from the same source.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sram_epoch_kernel(
         base_duty: &[f64],

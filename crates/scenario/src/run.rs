@@ -75,16 +75,18 @@ struct ShardLog {
 struct Window<'a> {
     pack: &'a ScenarioPack,
     shards: usize,
+    /// The plan, if it injects shard faults.
     plan: Option<&'a FaultPlan>,
     retry: &'a RetryPolicy,
 }
 
 impl Window<'_> {
     /// Steps `store`, shard `shard`, through the 1-based `epochs` in place.
-    /// Without a plan they run back to back under `catch_unwind`. With one,
-    /// or when that pass panics or leaves a non-finite value, each epoch
-    /// runs from its own save through [`dh_exec::run_attempts`], with the
-    /// plan's faults keyed on `(epoch, shard, attempt)`.
+    /// Without shard faults they run back to back under `catch_unwind`.
+    /// With them, or when that pass panics or leaves a non-finite value,
+    /// each epoch runs from its own save through
+    /// [`dh_exec::run_attempts`], with the plan's faults keyed on
+    /// `(epoch, shard, attempt)`.
     fn step_shard(
         &self,
         store: &mut VictimStore,
@@ -340,7 +342,9 @@ impl ScenarioRun {
         let window = Window {
             pack: &self.pack,
             shards: n,
-            plan,
+            // Checkpoint, disk and sensor faults never touch a shard step,
+            // so a plan of only those steps the fused way, as no plan does.
+            plan: plan.filter(|p| p.injects_shard_faults()),
             retry,
         };
         let quarantined = &self.degraded.quarantined;
@@ -976,10 +980,10 @@ mod tests {
     }
 
     /// Runs `mixed_pack` the way `run_pack` and a plain `fleet
-    /// --scenario` do, with shard `broken` sabotaged, at one thread, at
-    /// every thread and forced-scalar. Requires the three to agree, the
-    /// broken shard to end at its first state and every other shard where
-    /// a clean run ends; returns the degraded report.
+    /// --scenario` do, with shard `broken` sabotaged, at one thread and
+    /// at every thread under each backend. Requires every run to agree,
+    /// the broken shard to end at its first state and every other shard
+    /// where a clean run ends; returns the degraded report.
     fn sabotaged_run(broken: usize, sabotage: Sabotage) -> DegradedReport {
         let pack = mixed_pack();
         let mut clean = ScenarioRun::new(pack.clone());
@@ -987,32 +991,29 @@ mod tests {
         let retry = RetryPolicy::immediate(2);
         BROKEN_SHARD.set(Some((broken, sabotage)));
         let fresh = state_bits(&ScenarioRun::new(pack.clone()));
-        let mut degraded_reports = Vec::new();
-        for mode in 0..3 {
-            match mode {
-                0 => dh_exec::set_max_threads(Some(1)),
-                1 => dh_exec::set_max_threads(None),
-                _ => dh_simd::force_scalar(true),
-            }
+        let run_once = |mode: &str| {
             let (report, degraded) = run_pack_supervised(pack.clone(), None, &retry, None).unwrap();
             let mut run = ScenarioRun::new(pack.clone());
             run.step_supervised(usize::MAX, None, &retry);
-            dh_exec::set_max_threads(None);
-            dh_simd::force_scalar(false);
             let same = (report.fingerprint, &degraded);
             assert_eq!(same, (run.report().fingerprint, &run.degraded));
             assert_eq!(run.progress(), clean.progress());
             let (got, want) = (state_bits(&run), state_bits(&clean));
             for s in 0..got.len() {
                 let want = if s == broken { &fresh[s] } else { &want[s] };
-                assert_eq!(&got[s], want, "mode {mode}: shard {s}");
+                assert_eq!(&got[s], want, "{mode}: shard {s}");
             }
-            degraded_reports.push(degraded);
-        }
+            degraded
+        };
+        dh_exec::set_max_threads(Some(1));
+        let one_thread = run_once("one thread");
+        dh_exec::set_max_threads(None);
+        let per_backend = dh_simd::each_backend(|b| run_once(b.name()));
         BROKEN_SHARD.set(None);
-        assert_eq!(degraded_reports[0], degraded_reports[1]);
-        assert_eq!(degraded_reports[0], degraded_reports[2]);
-        degraded_reports.swap_remove(0)
+        for (b, degraded) in &per_backend {
+            assert_eq!(&one_thread, degraded, "{b}");
+        }
+        one_thread
     }
 
     /// One shard of each victim model in `mixed_pack`.
@@ -1045,6 +1046,41 @@ mod tests {
             let counts = (degraded.retries, degraded.rejected_samples);
             assert_eq!(counts, (1, 6), "shard {broken}");
         }
+    }
+
+    #[test]
+    fn a_plan_without_shard_faults_steps_the_fused_window() {
+        let pack = mixed_pack();
+        let retry = RetryPolicy::immediate(2);
+        let disk_only = plan("disk-full=0.4,disk-torn=3,ckpt-flip=2", 7);
+        // A shard-fault plan whose one coin never lands: the per-epoch path.
+        let spec = dh_fault::FaultSpec {
+            panic_probability: f64::MIN_POSITIVE,
+            ..Default::default()
+        };
+        let per_epoch = FaultPlan::new(spec, 7);
+        assert!(!disk_only.injects_shard_faults() && per_epoch.injects_shard_faults());
+        let run = |p: Option<&FaultPlan>| {
+            let mut run = ScenarioRun::new(pack.clone());
+            run.step_supervised(usize::MAX, p, &retry);
+            run
+        };
+        let [fused, unplanned, stepped] = [Some(&disk_only), None, Some(&per_epoch)].map(run);
+        assert_eq!(fused.encode_checkpoint(), unplanned.encode_checkpoint());
+        assert_eq!(fused.encode_checkpoint(), stepped.encode_checkpoint());
+
+        // A shard that keeps a NaN fails the fused pass once before its
+        // epochs replay one by one; the per-epoch path never tries that
+        // pass. The retry count tells the two paths apart.
+        BROKEN_SHARD.set(Some((3, poison_state)));
+        let [fused, unplanned, stepped] = [Some(&disk_only), None, Some(&per_epoch)].map(run);
+        BROKEN_SHARD.set(None);
+        assert_eq!(fused.degraded, unplanned.degraded);
+        let counts = |r: &ScenarioRun| (r.degraded.retries, r.degraded.rejected_samples);
+        assert_eq!(counts(&fused), (1, 6));
+        assert_eq!(counts(&stepped), (0, 6));
+        assert_eq!(state_bits(&fused), state_bits(&stepped));
+        assert_eq!(fused.report(), stepped.report());
     }
 
     #[test]

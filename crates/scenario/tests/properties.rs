@@ -113,21 +113,23 @@ fn block_group(
 
 // --------------------------------------- columnar kernels vs references
 
-/// Runs `step` on the store twice — auto-dispatched and forced-scalar —
-/// asserts the two end states are equal via `PartialEq` on the full
+/// Runs `step` on a copy of the store under every backend the process
+/// runs, asserts the end states are equal via `PartialEq` on the full
 /// column set, and returns the result for the reference comparison. The
-/// scalar/AVX2 bit-identity is the `dispatch!` contract this crate
+/// bit-identity of the backends is the `dispatch!` contract this crate
 /// inherits; flipping the global switch mid-test is safe for exactly
 /// that reason.
-fn both_backends<S: Clone + PartialEq + std::fmt::Debug>(store: &S, step: impl Fn(&mut S)) -> S {
-    let mut auto = store.clone();
-    step(&mut auto);
-    let mut scalar = store.clone();
-    dh_simd::force_scalar(true);
-    step(&mut scalar);
-    dh_simd::force_scalar(false);
-    assert_eq!(auto, scalar, "scalar and dispatched kernels diverge");
-    auto
+fn every_backend<S: Clone + PartialEq + std::fmt::Debug>(store: &S, step: impl Fn(&mut S)) -> S {
+    let mut runs = dh_simd::each_backend(|_| {
+        let mut s = store.clone();
+        step(&mut s);
+        s
+    });
+    let (_, scalar) = runs.remove(0);
+    for (b, s) in runs {
+        assert_eq!(s, scalar, "{b} and scalar kernels diverge");
+    }
+    scalar
 }
 
 proptest! {
@@ -145,7 +147,7 @@ proptest! {
         let g = group_ctx(ids, knobs);
         let (lo, len) = geometry;
         let fresh = VictimStore::build(&BlockModel::SramDecoder { skew }, g, &[], lo, len);
-        let store = both_backends(&fresh, |s| {
+        let store = every_backend(&fresh, |s| {
             for (e, &step) in schedule.iter().enumerate() {
                 s.step_epoch(epoch_ctx(hours, e as u64 + 1, step));
             }
@@ -175,7 +177,7 @@ proptest! {
         let g = group_ctx(ids, knobs);
         let (lo, len) = geometry;
         let fresh = VictimStore::build(&BlockModel::WeightMemory, g, &trace, lo, len);
-        let store = both_backends(&fresh, |s| {
+        let store = every_backend(&fresh, |s| {
             for (e, &step) in schedule.iter().enumerate() {
                 s.step_epoch(epoch_ctx(hours, e as u64 + 1, step));
             }
@@ -214,7 +216,7 @@ proptest! {
             .collect();
         let model = BlockModel::AgedMultiplier { base_delay_ps, corners: corners.clone() };
         let fresh = VictimStore::build(&model, g, &[], lo, len);
-        let store = both_backends(&fresh, |s| {
+        let store = every_backend(&fresh, |s| {
             for (e, &step) in schedule.iter().enumerate() {
                 s.step_epoch(epoch_ctx(hours, e as u64 + 1, step));
             }
@@ -550,12 +552,12 @@ proptest! {
         match mode {
             0 => dh_exec::set_max_threads(Some(1)),
             1 => dh_exec::set_max_threads(None),
-            _ => dh_simd::force_scalar(true),
+            _ => dh_simd::force_backend(Some(dh_simd::Backend::Scalar)),
         }
         let retry = RetryPolicy::immediate(4);
         let done = fused.step_supervised(stride * window as usize, plan, &retry).done;
         dh_exec::set_max_threads(None);
-        dh_simd::force_scalar(false);
+        dh_simd::force_backend(None);
 
         let case = format!("{} {spec:?} stride {stride} window {window} after {lead} steps of {lead_stride}, mode {mode}", pack.name);
         prop_assert!(done == stepped.progress().done, "{case}: done");

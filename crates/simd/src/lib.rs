@@ -1,26 +1,33 @@
 //! Vectorizable transcendental kernels and runtime SIMD dispatch.
 //!
-//! The wear-model hot loops (CET capture/emission, EM stencil) spend most
-//! of their time in `exp(−x)`-shaped math. libm's `exp`/`exp_m1` are
-//! accurate but scalar: one call per trap-step, unvectorizable. This crate
-//! provides
+//! The wear-model hot loops (CET capture/emission, EM stencil, the
+//! scenario victim kernels) spend most of their time in `exp(−x)`-shaped
+//! math. libm's `exp`/`exp_m1` are accurate but scalar: one call per
+//! trap-step, unvectorizable. This crate provides
 //!
 //! * [`exp_neg`] / [`one_minus_exp_neg`] — branch-free polynomial
 //!   evaluations of `exp(−x)` and `1 − exp(−x)` built from plain
 //!   mul/add/bit ops only (no FMA, no table lookups, no libm), so LLVM can
-//!   auto-vectorize a loop of them, **and** so the scalar and AVX2
-//!   compilations of the same source produce bit-identical results
-//!   (neither rustc nor LLVM contracts or reassociates IEEE float ops
-//!   without explicit fast-math, which this crate never enables);
-//! * [`dispatch!`] — a macro that compiles a kernel body twice, once
-//!   plainly and once under `#[target_feature(enable = "avx2")]`, and
-//!   picks the AVX2 copy at runtime when the CPU supports it;
-//! * [`use_simd`] / [`force_scalar`] — the runtime switch behind the
-//!   dispatch: on x86-64 the AVX2 copies are always compiled in,
-//!   `is_x86_feature_detected!("avx2")` gates them at startup, the
-//!   `DH_SIMD=scalar` environment variable disables them per process, and
-//!   `force_scalar` toggles them per call site (benches compare backends
-//!   inside one process with it).
+//!   auto-vectorize a loop of them, **and** so the scalar, AVX2 and
+//!   AVX-512 compilations of the same source produce bit-identical
+//!   results (neither rustc nor LLVM contracts or reassociates IEEE float
+//!   ops without an explicit `mul_add` or fast-math, which this crate
+//!   never uses — also under `avx512f`, which brings FMA with it);
+//! * [`dispatch!`] — a macro that compiles a kernel body three times:
+//!   plainly, under `#[target_feature(enable = "avx2")]` and under
+//!   `#[target_feature(enable = "avx512f")]`, and runs the widest copy
+//!   the CPU reports;
+//! * [`Backend`] / [`backend`] — the runtime choice behind the dispatch,
+//!   ordered `Scalar < Avx2 < Avx512`: on x86-64 the vector copies are
+//!   always compiled in, `is_x86_feature_detected!` picks the widest the
+//!   CPU runs (AVX-512F, then AVX2, then scalar) once per process, the
+//!   `DH_SIMD=scalar` environment variable (or `off`, `0`) selects the
+//!   scalar copies per process, and the [`force_backend`] test hook
+//!   narrows the choice further at runtime (tests and benches compare
+//!   backends inside one process with it, through [`each_backend`]).
+//!
+//! The `avx512f` target feature is stable from Rust 1.89, this crate's
+//! minimum toolchain.
 //!
 //! # Exact saturation contract
 //!
@@ -38,7 +45,7 @@
 //! the smallest exponent in the group saturates and substitute the
 //! constant — the substitution is *exactly* what the full path returns, so
 //! scalar-with-per-element-fast-path, scalar-with-group-fast-path, and
-//! AVX2 all agree to the last bit.
+//! every vector backend agree to the last bit.
 //!
 //! # Accuracy
 //!
@@ -53,12 +60,16 @@
 //! handled (saturates/underflows), negative inputs and NaN are clamped
 //! into the saturated branch deterministically rather than supported.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Lanes per SIMD group: 4 × f64 = one AVX2 register. Callers that want
-/// backend-independent results must make any group-granular decision
-/// (e.g. the saturated fast path) at this width in their scalar fallback
-/// too.
+/// Lanes per source-level group: the width at which callers make
+/// group-granular decisions (e.g. the saturated fast path) and pad their
+/// columns. It is no longer the register width — the AVX-512 body holds
+/// eight `f64`s per register — but a decision made per group of 4 is
+/// the same decision under every backend, which is what keeps them
+/// bit-identical. Callers must make any such decision at this width in
+/// their scalar fallback too.
 pub const LANES: usize = 4;
 
 /// `one_minus_exp_neg(x)` returns exactly `1.0` for `x ≥` this.
@@ -154,57 +165,161 @@ pub fn one_minus_exp_neg(x: f64) -> f64 {
     }
 }
 
-/// Forces the scalar bodies for subsequent [`use_simd`] calls in this
-/// process. Benches and the SIMD-equivalence tests flip this to compare
-/// both backends inside one run; production code never calls it.
-pub fn force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
+/// A compiled body of a [`dispatch!`] kernel, ordered by width: a CPU
+/// that runs one backend runs every narrower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Backend {
+    /// The plain compilation; runs on every target.
+    Scalar,
+    /// The `#[target_feature(enable = "avx2")]` copy: four `f64` lanes per
+    /// instruction.
+    Avx2,
+    /// The `#[target_feature(enable = "avx512f")]` copy: eight `f64` lanes
+    /// per instruction.
+    Avx512,
 }
 
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
+impl Backend {
+    /// Every backend, narrowest first.
+    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Avx512];
 
-/// Whether [`dispatch!`]-generated call sites should take their AVX2 copy:
-/// the target is x86-64, the host CPU reports AVX2, `DH_SIMD` is not set
-/// to `scalar`/`off`/`0`, and [`force_scalar`] is not active.
-pub fn use_simd() -> bool {
+    /// The name logs and bench metadata print: `scalar`, `avx2` or
+    /// `avx512f`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Scalar => "scalar",
+            Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512f",
+        }
+    }
+}
+
+impl std::fmt::Display for Backend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The [`force_backend`] override: 0 for none, else `1 + ` its index in
+/// [`Backend::ALL`]. It publishes no other data, so `Relaxed` suffices.
+static FORCED: AtomicU8 = AtomicU8::new(0);
+
+/// Narrows every later [`backend`] call in this process to at most
+/// `backend` (`None` clears the override). The override can only narrow
+/// the choice the CPU and `DH_SIMD` allow, never widen it, so forcing a
+/// body the host cannot run selects the widest one it can. Test and
+/// bench hook: [`each_backend`] drives it; production code never calls it.
+pub fn force_backend(backend: Option<Backend>) {
+    let code = backend.map_or(0, |b| 1 + b as u8);
+    FORCED.store(code, Ordering::Relaxed);
+}
+
+fn forced() -> Option<Backend> {
+    match FORCED.load(Ordering::Relaxed) {
+        0 => None,
+        code => Some(Backend::ALL[usize::from(code - 1)]),
+    }
+}
+
+/// The backend [`dispatch!`]-generated call sites run: the widest the host
+/// CPU reports, unless `DH_SIMD` is `scalar`/`off`/`0` (then scalar), and
+/// at most what [`force_backend`] asks for.
+pub fn backend() -> Backend {
+    // The ceiling already holds DH_SIMD and the host, so only the
+    // override is left to apply.
+    resolve(None, ceiling(), forced())
+}
+
+/// The backend [`backend`] currently resolves to, by name, for logs and
+/// bench metadata.
+pub fn backend_name() -> &'static str {
+    backend().name()
+}
+
+/// The widest backend this process may run: the host's best, or scalar
+/// under `DH_SIMD=scalar|off|0`. Resolved once per process.
+fn ceiling() -> Backend {
+    static CEILING: OnceLock<Backend> = OnceLock::new();
+    *CEILING.get_or_init(|| resolve(std::env::var("DH_SIMD").ok().as_deref(), host_best(), None))
+}
+
+/// The widest body the host CPU runs. To the compiler `avx512f` implies
+/// `avx2`, `fma` and `f16c`, so its body may use any of them and all four
+/// must be reported.
+fn host_best() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        !FORCE_SCALAR.load(Ordering::Relaxed) && detected()
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") {
+            return if has!("avx512f") && has!("fma") && has!("f16c") {
+                Backend::Avx512
+            } else {
+                Backend::Avx2
+            };
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    Backend::Scalar
 }
 
-/// The backend [`use_simd`] currently resolves to, for logs and bench
-/// metadata.
-pub fn backend_name() -> &'static str {
-    if use_simd() {
-        "avx2"
-    } else {
-        "scalar"
+/// The backend for a `DH_SIMD` value, the host's best body and a
+/// [`force_backend`] override. `scalar`, `off` and `0` select scalar; any
+/// other value is ignored. The override is clamped to what the host and
+/// `DH_SIMD` allow, which is what keeps every `unsafe` call in
+/// [`dispatch!`] sound.
+fn resolve(dh_simd: Option<&str>, host: Backend, forced: Option<Backend>) -> Backend {
+    let allowed = match dh_simd {
+        Some("scalar" | "off" | "0") => Backend::Scalar,
+        _ => host,
+    };
+    forced.map_or(allowed, |b| b.min(allowed))
+}
+
+/// Runs `f` once under every backend, narrowest first, each forced with
+/// [`force_backend`], and returns what each run returned. A backend
+/// wider than this process may run (the host lacks it, or `DH_SIMD`
+/// excludes it) is skipped with a line on stderr. Callers compare the
+/// results: the [`dispatch!`] contract is that they are bit-identical.
+///
+/// Test and bench hook. Concurrent callers take turns, and the override
+/// is cleared on return, also when `f` panics. A caller that does not go
+/// through this function and flips the override at the same time can
+/// only make a run take another backend, which the contract makes
+/// invisible.
+pub fn each_backend<T>(mut f: impl FnMut(Backend) -> T) -> Vec<(Backend, T)> {
+    static TURN: Mutex<()> = Mutex::new(());
+    /// Clears the override when dropped, so a panicking run does not
+    /// leave it set for the rest of the process.
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            force_backend(None);
+        }
     }
+    // The lock guards no data, so a panic in another caller's `f` leaves
+    // nothing to repair.
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let _clear = Clear;
+    let ceiling = ceiling();
+    let mut runs = Vec::with_capacity(Backend::ALL.len());
+    for b in Backend::ALL {
+        if b > ceiling {
+            eprintln!("dh-simd: skipping the {b} body: this process runs at most {ceiling}");
+            continue;
+        }
+        force_backend(Some(b));
+        runs.push((b, f(b)));
+    }
+    runs
 }
 
-#[cfg(target_arch = "x86_64")]
-fn detected() -> bool {
-    use std::sync::OnceLock;
-    static DETECTED: OnceLock<bool> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        let env_off = std::env::var("DH_SIMD")
-            .map(|v| matches!(v.as_str(), "scalar" | "off" | "0"))
-            .unwrap_or(false);
-        !env_off && std::arch::is_x86_feature_detected!("avx2")
-    })
-}
-
-/// Compiles a kernel body twice — a plain copy and an
-/// `#[target_feature(enable = "avx2")]` copy — and dispatches between them
-/// through [`use_simd`] at each call. The body must be written so both
-/// copies execute the same per-element IEEE operation sequence (no
-/// data-dependent algorithm switches narrower than [`LANES`]); then the
-/// two copies are bit-identical and the dispatch is invisible to callers.
+/// Compiles a kernel body three times — a plain copy, an
+/// `#[target_feature(enable = "avx2")]` copy and an
+/// `#[target_feature(enable = "avx512f")]` copy — and runs the one
+/// [`backend`] names at each call. The body must be written so every copy
+/// executes the same per-element IEEE operation sequence (no
+/// data-dependent algorithm switches narrower than [`LANES`], no
+/// `mul_add`); then the copies are bit-identical and the dispatch is
+/// invisible to callers.
 ///
 /// ```
 /// dh_simd::dispatch! {
@@ -232,11 +347,18 @@ macro_rules! dispatch {
                 #[target_feature(enable = "avx2")]
                 unsafe fn avx2_body($($arg: $ty),*) $(-> $ret)? $body
 
-                if $crate::use_simd() {
-                    // SAFETY: use_simd() is true only after
-                    // is_x86_feature_detected!("avx2") succeeded on this
-                    // CPU.
-                    return unsafe { avx2_body($($arg),*) };
+                #[target_feature(enable = "avx512f")]
+                unsafe fn avx512_body($($arg: $ty),*) $(-> $ret)? $body
+
+                match $crate::backend() {
+                    // SAFETY: backend() is Avx512 only when this CPU
+                    // reported avx2, avx512f, fma and f16c (every feature
+                    // the body is compiled for); the override only narrows.
+                    $crate::Backend::Avx512 => return unsafe { avx512_body($($arg),*) },
+                    // SAFETY: backend() is Avx2 or wider only when this
+                    // CPU reported avx2.
+                    $crate::Backend::Avx2 => return unsafe { avx2_body($($arg),*) },
+                    $crate::Backend::Scalar => {}
                 }
             }
             scalar_body($($arg),*)
@@ -327,16 +449,76 @@ mod tests {
 
     #[test]
     fn dispatch_backends_are_bit_identical() {
-        let inputs: Vec<f64> = (0..1_000).map(|i| i as f64 * 0.7).collect();
-        let mut auto = inputs.clone();
-        exp_neg_column(&mut auto);
-        force_scalar(true);
-        assert_eq!(backend_name(), "scalar");
-        let mut scalar = inputs;
-        exp_neg_column(&mut scalar);
-        force_scalar(false);
-        for (a, s) in auto.iter().zip(&scalar) {
-            assert_eq!(a.to_bits(), s.to_bits());
+        eprintln!(
+            "dh-simd: default backend {} (host best {})",
+            backend_name(),
+            host_best()
+        );
+        let inputs: Vec<f64> = (0..1_003).map(|i| i as f64 * 0.7).collect();
+        let runs = each_backend(|b| {
+            assert_eq!(
+                backend(),
+                b,
+                "forcing a backend the process runs selects it"
+            );
+            let mut out = inputs.clone();
+            exp_neg_column(&mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        });
+        assert_eq!(runs[0].0, Backend::Scalar);
+        for (b, bits) in &runs[1..] {
+            assert!(*bits == runs[0].1, "{b} and scalar bodies diverge");
         }
+        assert_eq!(backend(), ceiling(), "each_backend clears the override");
+    }
+
+    #[test]
+    fn resolution_clamps_to_the_host_and_dh_simd() {
+        use Backend::{Avx2, Avx512, Scalar};
+        // No override: the host's best, unless DH_SIMD selects scalar.
+        assert_eq!(resolve(None, Avx512, None), Avx512);
+        assert_eq!(resolve(None, Avx2, None), Avx2);
+        assert_eq!(resolve(None, Scalar, None), Scalar);
+        for off in ["scalar", "off", "0"] {
+            assert_eq!(resolve(Some(off), Avx512, None), Scalar, "DH_SIMD={off}");
+            // An override cannot undo DH_SIMD.
+            assert_eq!(resolve(Some(off), Avx512, Some(Avx512)), Scalar);
+        }
+        // Any other value is ignored; it adds no backend name.
+        for other in ["", "avx2", "avx512f", "1", "SCALAR"] {
+            assert_eq!(
+                resolve(Some(other), Avx512, None),
+                Avx512,
+                "DH_SIMD={other:?}"
+            );
+        }
+        // The override narrows the host's choice ...
+        assert_eq!(resolve(None, Avx512, Some(Avx2)), Avx2);
+        assert_eq!(resolve(None, Avx512, Some(Scalar)), Scalar);
+        assert_eq!(resolve(None, Avx2, Some(Scalar)), Scalar);
+        // ... and an override above the host is clamped to it.
+        assert_eq!(resolve(None, Avx2, Some(Avx512)), Avx2);
+        assert_eq!(resolve(None, Scalar, Some(Avx512)), Scalar);
+        assert_eq!(resolve(None, Scalar, Some(Avx2)), Scalar);
+        // Resolving DH_SIMD and the host once, then the override, is the
+        // same as resolving all three at once (what `backend` relies on).
+        for env in [None, Some("scalar"), Some("avx2")] {
+            for host in Backend::ALL {
+                for forced in [None, Some(Scalar), Some(Avx2), Some(Avx512)] {
+                    assert_eq!(
+                        resolve(None, resolve(env, host, None), forced),
+                        resolve(env, host, forced)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backends_are_ordered_and_named() {
+        assert!(Backend::Scalar < Backend::Avx2 && Backend::Avx2 < Backend::Avx512);
+        let names: Vec<_> = Backend::ALL.iter().map(|b| b.name()).collect();
+        assert_eq!(names, ["scalar", "avx2", "avx512f"]);
+        assert_eq!(Backend::Avx512.to_string(), "avx512f");
     }
 }

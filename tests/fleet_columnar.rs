@@ -17,9 +17,9 @@
 //! * fixed configs reach each rare kernel branch — a deep-recovery call
 //!   that continues the open passive segment, a deep call that is a
 //!   no-op, chips failing mid-run — and match the reference there too;
-//! * the forced-scalar SIMD backend reproduces the same fingerprints as
-//!   the autovectorized one (the `DH_SIMD=scalar` CI job runs the whole
-//!   suite that way; this test flips the override at runtime).
+//! * every SIMD backend the host runs reproduces the same fingerprints
+//!   as the default one (the `DH_SIMD=scalar` CI job runs the whole suite
+//!   forced scalar; this test flips the override at runtime).
 
 use deep_healing::fault::FaultPlan;
 use deep_healing::fleet::{
@@ -227,14 +227,13 @@ fn forced_scalar_backend_reproduces_the_simd_fingerprint() {
         ..FleetConfig::default()
     };
     let native = run_fleet(&config).unwrap();
-    dh_simd::force_scalar(true);
-    let scalar = run_fleet(&config).unwrap();
-    dh_simd::force_scalar(false);
-    assert_eq!(
-        native.fingerprint(),
-        scalar.fingerprint(),
-        "scalar and {} backends must agree bit for bit",
-        dh_simd::backend_name()
-    );
-    assert_eq!(native.render(), scalar.render());
+    for (b, report) in dh_simd::each_backend(|_| run_fleet(&config).unwrap()) {
+        assert_eq!(
+            native.fingerprint(),
+            report.fingerprint(),
+            "{b} and the default ({}) backend must agree bit for bit",
+            dh_simd::backend_name()
+        );
+        assert_eq!(native.render(), report.render());
+    }
 }

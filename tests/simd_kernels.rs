@@ -10,9 +10,9 @@
 //!   lane-remainder ensemble sizes (not multiples of
 //!   [`deep_healing::simd::LANES`]), and stress times that straddle the
 //!   saturated-exponent boundary.
-//! * The AVX2 and forced-scalar backends are bit-identical through a
-//!   full stress/recover cycle — the runtime dispatch can never change
-//!   a trajectory.
+//! * Every backend the host runs (AVX-512, AVX2, scalar) is
+//!   bit-identical to the others through a full stress/recover cycle —
+//!   the runtime dispatch can never change a trajectory.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -22,7 +22,7 @@ use deep_healing::units::rng::seeded_rng;
 use deep_healing::units::{Kelvin, Seconds, Volts};
 use proptest::prelude::*;
 
-/// Serialises tests that flip the process-global scalar-backend switch.
+/// Serialises tests that flip the process-global backend override.
 fn dispatch_lock() -> MutexGuard<'static, ()> {
     static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
     GUARD
@@ -127,8 +127,7 @@ proptest! {
 #[test]
 fn dispatch_backends_are_bit_identical_through_a_wear_cycle() {
     let _g = dispatch_lock();
-    let run = |force_scalar: bool| {
-        simd::force_scalar(force_scalar);
+    let runs = simd::each_backend(|_| {
         // 203 = 50 lane groups of 4 plus a 3-lane remainder.
         let mut e = random_ensemble(203, 77).expect("calibration converges");
         for _ in 0..4 {
@@ -138,7 +137,6 @@ fn dispatch_backends_are_bit_identical_through_a_wear_cycle() {
                 RecoveryCondition::ACTIVE_ACCELERATED,
             );
         }
-        simd::force_scalar(false);
         let (soft, hard) = e.occupancy_columns();
         let bits: Vec<(u64, u64)> = soft
             .iter()
@@ -146,15 +144,14 @@ fn dispatch_backends_are_bit_identical_through_a_wear_cycle() {
             .map(|(s, h)| (s.to_bits(), h.to_bits()))
             .collect();
         (bits, e.delta_vth_mv().to_bits())
-    };
-    let auto = run(false);
-    let scalar = run(true);
-    assert_eq!(
-        auto,
-        scalar,
-        "backend dispatch must never change a trajectory ({})",
-        simd::backend_name()
-    );
+    });
+    let (_, scalar) = &runs[0];
+    for (b, run) in &runs[1..] {
+        assert_eq!(
+            run, scalar,
+            "backend dispatch must never change a trajectory ({b} vs scalar)"
+        );
+    }
 }
 
 #[test]
