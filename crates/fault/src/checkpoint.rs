@@ -1,21 +1,26 @@
-//! The checkpoint layer every engine writes through: a durable atomic
-//! write, a K-generation store over encoded bytes with seeded disk faults
-//! and newest-valid fallback, and one write-behind writer thread.
+//! The checkpoint layer every engine writes through: a checkpoint's
+//! temp file, a K-generation store that lands it durably with seeded disk
+//! faults and newest-valid fallback, and one write-behind writer thread.
 //!
-//! The store knows nothing about payload formats. Engines encode their
-//! state (DHFL, DHSP) into a byte buffer and hand it over; on resume they
-//! pass a decoder, and the store walks the generations newest-first until
-//! one decodes. What a write did — bytes landed, disk incidents survived,
-//! generations trimmed — comes back as a [`Written`] report, which the
-//! engines fold into their degraded report and publish under their own
-//! metric names.
+//! The store knows nothing about payload formats. Engines write their
+//! state (DHFL, DHSP) into a generation's [`CheckpointFile`], in one
+//! piece or section by section from the workers of a parallel step, and
+//! hand the filled file over; nothing holds a second copy of a
+//! generation in memory. On resume they pass a decoder, and the store
+//! walks the generations newest-first until one decodes. What a write did
+//! — bytes landed, disk incidents survived, generations trimmed — comes
+//! back as a [`Written`] report, which the engines fold into their
+//! degraded report and publish under their own metric names.
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::plan::CheckpointDamage;
 use crate::report::{CheckpointFallback, DegradedReport, DiskFaultKind, DiskIncident};
 use crate::FaultPlan;
 
@@ -30,7 +35,7 @@ pub struct CheckpointError {
     /// The file or directory the failing operation touched.
     pub path: PathBuf,
     /// The OS error.
-    pub source: std::io::Error,
+    pub source: io::Error,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -40,6 +45,14 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Maps an OS error on `path` into a [`CheckpointError`].
+fn at(path: &Path) -> impl FnOnce(io::Error) -> CheckpointError + '_ {
+    move |source| CheckpointError {
+        path: path.to_path_buf(),
+        source,
+    }
+}
 
 /// A payload a [`CheckpointStore`] can persist.
 pub trait Checkpoint {
@@ -98,27 +111,146 @@ impl Written {
     }
 }
 
-/// Writes `bytes` to `path` atomically *and durably*: temp file, fsync,
-/// rename, then fsync of the parent directory. Without the two fsyncs
-/// the rename can be persisted before the data (a torn write) or the new
-/// directory entry lost entirely on power failure — "atomic" would only
-/// hold against process death, not against the crashes checkpoints exist
-/// for.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
-    let at = |path: &Path| {
-        let path = path.to_path_buf();
-        move |source| CheckpointError { path, source }
-    };
-    let mut file = std::fs::File::create(&tmp).map_err(at(&tmp))?;
-    file.write_all(bytes).map_err(at(&tmp))?;
-    file.sync_all().map_err(at(&tmp))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(at(path))?;
+/// Writes all of `bytes` at `offset`, leaving the file cursor alone, so
+/// threads can write their own ranges of one file at once.
+#[cfg(unix)]
+fn write_all_at(file: &File, bytes: &[u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+}
+
+/// Reads exactly `buf.len()` bytes at `offset`.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn write_all_at(file: &File, mut bytes: &[u8], mut offset: u64) -> io::Result<()> {
+    while !bytes.is_empty() {
+        match std::os::windows::fs::FileExt::seek_write(file, bytes, offset) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => (bytes, offset) = (&bytes[n..], offset + n as u64),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    while !buf.is_empty() {
+        match std::os::windows::fs::FileExt::seek_read(file, buf, offset) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => (buf, offset) = (&mut buf[n..], offset + n as u64),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The temp file one checkpoint generation is written into before it
+/// lands. The caller fills it with positional writes, from any number of
+/// threads at once — a parallel step writes each shard's section at its
+/// own offset — and hands it to the store, which applies the fault
+/// plan's damage to the file, fsyncs it and renames it over the newest
+/// generation.
+///
+/// A failed write does not panic the writing thread: the first failure
+/// is kept, and landing the file returns it as the write's
+/// [`CheckpointError`]. A file that never lands is removed when it drops.
+#[derive(Debug)]
+pub struct CheckpointFile {
+    file: File,
+    path: PathBuf,
+    /// The first failed write's error, if any.
+    failed: OnceLock<io::Error>,
+    /// Whether the file was renamed into place, so its path is no longer
+    /// this file's to remove.
+    landed: bool,
+}
+
+impl CheckpointFile {
+    /// Creates (or empties) the temp file at `path`, readable too, so a
+    /// bit flip can read the byte it flips.
+    fn create(path: PathBuf) -> Result<Self, CheckpointError> {
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .map_err(at(&path))?;
+        Ok(Self {
+            file,
+            path,
+            failed: OnceLock::new(),
+            landed: false,
+        })
+    }
+
+    /// Writes `bytes` at byte `offset` of the file. A failure is kept for
+    /// the landing to report, and the caller carries on.
+    pub fn write_at(&self, bytes: &[u8], offset: u64) {
+        if let Err(e) = write_all_at(&self.file, bytes, offset) {
+            let _ = self.failed.set(e);
+        }
+    }
+
+    /// Writes `payload`'s whole encoding from byte 0.
+    pub fn write_checkpoint(&self, payload: &(impl Checkpoint + ?Sized)) {
+        let mut bytes = Vec::new();
+        payload.encode_into(&mut bytes);
+        self.write_at(&bytes, 0);
+    }
+
+    /// The first failed write's error.
+    fn check(&mut self) -> Result<(), CheckpointError> {
+        self.failed
+            .take()
+            .map_or(Ok(()), |e| Err(at(&self.path)(e)))
+    }
+
+    /// The file's length in bytes.
+    fn len(&self) -> Result<usize, CheckpointError> {
+        let meta = self.file.metadata().map_err(at(&self.path))?;
+        Ok(meta.len() as usize)
+    }
+
+    /// Cuts the file to its first `len` bytes.
+    fn truncate(&self, len: usize) -> Result<(), CheckpointError> {
+        self.file.set_len(len as u64).map_err(at(&self.path))
+    }
+
+    /// Applies a fault plan's damage to the file's bytes.
+    fn damage(&self, damage: CheckpointDamage) -> Result<(), CheckpointError> {
+        match damage {
+            CheckpointDamage::FlipBit { byte, bit } => {
+                let mut b = [0u8];
+                read_exact_at(&self.file, &mut b, byte as u64)
+                    .and_then(|()| write_all_at(&self.file, &[b[0] ^ (1 << bit)], byte as u64))
+                    .map_err(at(&self.path))
+            }
+            CheckpointDamage::Truncate { keep } => self.truncate(keep),
+        }
+    }
+}
+
+impl Drop for CheckpointFile {
+    fn drop(&mut self) {
+        if !self.landed {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it survives a
+/// power failure. Directories cannot be fsynced on some platforms (e.g.
+/// Windows); best-effort there, but real failures surface on unix.
+fn sync_dir(path: &Path) -> Result<(), CheckpointError> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        // Directories cannot be fsynced on some platforms (e.g. Windows);
-        // best-effort there, but real failures surface on unix.
-        match std::fs::File::open(dir).and_then(|d| d.sync_all()) {
+        match File::open(dir).and_then(|d| d.sync_all()) {
             Ok(()) => {}
             Err(e) if cfg!(unix) => return Err(at(dir)(e)),
             Err(_) => {}
@@ -160,6 +292,18 @@ impl CheckpointStore {
         }
     }
 
+    /// The temp file write number `write_index` fills: `base.tmp0` and
+    /// `base.tmp1` by turns, so one write can fill while the one before
+    /// it lands.
+    pub fn temp_path(&self, write_index: u64) -> PathBuf {
+        PathBuf::from(format!("{}.tmp{}", self.base.display(), write_index % 2))
+    }
+
+    /// Creates the temp file of write number `write_index`.
+    fn create(&self, write_index: u64) -> Result<CheckpointFile, CheckpointError> {
+        CheckpointFile::create(self.temp_path(write_index))
+    }
+
     /// Shifts every generation one slot older (the oldest falls off).
     /// Missing generations are skipped.
     fn rotate(&self) -> Result<(), CheckpointError> {
@@ -167,7 +311,7 @@ impl CheckpointStore {
             let from = self.generation_path(generation);
             match std::fs::rename(&from, self.generation_path(generation + 1)) {
                 Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(source) => return Err(CheckpointError { path: from, source }),
             }
         }
@@ -189,18 +333,41 @@ impl CheckpointStore {
     ///
     /// [`CheckpointError`] on any filesystem failure.
     pub fn write(&self, payload: &(impl Checkpoint + ?Sized)) -> Result<u64, CheckpointError> {
-        let mut bytes = Vec::new();
-        payload.encode_into(&mut bytes);
-        Ok(self.write_bytes(&mut bytes, None, 0)?.bytes)
+        let file = self.create(0)?;
+        file.write_checkpoint(payload);
+        Ok(self.land(file, None, 0)?.bytes)
     }
 
-    /// Rotates the generations and writes `bytes` as the newest, after
-    /// `plan` has had its say on write number `write_index`. The plan may
-    /// flip a bit or truncate the bytes, and may inject one disk fault,
-    /// each contained rather than fatal:
+    /// [`CheckpointStore::land`]s `bytes` as write number `write_index`.
     ///
-    /// - **ENOSPC**: nothing lands; the previous generation stays newest
-    ///   and the oldest generation is trimmed to relieve pressure.
+    /// # Errors
+    ///
+    /// [`CheckpointError`] on any genuine filesystem failure.
+    pub fn write_bytes(
+        &self,
+        bytes: &[u8],
+        plan: Option<&FaultPlan>,
+        write_index: u64,
+    ) -> Result<Written, CheckpointError> {
+        let file = self.create(write_index)?;
+        file.write_at(bytes, 0);
+        self.land(file, plan, write_index)
+    }
+
+    /// Lands a filled temp file as the newest generation, after `plan`
+    /// has had its say on write number `write_index`: temp file fsync,
+    /// rotation, rename, then fsync of the parent directory. Without the
+    /// two fsyncs the rename can be persisted before the data (a torn
+    /// write) or the new directory entry lost entirely on power failure —
+    /// "atomic" would only hold against process death, not against the
+    /// crashes checkpoints exist for.
+    ///
+    /// The plan may flip a bit of the file or truncate it, and may inject
+    /// one disk fault, each contained rather than fatal:
+    ///
+    /// - **ENOSPC**: nothing lands (the temp file is discarded); the
+    ///   previous generation stays newest and the oldest generation is
+    ///   trimmed to relieve pressure.
     /// - **Torn write**: only a seeded prefix of the file reaches the
     ///   disk (resume-time generation fallback absorbs it).
     /// - **Failed fsync**: the write is abandoned before rename; the
@@ -208,20 +375,24 @@ impl CheckpointStore {
     /// - **Slow write**: the write stalls briefly, then lands intact.
     ///
     /// Injected faults are reported in [`Written::disk`]; only genuine
-    /// filesystem failures are errors.
+    /// filesystem failures, a failed write into the file among them, are
+    /// errors.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] on any genuine filesystem failure.
-    pub fn write_bytes(
+    fn land(
         &self,
-        bytes: &mut Vec<u8>,
+        mut file: CheckpointFile,
         plan: Option<&FaultPlan>,
         write_index: u64,
     ) -> Result<Written, CheckpointError> {
+        file.check()?;
         let mut out = Written::default();
         if let Some(plan) = plan {
-            plan.corrupt_checkpoint(write_index, bytes);
+            if let Some(damage) = plan.checkpoint_damage(write_index, file.len()?) {
+                file.damage(damage)?;
+            }
             if let Some(kind) = plan.disk_fault(write_index) {
                 out.disk
                     .disk_incidents
@@ -235,16 +406,20 @@ impl CheckpointStore {
                     }
                     DiskFaultKind::FsyncFail => return Ok(out),
                     DiskFaultKind::TornWrite => {
-                        bytes.truncate(plan.torn_length(write_index, bytes.len()));
+                        file.truncate(plan.torn_length(write_index, file.len()?))?;
                     }
                     DiskFaultKind::SlowWrite => std::thread::sleep(SLOW_WRITE_STALL),
                 }
             }
         }
+        let bytes = file.len()?;
+        file.file.sync_all().map_err(at(&file.path))?;
         self.rotate()?;
-        write_atomic(&self.base, bytes)?;
+        std::fs::rename(&file.path, &self.base).map_err(at(&self.base))?;
+        file.landed = true;
+        sync_dir(&self.base)?;
         out.writes = 1;
-        out.bytes = bytes.len() as u64;
+        out.bytes = bytes as u64;
         Ok(out)
     }
 
@@ -269,7 +444,7 @@ impl CheckpointStore {
                     Ok(found) => return (Some(found), fallbacks),
                     Err(e) => e.to_string(),
                 },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => format!("unreadable: {e}"),
             };
             fallbacks.push(CheckpointFallback {
@@ -282,24 +457,25 @@ impl CheckpointStore {
 }
 
 /// A write-behind checkpoint writer: one dedicated thread that lands
-/// encoded checkpoints through a [`CheckpointStore`] while the caller
-/// keeps stepping.
+/// filled [`CheckpointFile`]s through a [`CheckpointStore`] while the
+/// caller keeps stepping.
 ///
-/// [`Writer::submit`] waits for the previous write, takes its buffer
-/// back, encodes into it on the calling thread and hands it over, so at
-/// most one write is ever in flight and one buffer serves the whole run.
-/// Write indices count submissions from 0, so a fault plan corrupts the
-/// same writes on every identically seeded run. Write errors surface at
-/// the next [`Writer::submit`] or at [`Writer::finish`]; dropping the
-/// writer also waits for the write in flight.
+/// The caller opens write `i`'s temp file with [`Writer::create`] and
+/// fills it while write `i - 1` may still be landing under the other temp
+/// name; [`Writer::submit`] then waits for write `i - 1` and hands write
+/// `i` over, so at most one write is ever in flight and the writer holds
+/// no bytes of its own. Write indices count submissions from 0, so a
+/// fault plan corrupts the same writes on every identically seeded run.
+/// Write errors surface at the next [`Writer::submit`] or at
+/// [`Writer::finish`]; dropping the writer also waits for the write in
+/// flight.
 #[derive(Debug)]
 pub(crate) struct Writer {
-    base: PathBuf,
-    jobs: Option<SyncSender<(Vec<u8>, u64)>>,
-    landed: Receiver<(Vec<u8>, Result<Written, CheckpointError>)>,
+    store: CheckpointStore,
+    jobs: Option<SyncSender<(CheckpointFile, u64)>>,
+    landed: Receiver<Result<Written, CheckpointError>>,
     thread: Option<JoinHandle<()>>,
-    /// The buffer to encode into next; `None` while a write is in flight.
-    spare: Option<Vec<u8>>,
+    in_flight: bool,
     next_index: u64,
     written: Written,
 }
@@ -308,26 +484,25 @@ impl Writer {
     /// Spawns the writer thread for `store`, injecting `plan`'s
     /// checkpoint corruption and disk faults.
     pub(crate) fn spawn(store: CheckpointStore, plan: Option<FaultPlan>) -> Self {
-        let (jobs, queue) = sync_channel::<(Vec<u8>, u64)>(1);
+        let (jobs, queue) = sync_channel::<(CheckpointFile, u64)>(1);
         let (done, landed) = sync_channel(1);
-        let base = store.base.clone();
+        let lands = store.clone();
         let thread = std::thread::Builder::new()
             .name("dh-ckpt-writer".into())
             .spawn(move || {
-                for (mut bytes, index) in queue {
-                    let result = store.write_bytes(&mut bytes, plan.as_ref(), index);
-                    if done.send((bytes, result)).is_err() {
+                for (file, index) in queue {
+                    if done.send(lands.land(file, plan.as_ref(), index)).is_err() {
                         return;
                     }
                 }
             })
             .expect("failed to spawn checkpoint writer thread");
         Self {
-            base,
+            store,
             jobs: Some(jobs),
             landed,
             thread: Some(thread),
-            spare: Some(Vec::new()),
+            in_flight: false,
             next_index: 0,
             written: Written::default(),
         }
@@ -335,45 +510,47 @@ impl Writer {
 
     fn vanished(&self) -> CheckpointError {
         CheckpointError {
-            path: self.base.clone(),
-            source: std::io::Error::other("checkpoint writer thread died"),
+            path: self.store.base.clone(),
+            source: io::Error::other("checkpoint writer thread died"),
         }
     }
 
-    /// Waits for the write in flight, if any, and takes its buffer back.
+    /// Waits for the write in flight, if any.
     fn wait(&mut self) -> Result<(), CheckpointError> {
-        if self.spare.is_none() {
-            let (bytes, result) = self.landed.recv().map_err(|_| self.vanished())?;
-            self.spare = Some(bytes);
+        if self.in_flight {
+            let result = self.landed.recv().map_err(|_| self.vanished())?;
+            self.in_flight = false;
             self.written.absorb(result?);
         }
         Ok(())
     }
 
-    /// Waits for the previous write, encodes the next checkpoint with
-    /// `encode` into the buffer it returned, and hands it to the thread.
+    /// Creates the temp file of the next write, which may fill while the
+    /// write in flight lands.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] when the file cannot be created.
+    pub(crate) fn create(&self) -> Result<CheckpointFile, CheckpointError> {
+        self.store.create(self.next_index)
+    }
+
+    /// Waits for the previous write and hands `file`, filled, to the
+    /// thread.
     ///
     /// # Errors
     ///
     /// The previous write's [`CheckpointError`].
-    pub(crate) fn submit(
-        &mut self,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(), CheckpointError> {
+    pub(crate) fn submit(&mut self, file: CheckpointFile) -> Result<(), CheckpointError> {
         self.wait()?;
-        let mut bytes = self
-            .spare
-            .take()
-            .expect("no write is in flight after a wait");
-        bytes.clear();
-        encode(&mut bytes);
         let sent = self
             .jobs
             .as_ref()
-            .map(|jobs| jobs.send((bytes, self.next_index)));
+            .map(|jobs| jobs.send((file, self.next_index)));
         if !matches!(sent, Some(Ok(()))) {
             return Err(self.vanished());
         }
+        self.in_flight = true;
         self.next_index += 1;
         Ok(())
     }
@@ -398,6 +575,37 @@ impl Drop for Writer {
             let _ = thread.join();
         }
     }
+}
+
+/// The generations, newest first, that a store keeping `keep` holds
+/// after it lands `writes` (write indices from 0) into an empty directory
+/// under `plan`, worked out in memory: each write's bytes with the plan's
+/// damage (`FaultPlan::landed_bytes`), rotation, and the oldest generation
+/// trimmed on ENOSPC. The reference the file path is tested against.
+#[doc(hidden)]
+pub fn expected_generations(
+    plan: Option<&FaultPlan>,
+    writes: impl IntoIterator<Item = Vec<u8>>,
+    keep: usize,
+) -> Vec<Vec<u8>> {
+    let mut generations: Vec<Vec<u8>> = Vec::new();
+    for (index, bytes) in (0u64..).zip(writes) {
+        let fault = plan.and_then(|p| p.disk_fault(index));
+        let landed = match plan {
+            Some(plan) => plan.landed_bytes(index, bytes),
+            None => Some(bytes),
+        };
+        match landed {
+            Some(landed) => generations.insert(0, landed),
+            // ENOSPC trims the oldest generation, never the newest.
+            None if fault == Some(DiskFaultKind::Enospc) => {
+                generations.truncate(generations.len().saturating_sub(1).max(1));
+            }
+            None => {}
+        }
+        generations.truncate(keep);
+    }
+    generations
 }
 
 /// A store keeping its generations in a [`crate::TempDir`], which goes
@@ -462,7 +670,26 @@ mod tests {
         let mut bytes = Vec::new();
         Cursor(cursor).encode_into(&mut bytes);
         let plan = FaultPlan::parse(spec, 7).unwrap();
-        store.write_bytes(&mut bytes, Some(&plan), 0).unwrap()
+        store.write_bytes(&bytes, Some(&plan), 0).unwrap()
+    }
+
+    /// Fills the writer's next temp file with `Cursor(cursor)` and
+    /// submits it.
+    fn submit(writer: &mut Writer, cursor: u64) -> Result<(), CheckpointError> {
+        let file = writer.create()?;
+        file.write_checkpoint(&Cursor(cursor));
+        writer.submit(file)
+    }
+
+    /// The names in the store's directory, sorted.
+    fn files(store: &CheckpointStore) -> Vec<String> {
+        let dir = store.base_path().parent().unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     fn write_cursors(store: &CheckpointStore, cursors: std::ops::Range<u64>) {
@@ -492,9 +719,7 @@ mod tests {
         let store = temp_store("ckpt-async-retention", keep);
         let mut writer = Writer::spawn(store.clone(), None);
         for cursor in 1..=7 {
-            writer
-                .submit(|buf| Cursor(cursor).encode_into(buf))
-                .unwrap();
+            submit(&mut writer, cursor).unwrap();
         }
         assert_eq!(writer.finish().unwrap().writes, 7);
         for generation in 0..keep {
@@ -554,16 +779,86 @@ mod tests {
     #[test]
     fn async_writer_surfaces_io_errors() {
         let dir = temp_store("ckpt-async-io-error", 1).generation_path(0);
+        // No temp file can be made in a missing directory.
         let doomed = CheckpointStore::new(dir.with_extension("d").join("run.ckpt"), 2);
-        // A submit is accepted; its failure lands on the next submit, or
-        // on the final drain.
-        let mut writer = Writer::spawn(doomed.clone(), None);
-        writer.submit(|buf| Cursor(1).encode_into(buf)).unwrap();
-        let err = writer.submit(|buf| Cursor(2).encode_into(buf)).unwrap_err();
+        let writer = Writer::spawn(doomed, None);
+        let err = writer.create().unwrap_err();
         assert!(err.to_string().contains("run.d"), "{err}");
-        let mut writer = Writer::spawn(doomed, None);
-        writer.submit(|buf| Cursor(1).encode_into(buf)).unwrap();
+        // A landing that fails (the newest generation's path is a
+        // directory, so the rename cannot replace it) is accepted; its
+        // failure lands on the next submit, or on the final drain.
+        let store = temp_store("ckpt-async-land-error", 1);
+        std::fs::create_dir(store.base_path()).unwrap();
+        std::fs::write(store.base_path().join("keep"), b"x").unwrap();
+        let mut writer = Writer::spawn(store.clone(), None);
+        submit(&mut writer, 1).unwrap();
+        let err = submit(&mut writer, 2).unwrap_err();
+        assert!(err.to_string().contains("run.ckpt"), "{err}");
+        let mut writer = Writer::spawn(store.clone(), None);
+        submit(&mut writer, 1).unwrap();
         assert!(writer.finish().is_err());
+        assert_eq!(files(&store), ["run.ckpt"], "no temp file is left behind");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_write_into_the_file_fails_its_landing_not_the_writer() {
+        // The first temp file is the full device, so every write into it
+        // fails with ENOSPC.
+        let store = temp_store("ckpt-write-error", 2);
+        std::os::unix::fs::symlink("/dev/full", store.temp_path(0)).unwrap();
+        let mut writer = Writer::spawn(store.clone(), None);
+        submit(&mut writer, 1).unwrap();
+        let err = submit(&mut writer, 2).unwrap_err();
+        assert_eq!(err.path, store.temp_path(0), "{err}");
+        assert_eq!(err.source.raw_os_error(), Some(28), "{err}");
+        assert!(store.generation_path(0).symlink_metadata().is_err());
+        // The failed file is discarded; the next write's is too, unsent.
+        drop(writer);
+        assert!(files(&store).is_empty(), "{:?}", files(&store));
+    }
+
+    #[test]
+    fn a_landed_file_carries_the_damage_the_plan_does_in_memory() {
+        let specs = [
+            "",
+            "ckpt-flip=1",
+            "ckpt-truncate=2",
+            "disk-torn=1",
+            "disk-full=0.5",
+            "disk-fsync=0.5",
+            "disk-slow=3",
+            "ckpt-flip=2,disk-torn=3",
+        ];
+        let keep = 4;
+        for spec in specs {
+            let store = temp_store("ckpt-damage", keep);
+            let plan = FaultPlan::parse(spec, 11).unwrap();
+            let writes: Vec<Vec<u8>> = (0..6).map(|i| pattern(300 + 97 * i)).collect();
+            for (index, bytes) in (0u64..).zip(&writes) {
+                let out = store.write_bytes(bytes, Some(&plan), index).unwrap();
+                let lands = plan.landed_bytes(index, bytes.clone()).is_some();
+                assert_eq!(out.writes, u64::from(lands), "{spec} write {index}");
+            }
+            let expect = expected_generations(Some(&plan), writes, keep);
+            assert_eq!(on_disk(&store), expect, "{spec}");
+            let temps = files(&store).into_iter().filter(|f| f.contains("tmp"));
+            assert_eq!(temps.count(), 0, "{spec}");
+        }
+    }
+
+    /// Every generation on disk, newest first, up to the first missing.
+    fn on_disk(store: &CheckpointStore) -> Vec<Vec<u8>> {
+        (0..)
+            .map_while(|g| std::fs::read(store.generation_path(g)).ok())
+            .collect()
+    }
+
+    /// `n` bytes that are neither constant nor periodic within a word.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
     }
 
     #[test]
@@ -609,9 +904,7 @@ mod tests {
         let plan = FaultPlan::parse("disk-fsync=1", 7).unwrap();
         let mut writer = Writer::spawn(store.clone(), Some(plan));
         for cursor in 0..3 {
-            writer
-                .submit(|buf| Cursor(cursor).encode_into(buf))
-                .unwrap();
+            submit(&mut writer, cursor).unwrap();
         }
         let written = writer.finish().unwrap();
         assert_eq!(written.writes, 0);

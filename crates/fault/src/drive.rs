@@ -4,17 +4,17 @@
 //! The fleet engine, the scenario engine, the `fleet` CLI and both
 //! `dh-serve` job kinds all run through [`drive`]. Each engine's run type
 //! implements [`Run`], and its caller hands `drive` one step as a closure
-//! over the engine's own `step_supervised`, with the fault plan, retry
+//! over the engine's own file-writing step, with the fault plan, retry
 //! policy and step size bound in. The driver owns the checkpoint cadence
 //! (a write after every step), the write-index discipline fault plans key
 //! on, and the rule that a run's own disk incidents never reach its
 //! checkpoints.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore, Writer, Written};
+use crate::checkpoint::{CheckpointError, CheckpointFile, CheckpointStore, Writer, Written};
 use crate::{DegradedReport, FaultPlan};
 
 /// A resumable run the driver can checkpoint.
-pub trait Run: Checkpoint {
+pub trait Run {
     /// Everything the run has survived so far.
     fn degraded(&self) -> &DegradedReport;
 
@@ -26,12 +26,14 @@ pub trait Run: Checkpoint {
 
 /// Calls `step` until it returns `true` (the run is complete) or `cancel`
 /// returns `true`. `cancel` is asked before, and `on_step` called after,
-/// every step. With a `store`, a write-behind writer thread lands a
-/// checkpoint after every step, the last one included, with `plan`'s
-/// checkpoint corruption and disk faults injected; `step` hands the plan
-/// to the engine itself for shard faults. Write indices count from 0 on
-/// every call of `drive`, so a fault plan hits the same writes on every
-/// identically seeded process.
+/// every step. With a `store`, every step gets the temp file of a
+/// checkpoint write and must leave the run's whole checkpoint in it; a
+/// write-behind writer thread then lands it, the last one included, with
+/// `plan`'s checkpoint corruption and disk faults applied, while the next
+/// step fills the next file. Without a store, `step` gets no file. `step`
+/// hands the plan to the engine itself for shard faults. Write indices
+/// count from 0 on every call of `drive`, so a fault plan hits the same
+/// writes on every identically seeded process.
 ///
 /// Once the writer has drained — on completion and on cancel — its
 /// report goes to [`Run::absorb`]. No checkpoint written by this call
@@ -40,11 +42,11 @@ pub trait Run: Checkpoint {
 ///
 /// # Errors
 ///
-/// A genuine checkpoint I/O failure. The writer has drained by the time
-/// the error is returned.
+/// A genuine checkpoint I/O failure, a failed write into a step's file
+/// among them. The writer has drained by the time the error is returned.
 pub fn drive<R: Run>(
     run: &mut R,
-    mut step: impl FnMut(&mut R) -> bool,
+    mut step: impl FnMut(&mut R, Option<&CheckpointFile>) -> bool,
     store: Option<&CheckpointStore>,
     plan: Option<&FaultPlan>,
     mut cancel: impl FnMut() -> bool,
@@ -55,10 +57,15 @@ pub fn drive<R: Run>(
         if cancel() {
             break false;
         }
-        let done = step(run);
-        if let Some(writer) = &mut writer {
-            writer.submit(|buf| run.encode_into(buf))?;
-        }
+        let done = match &mut writer {
+            Some(writer) => {
+                let file = writer.create()?;
+                let done = step(run, Some(&file));
+                writer.submit(file)?;
+                done
+            }
+            None => step(run, None),
+        };
         on_step(run);
         if done {
             break true;
@@ -75,7 +82,7 @@ mod tests {
     use std::cell::{Cell, RefCell};
 
     use super::*;
-    use crate::checkpoint::temp_store;
+    use crate::checkpoint::{temp_store, Checkpoint};
     use crate::wire::{put_u64, take_u64};
 
     /// A run of `total` shards whose checkpoint is its shard count and
@@ -102,10 +109,14 @@ mod tests {
     }
 
     impl Fake {
-        /// Steps up to `shards` more shards; returns whether it is done.
-        fn step(&mut self, shards: u64) -> bool {
+        /// Steps up to `shards` more shards, then writes the checkpoint
+        /// into `file`; returns whether it is done.
+        fn step(&mut self, shards: u64, file: Option<&CheckpointFile>) -> bool {
             self.calls.push(shards);
             self.steps = (self.steps + shards).min(self.total);
+            if let Some(file) = file {
+                file.write_checkpoint(self);
+            }
             self.steps == self.total
         }
     }
@@ -139,7 +150,7 @@ mod tests {
         cancel: impl FnMut() -> bool,
     ) -> Result<bool, CheckpointError> {
         let plan = FaultPlan::parse(spec, 5).unwrap();
-        let step = |run: &mut Fake| run.step(every);
+        let step = |run: &mut Fake, file: Option<&CheckpointFile>| run.step(every, file);
         drive(run, step, Some(store), Some(&plan), cancel, |_| {})
     }
 
@@ -165,7 +176,7 @@ mod tests {
             (3, 1, vec![1, 2, 3]),
         ] {
             let mut run = fake(total);
-            let step = |run: &mut Fake| run.step(every);
+            let step = |run: &mut Fake, file: Option<&CheckpointFile>| run.step(every, file);
             let mut seen = 0;
             let on_step = |_: &Fake| seen += 1;
             assert!(drive(&mut run, step, Some(&store), None, || false, on_step).unwrap());
@@ -196,7 +207,7 @@ mod tests {
             asked += 1;
             false
         };
-        let step = |run: &mut Fake| run.step(2);
+        let step = |run: &mut Fake, file: Option<&CheckpointFile>| run.step(2, file);
         assert!(drive(&mut run, step, None, None, cancel, |_| {}).unwrap());
         assert_eq!(run.calls, vec![2, 2, 2]);
         assert_eq!(asked, 3, "cancel is asked once per call");

@@ -42,7 +42,9 @@ mod spec;
 mod temp;
 pub mod wire;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore, Written};
+#[doc(hidden)]
+pub use checkpoint::expected_generations;
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointFile, CheckpointStore, Written};
 pub use drive::{drive, Run};
 pub use plan::{CheckpointCorruption, FaultPlan, PoisonKind};
 pub use report::{

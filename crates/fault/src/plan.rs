@@ -51,6 +51,23 @@ pub enum CheckpointCorruption {
     Truncate,
 }
 
+/// What one corrupted checkpoint write does to its file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CheckpointDamage {
+    /// Bit `bit` of byte `byte` is flipped.
+    FlipBit {
+        /// The byte's offset in the file.
+        byte: usize,
+        /// The bit within it, 0 the least significant.
+        bit: u8,
+    },
+    /// Only the first `keep` bytes remain.
+    Truncate {
+        /// The bytes kept.
+        keep: usize,
+    },
+}
+
 /// A seeded, deterministic fault plan.
 ///
 /// Every decision method is a pure function of the plan's seed and its
@@ -195,32 +212,65 @@ impl FaultPlan {
         }
     }
 
-    /// Applies this write's corruption (if any) to the encoded bytes,
-    /// returning a human-readable description of what was done.
+    /// What this write's corruption (if any) does to a file of `len`
+    /// bytes.
     ///
     /// Bit position and truncation length are drawn from the `fault/ckpt`
     /// stream at `write_index`, so a replayed campaign damages the same
-    /// bytes.
-    pub fn corrupt_checkpoint(&self, write_index: u64, bytes: &mut Vec<u8>) -> Option<String> {
+    /// bytes. An empty file takes no damage.
+    pub(crate) fn checkpoint_damage(
+        &self,
+        write_index: u64,
+        len: usize,
+    ) -> Option<CheckpointDamage> {
         let kind = self.checkpoint_corruption(write_index)?;
-        if bytes.is_empty() {
+        if len == 0 {
             return None;
         }
         let mut rng = dh_units::rng::seeded_stream_rng(self.seed, CKPT_STREAM, write_index);
-        match kind {
-            CheckpointCorruption::BitFlip => {
-                let byte = rng.gen_range(0..bytes.len());
-                let bit = rng.gen_range(0..8_u8);
+        Some(match kind {
+            CheckpointCorruption::BitFlip => CheckpointDamage::FlipBit {
+                byte: rng.gen_range(0..len),
+                bit: rng.gen_range(0..8_u8),
+            },
+            CheckpointCorruption::Truncate => CheckpointDamage::Truncate {
+                keep: rng.gen_range(0..len),
+            },
+        })
+    }
+
+    /// Applies this write's [`FaultPlan::checkpoint_damage`] to the
+    /// encoded bytes, returning a human-readable description of what was
+    /// done.
+    pub fn corrupt_checkpoint(&self, write_index: u64, bytes: &mut Vec<u8>) -> Option<String> {
+        let total = bytes.len();
+        match self.checkpoint_damage(write_index, total)? {
+            CheckpointDamage::FlipBit { byte, bit } => {
                 bytes[byte] ^= 1 << bit;
-                Some(format!("flipped bit {bit} of byte {byte}/{}", bytes.len()))
+                Some(format!("flipped bit {bit} of byte {byte}/{total}"))
             }
-            CheckpointCorruption::Truncate => {
-                let keep = rng.gen_range(0..bytes.len());
-                let total = bytes.len();
+            CheckpointDamage::Truncate { keep } => {
                 bytes.truncate(keep);
                 Some(format!("truncated to {keep}/{total} bytes"))
             }
         }
+    }
+
+    /// What write number `write_index` of `bytes` leaves on disk as the
+    /// newest generation, worked out in memory: its corruption, then a
+    /// torn write's prefix, or `None` when ENOSPC or a failed fsync lands
+    /// nothing. The checkpoint store applies the same damage to the
+    /// written file; this is the reference it is tested against.
+    pub(crate) fn landed_bytes(&self, write_index: u64, mut bytes: Vec<u8>) -> Option<Vec<u8>> {
+        self.corrupt_checkpoint(write_index, &mut bytes);
+        match self.disk_fault(write_index) {
+            Some(DiskFaultKind::Enospc | DiskFaultKind::FsyncFail) => return None,
+            Some(DiskFaultKind::TornWrite) => {
+                bytes.truncate(self.torn_length(write_index, bytes.len()));
+            }
+            Some(DiskFaultKind::SlowWrite) | None => {}
+        }
+        Some(bytes)
     }
 
     /// The disk fault afflicting checkpoint write number `write_index`

@@ -10,7 +10,8 @@
 //!   whose files are about a kilobyte.
 //! * [`checksum`] folds four independent 64-bit lanes a word at a time,
 //!   so it runs at memory speed. It is the file checksum of DHSP v3,
-//!   whose files run to tens of megabytes.
+//!   whose files run to tens of megabytes. [`Checksum`] is its streaming
+//!   form, for a file written in pieces.
 
 use core::fmt;
 
@@ -77,55 +78,145 @@ fn word(bytes: &[u8]) -> u64 {
 /// little-endian word of the 32-byte stripes, so the multiply chains
 /// overlap instead of serialising as [`fnv1a`]'s do. The lanes then merge,
 /// the length is mixed in, the tail words and bytes are folded, and a
-/// final avalanche spreads every input bit over the result.
+/// final avalanche spreads every input bit over the result. It is
+/// [`Checksum`] fed one slice.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in &mut stripes {
-            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = round(*lane, word(w));
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] in streaming form: feed the bytes in order, in pieces of
+/// any size, and [`Checksum::finish`] returns what [`checksum`] returns
+/// for them in one slice. A writer can so checksum a file from the
+/// columns it was written from, without a copy of the file.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The bytes of the stripe in progress: the first `pending` of them.
+    stripe: [u8; 32],
+    pending: usize,
+    len: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Checksum {
+    /// The state before any byte.
+    pub fn new() -> Self {
+        Self {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            stripe: [0; 32],
+            pending: 0,
+            len: 0,
+        }
+    }
+
+    /// Folds the next `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending > 0 {
+            let take = bytes.len().min(32 - self.pending);
+            self.stripe[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < 32 {
+                return;
             }
+            let stripe = self.stripe;
+            fold_stripes(&mut self.lanes, &stripe);
+            self.pending = 0;
         }
-        let [a, b, c, d] = lanes;
-        let mut h = a
-            .rotate_left(1)
-            .wrapping_add(b.rotate_left(7))
-            .wrapping_add(c.rotate_left(12))
-            .wrapping_add(d.rotate_left(18));
-        for lane in lanes {
-            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        let whole = bytes.len() - bytes.len() % 32;
+        fold_stripes(&mut self.lanes, &bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.pending = rest.len();
+    }
+
+    /// Folds every value of `vs` little-endian: the bytes [`put_f64s`]
+    /// appends.
+    pub fn update_f64s(&mut self, vs: &[f64]) {
+        self.update_words(vs, |v| v.to_bits());
+    }
+
+    /// Folds every value of `vs` little-endian: the bytes [`put_u64s`]
+    /// appends.
+    pub fn update_u64s(&mut self, vs: &[u64]) {
+        self.update_words(vs, |&v| v);
+    }
+
+    fn update_words<T>(&mut self, vs: &[T], bits: impl Fn(&T) -> u64) {
+        // Through a small buffer that stays in L1, a few hundred words at
+        // a time.
+        let mut buf = [0u8; 4096];
+        for chunk in vs.chunks(buf.len() / 8) {
+            for (out, v) in buf.chunks_exact_mut(8).zip(chunk) {
+                out.copy_from_slice(&bits(v).to_le_bytes());
+            }
+            self.update(&buf[..8 * chunk.len()]);
         }
-        h
-    } else {
-        P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ round(0, word(w)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
     }
-    let mut rest = words.remainder();
-    if let Some((half, tail)) = rest.split_first_chunk::<4>() {
-        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        rest = tail;
+
+    /// The checksum of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.len >= 32 {
+            let [a, b, c, d] = self.lanes;
+            let mut h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for lane in self.lanes {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.len);
+        let mut words = self.stripe[..self.pending].chunks_exact(8);
+        for w in &mut words {
+            h = (h ^ round(0, word(w)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+        let mut rest = words.remainder();
+        if let Some((half, tail)) = rest.split_first_chunk::<4>() {
+            h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = tail;
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
+}
+
+/// Folds whole 32-byte stripes into the four lanes, each lane taking
+/// every fourth word.
+fn fold_stripes(lanes: &mut [u64; 4], stripes: &[u8]) {
+    let mut acc = *lanes;
+    for stripe in stripes.chunks_exact(32) {
+        for (lane, w) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
+    *lanes = acc;
 }
 
 /// Appends `v` little-endian.
@@ -321,6 +412,44 @@ mod tests {
             swapped[8 * i..8 * i + 8].copy_from_slice(b);
             swapped[8 * j..8 * j + 8].copy_from_slice(a);
             assert_ne!(checksum(&swapped), clean, "words {i} and {j}");
+        }
+    }
+
+    #[test]
+    fn streaming_checksum_matches_the_one_shot_at_any_cut() {
+        use rand::Rng;
+        let mut rng = dh_units::rng::seeded_rng(29, "wire/checksum-cuts");
+        for case in 0..400 {
+            let len = if case % 4 == 0 {
+                rng.gen_range(0..70usize)
+            } else {
+                rng.gen_range(0..3000usize)
+            };
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+            let mut sum = Checksum::new();
+            let mut rest = bytes.as_slice();
+            while !rest.is_empty() {
+                // Mostly pieces shorter than a stripe, some longer.
+                let cap: usize = if rng.gen_bool(0.7) { 33 } else { 200 };
+                let (piece, tail) = rest.split_at(rng.gen_range(0..=cap.min(rest.len())));
+                sum.update(piece);
+                rest = tail;
+            }
+            assert_eq!(sum.finish(), checksum(&bytes), "case {case}: {len} bytes");
+        }
+        // The word feeders fold the bytes the slice writers append, at any
+        // offset into a stripe.
+        let floats: Vec<f64> = (0..1500).map(|i| f64::from(i) * -0.37).collect();
+        let words: Vec<u64> = (0..700).map(|i| i * 0x9e37_79b9).collect();
+        for head in 0..40 {
+            let mut bytes = pattern(head);
+            let mut sum = Checksum::new();
+            sum.update(&bytes);
+            put_f64s(&mut bytes, &floats);
+            put_u64s(&mut bytes, &words);
+            sum.update_f64s(&floats);
+            sum.update_u64s(&words);
+            assert_eq!(sum.finish(), checksum(&bytes), "{head}-byte head");
         }
     }
 

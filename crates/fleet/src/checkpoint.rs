@@ -453,13 +453,9 @@ mod tests {
         let store = dh_fault::CheckpointStore::new(dir.join("snap.dhfl"), 2);
         let plan = dh_fault::FaultPlan::parse("ckpt-flip=2", 5).unwrap();
         let newest = || Snapshot::decode(&std::fs::read(store.base_path()).unwrap());
-        store
-            .write_bytes(&mut snap.encode(), Some(&plan), 0)
-            .unwrap();
+        store.write_bytes(&snap.encode(), Some(&plan), 0).unwrap();
         assert!(newest().is_ok());
-        store
-            .write_bytes(&mut snap.encode(), Some(&plan), 1)
-            .unwrap();
+        store.write_bytes(&snap.encode(), Some(&plan), 1).unwrap();
         assert!(newest().is_err(), "write 1 is flipped");
         // The previous (clean) generation still resumes the run.
         let (found, fallbacks) = store.read_newest_valid(Snapshot::decode);

@@ -30,8 +30,8 @@ use dh_em::black::BlackModel;
 use dh_exec::RetryPolicy;
 use dh_fault::wire::{fnv1a, fnv1a_f64, fnv1a_u64, put_u64, take_u64, FNV_OFFSET};
 use dh_fault::{
-    drive, Checkpoint, CheckpointStore, DegradedReport, FaultPlan, Run, SensorFaultKind,
-    SensorIncident, ShardFailure, Written,
+    drive, Checkpoint, CheckpointFile, CheckpointStore, DegradedReport, FaultPlan, Run,
+    SensorFaultKind, SensorIncident, ShardFailure, Written,
 };
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
@@ -851,6 +851,23 @@ impl FleetRun {
         self.is_done()
     }
 
+    /// [`FleetRun::step_supervised`], then, given the temp file of a
+    /// checkpoint write, the run's DHFL snapshot into it: the step every
+    /// surface hands [`dh_fault::drive`].
+    pub fn step_into(
+        &mut self,
+        max_shards: u64,
+        plan: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+        file: Option<&CheckpointFile>,
+    ) -> bool {
+        let done = self.step_supervised(max_shards, plan, retry);
+        if let Some(file) = file {
+            file.write_checkpoint(self);
+        }
+        done
+    }
+
     /// Captures the current cursor + aggregate + degraded state for a
     /// checkpoint.
     pub fn snapshot(&self) -> Snapshot {
@@ -1083,7 +1100,8 @@ pub fn run_fleet_supervised(
         None => FleetRun::new(config)?,
     };
     let every = checkpoints.map_or(u64::MAX, |(_, every)| every);
-    let step = |run: &mut FleetRun| run.step_supervised(every, plan, retry);
+    let step =
+        |run: &mut FleetRun, file: Option<&CheckpointFile>| run.step_into(every, plan, retry, file);
     let store = checkpoints.map(|(store, _)| store);
     drive(&mut run, step, store, plan, || false, |_| {})?;
     Ok((run.report()?, run.degraded))
@@ -1110,6 +1128,8 @@ impl Run for FleetRun {
 
 #[cfg(test)]
 mod tests {
+    use dh_fault::TempDir;
+
     use super::*;
 
     fn tiny(policy: FleetPolicy) -> FleetConfig {
@@ -1419,5 +1439,48 @@ mod tests {
             run.report(),
             Err(FleetError::NotFinished { done: 0, .. })
         ));
+    }
+
+    #[test]
+    fn landed_generations_are_the_encoded_snapshots_with_the_plans_damage() {
+        let config = tiny(FleetPolicy::RoundRobin);
+        let retry = RetryPolicy::immediate(3);
+        let keep = 16;
+        for spec in [
+            "",
+            "ckpt-flip=2",
+            "ckpt-truncate=3",
+            "disk-torn=2",
+            "disk-full=0.4",
+            "disk-fsync=0.4",
+            "disk-slow=3",
+            "panic=0.2,ckpt-flip=2,disk-torn=3",
+        ] {
+            let dir = TempDir::new("fleet-ckpt-landed");
+            let store = CheckpointStore::new(dir.join("f.dhfl"), keep);
+            let plan = (!spec.is_empty()).then(|| FaultPlan::parse(spec, 7).unwrap());
+            let mut run = FleetRun::new(config.clone()).unwrap();
+            let mut encoded = Vec::new();
+            let step = |run: &mut FleetRun, file: Option<&CheckpointFile>| {
+                run.step_into(1, plan.as_ref(), &retry, file)
+            };
+            let on_step = |run: &FleetRun| encoded.push(run.snapshot().encode());
+            let finished = drive(
+                &mut run,
+                step,
+                Some(&store),
+                plan.as_ref(),
+                || false,
+                on_step,
+            );
+            assert!(finished.unwrap(), "{spec}");
+            let landed: Vec<Vec<u8>> = (0..keep)
+                .map_while(|g| std::fs::read(store.generation_path(g)).ok())
+                .collect();
+            let expected = dh_fault::expected_generations(plan.as_ref(), encoded, keep);
+            assert!(!landed.is_empty() && landed == expected, "{spec}");
+            let files = std::fs::read_dir(&*dir).unwrap().count();
+            assert_eq!(files, landed.len(), "{spec}: a temp file was left behind");
+        }
     }
 }

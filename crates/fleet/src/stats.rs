@@ -193,26 +193,19 @@ impl P2Quantile {
         }
         self.count += 1;
 
-        // Locate the cell, extending the extreme markers if needed.
-        let k = if x < self.heights[0] {
+        // Extend the extreme markers if needed, then move every marker
+        // above x's cell up one rank: interior marker i exactly when
+        // !(heights[i] <= x) (so a NaN takes the lowest cell), and the
+        // top marker always. Three compares and adds, no search branches.
+        if x < self.heights[0] {
             self.heights[0] = x;
-            0
         } else if x >= self.heights[4] {
             self.heights[4] = x;
-            3
-        } else {
-            // Largest k in 0..=3 with heights[k] <= x.
-            let mut k = 0;
-            for i in 1..4 {
-                if self.heights[i] <= x {
-                    k = i;
-                }
-            }
-            k
-        };
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
         }
+        for i in 1..4 {
+            self.positions[i] += f64::from(u8::from(!(self.heights[i] <= x)));
+        }
+        self.positions[4] += 1.0;
         for (d, r) in self.desired.iter_mut().zip(self.rates) {
             *d += r;
         }
@@ -476,7 +469,107 @@ impl SummaryStats {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// [`P2Quantile::push`] in its cell-search form, the reference the
+    /// branchless update is checked against: extremes first, then the
+    /// largest `k` with `heights[k] <= x`, and every marker above it moves.
+    fn push_by_cell_search(p: &mut P2Quantile, x: f64) {
+        if p.count < 5 {
+            p.heights[p.count as usize] = x;
+            p.count += 1;
+            if p.count == 5 {
+                p.heights.sort_by(f64::total_cmp);
+            }
+            return;
+        }
+        p.count += 1;
+        let k = if x < p.heights[0] {
+            p.heights[0] = x;
+            0
+        } else if x >= p.heights[4] {
+            p.heights[4] = x;
+            3
+        } else {
+            let mut k = 0;
+            for i in 1..4 {
+                if p.heights[i] <= x {
+                    k = i;
+                }
+            }
+            k
+        };
+        for n in &mut p.positions[k + 1..] {
+            *n += 1.0;
+        }
+        for (d, r) in p.desired.iter_mut().zip(p.rates) {
+            *d += r;
+        }
+        for i in 1..4 {
+            let d = p.desired[i] - p.positions[i];
+            let room_up = p.positions[i + 1] - p.positions[i] > 1.0;
+            let room_down = p.positions[i - 1] - p.positions[i] < -1.0;
+            if (d >= 1.0 && room_up) || (d <= -1.0 && room_down) {
+                let d = d.signum();
+                let parabolic = p.parabolic(i, d);
+                let h = if p.heights[i - 1] < parabolic && parabolic < p.heights[i + 1] {
+                    parabolic
+                } else {
+                    p.linear(i, d)
+                };
+                p.heights[i] = h;
+                p.positions[i] += d;
+            }
+        }
+    }
+
+    /// Every marker's bits: heights, positions, desired positions.
+    fn marker_bits(p: &P2Quantile) -> Vec<u64> {
+        [p.heights, p.positions, p.desired]
+            .iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branchless cell update moves the markers the cell search
+        /// moved, bit for bit, over streams with ties, repeats, new
+        /// extremes and NaN.
+        #[test]
+        fn branchless_push_matches_the_cell_search(
+            q in 0.001f64..0.999,
+            draws in collection::vec((0u8..10, -50.0f64..50.0), 0..300),
+        ) {
+            let (mut fast, mut slow) = (P2Quantile::new(q), P2Quantile::new(q));
+            let (mut lo, mut hi, mut last) = (0.0f64, 0.0f64, 0.0f64);
+            for (i, &(kind, v)) in draws.iter().enumerate() {
+                let x = match kind {
+                    0 => last,
+                    1 => lo - v.abs() - 1.0,
+                    2 => hi + v.abs() + 1.0,
+                    3 => f64::NAN,
+                    4 => lo,
+                    5 => hi,
+                    6 => v.round(),
+                    _ => v,
+                };
+                if x.is_finite() {
+                    (lo, hi, last) = (lo.min(x), hi.max(x), x);
+                }
+                fast.push(x);
+                push_by_cell_search(&mut slow, x);
+                prop_assert!(
+                    marker_bits(&fast) == marker_bits(&slow),
+                    "push {i} of {x}: {fast:?} against {slow:?}"
+                );
+            }
+        }
+    }
 
     /// Exact whole-population quantile by nearest-rank interpolation.
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {

@@ -124,6 +124,39 @@ pub(crate) fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }
 
+/// A group's per-hour rates at unit variation, which the epoch kernels
+/// scale by each element's variation multiplier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Rates {
+    /// Trap capture under stress, at the group's gate overdrive.
+    pub stress: f64,
+    /// Passive recovery, at 0 V.
+    pub recovery: f64,
+    /// Active recovery, under the maintenance reverse bias.
+    pub active: f64,
+}
+
+impl Rates {
+    /// The rates at the group's operating point.
+    pub(crate) fn of(ctx: GroupCtx) -> Self {
+        Self {
+            stress: stress_rate_per_hour(ctx.vdd_v, ctx.temperature_k),
+            recovery: recovery_rate_per_hour(0.0, ctx.temperature_k),
+            active: recovery_rate_per_hour(ctx.maintenance_bias_v, ctx.temperature_k),
+        }
+    }
+
+    /// The recovery rate an epoch runs at: active or passive.
+    #[inline(always)]
+    pub(crate) fn recovery_at(self, ctx: EpochCtx) -> f64 {
+        if ctx.active_recovery {
+            self.active
+        } else {
+            self.recovery
+        }
+    }
+}
+
 /// The per-group constants a store is built from: the pack's block
 /// group flattened to raw scalars, plus the scenario seed and the
 /// group's position (both feed the deterministic variation hash).
@@ -143,13 +176,27 @@ pub struct GroupCtx {
     pub maintenance_bias_v: f64,
 }
 
-/// A deterministic per-element unit draw in `[0, 1)`: hash of
-/// `(seed, label, index)` through FNV-1a, top 53 bits as the mantissa.
-/// This is how packs spread process variation, duty jitter, and corner
-/// assignment across a population without an RNG stream.
-fn unit_hash(seed: u64, label: &str, index: u64) -> f64 {
-    let h = fnv1a_u64(fnv1a(fnv1a_u64(FNV_OFFSET, seed), label.as_bytes()), index);
-    (h >> 11) as f64 * 2f64.powi(-53)
+/// The label of the process-variation draw.
+pub(crate) const VARIATION: &str = "variation";
+
+/// A per-element hash stream: FNV-1a over `(seed, label)`, hashed once,
+/// so each draw folds only its element index. Draw `index` takes the top
+/// 53 bits of `fnv1a(fnv1a(fnv1a(OFFSET, seed), label), index)` as the
+/// mantissa of a unit in `[0, 1)`. This is how packs spread process
+/// variation, duty jitter, and corner assignment across a population
+/// without an RNG stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DrawStream(u64);
+
+impl DrawStream {
+    fn new(seed: u64, label: &str) -> Self {
+        Self(fnv1a(fnv1a_u64(FNV_OFFSET, seed), label.as_bytes()))
+    }
+
+    /// The unit draw of element `index`, in `[0, 1)`.
+    pub(crate) fn unit(self, index: u64) -> f64 {
+        (fnv1a_u64(self.0, index) >> 11) as f64 * 2f64.powi(-53)
+    }
 }
 
 impl GroupCtx {
@@ -157,13 +204,24 @@ impl GroupCtx {
     /// `index`: uniform in `1 ± variability`, drawn from the
     /// `(seed, group)` hash stream.
     pub fn variation(&self, index: u64) -> f64 {
-        1.0 + self.variability * (2.0 * self.draw("variation", index) - 1.0)
+        self.spread(self.stream(VARIATION).unit(index))
     }
 
-    /// A per-element unit draw in `[0, 1)` for model-specific columns
-    /// (duty jitter, corner assignment), decorrelated by `label`.
+    /// The process-variation multiplier of a [`VARIATION`] unit draw.
+    pub(crate) fn spread(&self, unit: f64) -> f64 {
+        1.0 + self.variability * (2.0 * unit - 1.0)
+    }
+
+    /// The group's hash stream for `label`, for a caller that draws many
+    /// elements (duty jitter, corner assignment, variation), each label
+    /// decorrelating its draws.
+    pub(crate) fn stream(&self, label: &str) -> DrawStream {
+        DrawStream::new(fnv1a_u64(self.seed, self.group_index), label)
+    }
+
+    /// Element `index`'s unit draw in `[0, 1)` from the `label` stream.
     pub(crate) fn draw(&self, label: &str, index: u64) -> f64 {
-        unit_hash(fnv1a_u64(self.seed, self.group_index), label, index)
+        self.stream(label).unit(index)
     }
 
     /// The group's operating point as a [`dh_bti::StressCondition`] —
@@ -225,13 +283,36 @@ pub(crate) fn note_failure(failed: &mut u64, metric_mv: f64, ctx: EpochCtx) {
 
 #[cfg(test)]
 mod tests {
+    /// The per-draw hash the hoisted [`super::DrawStream`] must equal:
+    /// `(seed, label, index)` through FNV-1a in one pass.
+    fn unit_hash(seed: u64, label: &str, index: u64) -> f64 {
+        use dh_fault::wire::{fnv1a, fnv1a_u64, FNV_OFFSET};
+        let h = fnv1a_u64(fnv1a(fnv1a_u64(FNV_OFFSET, seed), label.as_bytes()), index);
+        (h >> 11) as f64 * 2f64.powi(-53)
+    }
+
     #[test]
     fn unit_hash_is_deterministic_and_in_range() {
-        use super::unit_hash;
-        for i in 0..1_000 {
-            let u = unit_hash(42, "rate", i);
-            assert!((0.0..1.0).contains(&u), "u = {u}");
-            assert_eq!(u.to_bits(), unit_hash(42, "rate", i).to_bits());
+        let ctx = |seed, group_index| super::GroupCtx {
+            seed,
+            group_index,
+            vdd_v: 0.9,
+            temperature_k: 358.15,
+            variability: 0.1,
+            maintenance_bias_v: 0.3,
+        };
+        for (seed, group) in [(42, 0), (42, 3), (7, 1)] {
+            let g = ctx(seed, group);
+            let group_seed = dh_fault::wire::fnv1a_u64(seed, group);
+            for label in ["variation", "duty", "corner", "zero-duty"] {
+                let stream = g.stream(label);
+                for i in (0..1_000).chain([u64::MAX - 1, u64::MAX]) {
+                    let u = stream.unit(i);
+                    assert!((0.0..1.0).contains(&u), "u = {u}");
+                    assert_eq!(u.to_bits(), unit_hash(group_seed, label, i).to_bits());
+                    assert_eq!(u.to_bits(), g.draw(label, i).to_bits());
+                }
+            }
         }
         // Different labels and seeds decorrelate.
         assert_ne!(unit_hash(42, "rate", 7), unit_hash(42, "duty", 7));

@@ -18,7 +18,7 @@ use dh_units::Seconds;
 
 use super::{
     clamp01, note_failure, recovery_rate_per_hour, recovery_step, stress_rate_per_hour,
-    stress_step, EpochCtx, GroupCtx, DELAY_PER_MV,
+    stress_step, EpochCtx, GroupCtx, Rates, DELAY_PER_MV,
 };
 use crate::pack::Corner;
 
@@ -26,11 +26,16 @@ use crate::pack::Corner;
 /// instance's utilization is `activity · (1 ± DUTY_JITTER/2)`.
 const DUTY_JITTER: f64 = 0.3;
 
-/// The corner index instance `rank` lands in: a weighted draw from the
-/// group's deterministic hash stream.
-pub(crate) fn corner_of(ctx: GroupCtx, corners: &[Corner], rank: u64) -> usize {
+/// The label of the corner draw.
+pub(crate) const CORNER: &str = "corner";
+/// The label of the duty-jitter draw.
+pub(crate) const DUTY: &str = "duty";
+
+/// The corner index an instance lands in: a weighted draw, `unit` being
+/// its [`CORNER`] draw from the group's deterministic hash stream.
+pub(crate) fn corner_of(corners: &[Corner], unit: f64) -> usize {
     let total: f64 = corners.iter().map(|c| c.weight).sum();
-    let mut target = ctx.draw("corner", rank) * total;
+    let mut target = unit * total;
     for (i, c) in corners.iter().enumerate() {
         target -= c.weight;
         if target < 0.0 {
@@ -40,11 +45,11 @@ pub(crate) fn corner_of(ctx: GroupCtx, corners: &[Corner], rank: u64) -> usize {
     corners.len() - 1
 }
 
-/// The per-instance utilization scale of `rank` (applied to the epoch
-/// activity).
+/// An instance's utilization scale (applied to the epoch activity) from
+/// its [`DUTY`] draw.
 #[inline(always)]
-pub(crate) fn duty_scale(ctx: GroupCtx, rank: u64) -> f64 {
-    1.0 + DUTY_JITTER * (ctx.draw("duty", rank) - 0.5)
+pub(crate) fn duty_scale(unit: f64) -> f64 {
+    1.0 + DUTY_JITTER * (unit - 0.5)
 }
 
 /// The effective stressed duty of an instance in one epoch.
@@ -89,9 +94,9 @@ impl AgedMultiplier {
     /// The instance the store would build at `(ctx, rank)` — the
     /// reference path for the columnar proptests.
     pub fn from_group(ctx: GroupCtx, base_delay_ps: f64, corners: &[Corner], rank: u64) -> Self {
-        let corner = &corners[corner_of(ctx, corners, rank)];
+        let corner = &corners[corner_of(corners, ctx.draw(CORNER, rank))];
         Self::new(
-            duty_scale(ctx, rank),
+            duty_scale(ctx.draw(DUTY, rank)),
             ctx.variation(rank) * corner.rate_scale,
             base_delay_ps * corner.delay_scale,
         )
@@ -142,23 +147,23 @@ impl WearModel for AgedMultiplier {
 
 dh_simd::dispatch! {
     /// One epoch over a shard of multiplier instances — the columnar
-    /// twin of [`AgedMultiplier::run_epoch`].
-    #[allow(clippy::too_many_arguments)]
+    /// twin of [`AgedMultiplier::run_epoch`]. Each rate is the group's,
+    /// times the instance's variation (its corner's rate scale included).
     pub(crate) fn multiplier_epoch_kernel(
         duty_scale: &[f64],
-        rate_s: &[f64],
-        rate_r: &[f64],
-        rate_ra: &[f64],
+        variation: &[f64],
+        rates: Rates,
         r: &mut [f64],
         p: &mut [f64],
         failed: &mut [u64],
         ctx: EpochCtx,
     ) {
-        let rates_r = if ctx.active_recovery { rate_ra } else { rate_r };
+        let recovery = rates.recovery_at(ctx);
         for i in 0..r.len() {
             let duty = effective_duty(duty_scale[i], ctx);
-            let (nr, np) = stress_step(r[i], p[i], rate_s[i], ctx.epoch_hours * duty);
-            let nr = recovery_step(nr, rates_r[i], ctx.epoch_hours * (1.0 - duty));
+            let (rate_s, rate_r) = (rates.stress * variation[i], recovery * variation[i]);
+            let (nr, np) = stress_step(r[i], p[i], rate_s, ctx.epoch_hours * duty);
+            let nr = recovery_step(nr, rate_r, ctx.epoch_hours * (1.0 - duty));
             r[i] = nr;
             p[i] = np;
             note_failure(&mut failed[i], nr + np, ctx);
@@ -212,7 +217,7 @@ mod tests {
         let cs = corners();
         let mut counts = [0usize; 3];
         for rank in 0..10_000 {
-            counts[corner_of(g, &cs, rank)] += 1;
+            counts[corner_of(&cs, g.draw(CORNER, rank))] += 1;
         }
         assert!(
             (counts[0] as f64 / 10_000.0 - 0.2).abs() < 0.02,

@@ -18,7 +18,7 @@ use dh_units::Seconds;
 
 use super::{
     clamp01, note_failure, recovery_rate_per_hour, recovery_step, stress_rate_per_hour,
-    stress_step, EpochCtx, GroupCtx,
+    stress_step, EpochCtx, GroupCtx, Rates,
 };
 /// Duty cycles are clamped to this band so even the hottest row keeps a
 /// trickle of stress and the coldest keeps a recovery window.
@@ -124,23 +124,23 @@ impl WearModel for SramDecoder {
 dh_simd::dispatch! {
     /// One epoch over a shard of decoder rows — the columnar twin of
     /// [`SramDecoder::run_epoch`], compiled scalar, AVX2 and AVX-512
-    /// from the same source.
-    #[allow(clippy::too_many_arguments)]
+    /// from the same source. Each rate is the group's, times the row's
+    /// variation.
     pub(crate) fn sram_epoch_kernel(
         base_duty: &[f64],
-        rate_s: &[f64],
-        rate_r: &[f64],
-        rate_ra: &[f64],
+        variation: &[f64],
+        rates: Rates,
         r: &mut [f64],
         p: &mut [f64],
         failed: &mut [u64],
         ctx: EpochCtx,
     ) {
-        let rates_r = if ctx.active_recovery { rate_ra } else { rate_r };
+        let recovery = rates.recovery_at(ctx);
         for i in 0..r.len() {
             let duty = effective_duty(base_duty[i], ctx);
-            let (nr, np) = stress_step(r[i], p[i], rate_s[i], ctx.epoch_hours * duty);
-            let nr = recovery_step(nr, rates_r[i], ctx.epoch_hours * (1.0 - duty));
+            let (rate_s, rate_r) = (rates.stress * variation[i], recovery * variation[i]);
+            let (nr, np) = stress_step(r[i], p[i], rate_s, ctx.epoch_hours * duty);
+            let nr = recovery_step(nr, rate_r, ctx.epoch_hours * (1.0 - duty));
             r[i] = nr;
             p[i] = np;
             note_failure(&mut failed[i], nr + np, ctx);

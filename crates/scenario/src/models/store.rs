@@ -4,15 +4,16 @@
 //! a recoverable part `r` and a permanent part `p` of |ΔVth|, driven up by
 //! stress and drained (passively or under reverse bias) by recovery. So
 //! one struct-of-arrays shard holds every model: a per-element duty
-//! parameter, the three rate columns, `(r, p)` per stressed device, and
-//! the first-failure epoch. What a model still owns is its per-element
-//! draw (in [`VictimStore::build`]) and its duty rule (its dispatched
-//! epoch kernel).
+//! parameter, a per-element variation multiplier that scales the group's
+//! three rates, `(r, p)` per stressed device, and the first-failure
+//! epoch. What a model still owns is its per-element draw (in
+//! [`VictimStore::build`]) and its duty rule (its dispatched epoch
+//! kernel).
 
-use super::multiplier::{corner_of, duty_scale, multiplier_epoch_kernel};
+use super::multiplier::{corner_of, duty_scale, multiplier_epoch_kernel, CORNER, DUTY};
 use super::sram::{sram_epoch_kernel, zipf_duty};
-use super::weight::{bank_zero_duty, weight_epoch_kernel};
-use super::{recovery_rate_per_hour, stress_rate_per_hour, EpochCtx, GroupCtx};
+use super::weight::{bank_zero_duty, weight_epoch_kernel, ZERO_DUTY};
+use super::{EpochCtx, GroupCtx, Rates, VARIATION};
 use crate::pack::BlockModel;
 
 /// The dispatched epoch kernel, the model's duty rule, that steps a store.
@@ -35,9 +36,11 @@ pub struct VictimStore {
     /// Per-element duty parameter: a decoder row's base duty, a weight
     /// bank's zero fraction, or a multiplier's utilization scale.
     duty: Vec<f64>,
-    rate_s: Vec<f64>,
-    rate_r: Vec<f64>,
-    rate_ra: Vec<f64>,
+    /// Per-element rate multiplier: the process variation, times a
+    /// multiplier's corner rate scale. An element's stress and recovery
+    /// rates are the group's [`Rates`] times this, one product each.
+    variation: Vec<f64>,
+    rates: Rates,
     /// `r, p` per stressed device: `[r, p]` for a decoder row or a
     /// multiplier, `[r_a, p_a, r_b, p_b]` for a weight bank. Checkpoints
     /// and the report fingerprint take the columns in this order.
@@ -48,9 +51,12 @@ pub struct VictimStore {
 impl VictimStore {
     /// Builds the shard covering elements `lo .. lo + len` of a block
     /// group of `model`; `trace` is the pack's workload trace, which sets
-    /// a weight bank's zero fraction.
+    /// a weight bank's zero fraction. Each draw's hash stream is hashed
+    /// once for the shard.
     pub fn build(model: &BlockModel, ctx: GroupCtx, trace: &[f64], lo: u64, len: usize) -> Self {
         let ranks = lo..lo + len as u64;
+        let variation = ctx.stream(VARIATION);
+        let vary = |rank| ctx.spread(variation.unit(rank));
         // Each element's (duty parameter, rate multiplier), and the
         // model's stressed devices per element.
         let (kernel, devices, (duty, variation)): (_, usize, (Vec<f64>, Vec<f64>)) = match model {
@@ -58,41 +64,37 @@ impl VictimStore {
                 Kernel::Sram,
                 1,
                 ranks
-                    .map(|rank| (zipf_duty(rank, *skew), ctx.variation(rank)))
+                    .map(|rank| (zipf_duty(rank, *skew), vary(rank)))
                     .unzip(),
             ),
-            BlockModel::WeightMemory => (
-                Kernel::Weight,
-                2,
-                ranks
-                    .map(|rank| (bank_zero_duty(ctx, trace, rank), ctx.variation(rank)))
-                    .unzip(),
-            ),
-            BlockModel::AgedMultiplier { corners, .. } => (
-                Kernel::Multiplier,
-                1,
-                ranks
-                    .map(|rank| {
-                        let corner = &corners[corner_of(ctx, corners, rank)];
-                        (
-                            duty_scale(ctx, rank),
-                            ctx.variation(rank) * corner.rate_scale,
-                        )
-                    })
-                    .unzip(),
-            ),
+            BlockModel::WeightMemory => {
+                let zero = ctx.stream(ZERO_DUTY);
+                let zero_duty = |rank| bank_zero_duty(ctx, trace, rank, zero.unit(rank));
+                (
+                    Kernel::Weight,
+                    2,
+                    ranks.map(|rank| (zero_duty(rank), vary(rank))).unzip(),
+                )
+            }
+            BlockModel::AgedMultiplier { corners, .. } => {
+                let (corner, scale) = (ctx.stream(CORNER), ctx.stream(DUTY));
+                (
+                    Kernel::Multiplier,
+                    1,
+                    ranks
+                        .map(|rank| {
+                            let corner = &corners[corner_of(corners, corner.unit(rank))];
+                            (duty_scale(scale.unit(rank)), vary(rank) * corner.rate_scale)
+                        })
+                        .unzip(),
+                )
+            }
         };
-        let rates =
-            |per_hour: f64| -> Vec<f64> { variation.iter().map(|v| per_hour * v).collect() };
         Self {
             kernel,
             duty,
-            rate_s: rates(stress_rate_per_hour(ctx.vdd_v, ctx.temperature_k)),
-            rate_r: rates(recovery_rate_per_hour(0.0, ctx.temperature_k)),
-            rate_ra: rates(recovery_rate_per_hour(
-                ctx.maintenance_bias_v,
-                ctx.temperature_k,
-            )),
+            variation,
+            rates: Rates::of(ctx),
             state: vec![vec![0.0; len]; 2 * devices],
             failed: vec![0; len],
         }
@@ -110,18 +112,15 @@ impl VictimStore {
 
     /// Advances every element by one epoch.
     pub fn step_epoch(&mut self, ctx: EpochCtx) {
-        let (duty, rate_s, rate_r, rate_ra) =
-            (&self.duty, &self.rate_s, &self.rate_r, &self.rate_ra);
+        let (duty, variation, rates) = (&self.duty, &self.variation, self.rates);
         let failed = &mut self.failed;
         match (self.kernel, &mut self.state[..]) {
-            (Kernel::Sram, [r, p]) => {
-                sram_epoch_kernel(duty, rate_s, rate_r, rate_ra, r, p, failed, ctx)
+            (Kernel::Sram, [r, p]) => sram_epoch_kernel(duty, variation, rates, r, p, failed, ctx),
+            (Kernel::Weight, [r_a, p_a, r_b, p_b]) => {
+                weight_epoch_kernel(duty, variation, rates, r_a, p_a, r_b, p_b, failed, ctx)
             }
-            (Kernel::Weight, [r_a, p_a, r_b, p_b]) => weight_epoch_kernel(
-                duty, rate_s, rate_r, rate_ra, r_a, p_a, r_b, p_b, failed, ctx,
-            ),
             (Kernel::Multiplier, [r, p]) => {
-                multiplier_epoch_kernel(duty, rate_s, rate_r, rate_ra, r, p, failed, ctx)
+                multiplier_epoch_kernel(duty, variation, rates, r, p, failed, ctx)
             }
             _ => unreachable!("build gives each kernel its state columns"),
         }
@@ -181,10 +180,10 @@ impl VictimStore {
         self.failed.copy_from_slice(failed);
     }
 
-    /// Test hook for the engine: drops the last stress rate, so the
-    /// kernel's bounds check panics at the shard's last element.
+    /// Test hook for the engine: drops the last variation multiplier, so
+    /// the kernel's bounds check panics at the shard's last element.
     #[cfg(test)]
-    pub(crate) fn truncate_rates(&mut self) {
-        self.rate_s.pop();
+    pub(crate) fn truncate_variation(&mut self) {
+        self.variation.pop();
     }
 }

@@ -16,7 +16,7 @@ use dh_units::Seconds;
 
 use super::{
     clamp01, note_failure, recovery_rate_per_hour, recovery_step, stress_rate_per_hour,
-    stress_step, EpochCtx, GroupCtx,
+    stress_step, EpochCtx, GroupCtx, Rates,
 };
 
 /// The per-epoch stressed-duty pair `(side A, side B)` of a bank.
@@ -34,16 +34,20 @@ fn side_duties(zero_duty: f64, ctx: EpochCtx) -> (f64, f64) {
     }
 }
 
+/// The label of the zero-fraction jitter draw.
+pub(crate) const ZERO_DUTY: &str = "zero-duty";
+
 /// The zero-fraction of bank `rank`: the cycled workload-trace value
-/// plus a deterministic per-bank jitter of `± variability / 2`.
+/// plus a deterministic per-bank jitter of `± variability / 2`, `unit`
+/// being the bank's [`ZERO_DUTY`] draw.
 #[inline(always)]
-pub(crate) fn bank_zero_duty(ctx: GroupCtx, trace: &[f64], rank: u64) -> f64 {
+pub(crate) fn bank_zero_duty(ctx: GroupCtx, trace: &[f64], rank: u64, unit: f64) -> f64 {
     let base = if trace.is_empty() {
         0.5
     } else {
         trace[(rank % trace.len() as u64) as usize]
     };
-    clamp01(base + ctx.variability * (ctx.draw("zero-duty", rank) - 0.5))
+    clamp01(base + ctx.variability * (unit - 0.5))
 }
 
 /// Scalar reference unit: one weight-memory bank (its worst cell pair)
@@ -81,7 +85,8 @@ impl WeightMemory {
     /// The bank the store would build at `(ctx, rank)` — the reference
     /// path for the columnar proptests.
     pub fn from_group(ctx: GroupCtx, trace: &[f64], rank: u64) -> Self {
-        Self::new(bank_zero_duty(ctx, trace, rank), ctx.variation(rank))
+        let zero_duty = bank_zero_duty(ctx, trace, rank, ctx.draw(ZERO_DUTY, rank));
+        Self::new(zero_duty, ctx.variation(rank))
     }
 
     /// |ΔVth| of the zero-side device, mV.
@@ -144,13 +149,13 @@ impl WearModel for WeightMemory {
 
 dh_simd::dispatch! {
     /// One epoch over a shard of weight banks — the columnar twin of
-    /// [`WeightMemory::run_epoch`].
+    /// [`WeightMemory::run_epoch`]. Each rate is the group's, times the
+    /// bank's variation.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn weight_epoch_kernel(
         zero_duty: &[f64],
-        rate_s: &[f64],
-        rate_r: &[f64],
-        rate_ra: &[f64],
+        variation: &[f64],
+        rates: Rates,
         r_a: &mut [f64],
         p_a: &mut [f64],
         r_b: &mut [f64],
@@ -158,13 +163,14 @@ dh_simd::dispatch! {
         failed: &mut [u64],
         ctx: EpochCtx,
     ) {
-        let rates_r = if ctx.active_recovery { rate_ra } else { rate_r };
+        let recovery = rates.recovery_at(ctx);
         for i in 0..r_a.len() {
             let (duty_a, duty_b) = side_duties(zero_duty[i], ctx);
-            let (na, npa) = stress_step(r_a[i], p_a[i], rate_s[i], ctx.epoch_hours * duty_a);
-            let na = recovery_step(na, rates_r[i], ctx.epoch_hours * (1.0 - duty_a));
-            let (nb, npb) = stress_step(r_b[i], p_b[i], rate_s[i], ctx.epoch_hours * duty_b);
-            let nb = recovery_step(nb, rates_r[i], ctx.epoch_hours * (1.0 - duty_b));
+            let (rate_s, rate_r) = (rates.stress * variation[i], recovery * variation[i]);
+            let (na, npa) = stress_step(r_a[i], p_a[i], rate_s, ctx.epoch_hours * duty_a);
+            let na = recovery_step(na, rate_r, ctx.epoch_hours * (1.0 - duty_a));
+            let (nb, npb) = stress_step(r_b[i], p_b[i], rate_s, ctx.epoch_hours * duty_b);
+            let nb = recovery_step(nb, rate_r, ctx.epoch_hours * (1.0 - duty_b));
             r_a[i] = na;
             p_a[i] = npa;
             r_b[i] = nb;

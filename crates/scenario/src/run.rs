@@ -22,7 +22,9 @@
 //! rejected. Checkpoints land through the shared
 //! [`dh_fault::CheckpointStore`] ([`ScenarioCheckpointStore`]), and every
 //! surface hands a [`ScenarioRun`] and a closure over its
-//! [`ScenarioRun::step_supervised`] to [`dh_fault::drive`].
+//! [`ScenarioRun::step_into`] to [`dh_fault::drive`]. A step that writes
+//! a checkpoint writes each shard's section into the write's file from
+//! the window itself, so the state is never copied into a buffer.
 
 use std::cell::RefCell;
 use std::ops::RangeInclusive;
@@ -30,11 +32,11 @@ use std::ops::RangeInclusive;
 use dh_exec::{RetryPolicy, ShardError};
 use dh_fault::wire::{
     checksum, fnv1a, fnv1a_u64, put_f64s, put_u64, put_u64s, take_f64s, take_u64, take_u64s,
-    FNV_OFFSET,
+    Checksum, FNV_OFFSET,
 };
 use dh_fault::{
-    drive, Checkpoint, CheckpointStore, DegradedReport, FaultPlan, Run, SensorIncident,
-    ShardFailure, Written,
+    drive, Checkpoint, CheckpointFile, CheckpointStore, DegradedReport, FaultPlan, Run,
+    SensorIncident, ShardFailure, Written,
 };
 
 use crate::error::ScenarioError;
@@ -48,6 +50,8 @@ const VERSION: u64 = 3;
 /// Oldest format version this build still resumes from: the same layout,
 /// with an FNV-1a trailer in place of [`checksum`].
 const LEGACY_VERSION: u64 = 2;
+/// Bytes before the first shard section: the magic and five header words.
+const HEADER_LEN: u64 = MAGIC.len() as u64 + 8 * 5;
 
 /// One shard: a contiguous range of one block group's elements.
 #[derive(Debug, Clone)]
@@ -57,9 +61,47 @@ struct Shard {
     store: VictimStore,
 }
 
+impl Shard {
+    /// The first words of the shard's DHSP section: group, lo, len.
+    fn layout(&self) -> [u64; 3] {
+        [self.group as u64, self.lo, self.store.len() as u64]
+    }
+
+    /// The byte length of the shard's DHSP section.
+    fn section_len(&self) -> u64 {
+        let (cols, failed) = self.store.state();
+        8 * (3 + (cols.len() + 1) * failed.len()) as u64
+    }
+
+    /// Appends the shard's DHSP section: its layout, its state columns in
+    /// order, and `failed`.
+    fn encode_section(&self, buf: &mut Vec<u8>) {
+        put_u64s(buf, &self.layout());
+        let (cols, failed) = self.store.state();
+        for col in cols {
+            put_f64s(buf, col);
+        }
+        put_u64s(buf, failed);
+    }
+
+    /// Folds the bytes [`Shard::encode_section`] appends into `sum`, from
+    /// the live columns.
+    fn fold_section(&self, sum: &mut Checksum) {
+        sum.update_u64s(&self.layout());
+        let (cols, failed) = self.store.state();
+        for col in cols {
+            sum.update_f64s(col);
+        }
+        sum.update_u64s(failed);
+    }
+}
+
 thread_local! {
     /// Each worker's save buffer, reused across shards and windows.
     static SAVED: RefCell<Saved> = RefCell::default();
+    /// Each worker's buffer for a shard's DHSP section on its way to the
+    /// checkpoint file.
+    static SECTION: RefCell<Vec<u8>> = RefCell::default();
 }
 
 /// What one shard survived in a window: retried attempts (a failed fused
@@ -292,19 +334,56 @@ impl ScenarioRun {
     /// [`ScenarioRun::degraded`] instead of aborting. No shard reads
     /// another's columns and every fault is keyed on `(epoch, shard,
     /// attempt)`, so one step of `a + b` shards reaches the state and
-    /// degraded report of a step of `a` and then one of `b`.
+    /// degraded report of a step of `a` and then one of `b`. It is
+    /// [`ScenarioRun::step_into`] with no file.
     pub fn step_supervised(
         &mut self,
         max_shards: usize,
         plan: Option<&FaultPlan>,
         retry: &RetryPolicy,
     ) -> Progress {
-        let n = self.shards.len();
-        if n == 0 {
+        self.step_into(max_shards, plan, retry, None)
+    }
+
+    /// [`ScenarioRun::step_supervised`] that, given the temp file of a
+    /// checkpoint write, also leaves in it the run's `DHSP` checkpoint
+    /// after the step, the bytes [`ScenarioRun::encode_checkpoint`] would
+    /// return. Each shard's section sits at a fixed offset, so the worker
+    /// that takes a shard writes its section as soon as the shard's window
+    /// ends, while its columns are still in cache; the same parallel call
+    /// writes the sections of the shards the step does not reach (past
+    /// the step's end in the epoch, or quarantined). This thread then
+    /// writes the header, the degraded section and the checksum, folded
+    /// from the live columns, so the state is never copied into one
+    /// buffer. A failed write surfaces when the file lands.
+    pub fn step_into(
+        &mut self,
+        max_shards: usize,
+        plan: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+        file: Option<&CheckpointFile>,
+    ) -> Progress {
+        if self.shards.is_empty() {
             // No shard has an epoch to step, so the run ends at once.
             self.epoch = self.pack.epochs;
-            return self.progress();
+        } else {
+            self.step_window(max_shards, plan, retry, file);
         }
+        if let Some(file) = file {
+            self.write_frame(file);
+        }
+        self.progress()
+    }
+
+    /// The body of [`ScenarioRun::step_into`] for a run with shards.
+    fn step_window(
+        &mut self,
+        max_shards: usize,
+        plan: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+        file: Option<&CheckpointFile>,
+    ) {
+        let n = self.shards.len();
         let plan = plan.filter(|p| !p.is_noop());
         let (from_epoch, from_cursor) = (self.epoch, self.shard_cursor);
         let from = from_epoch
@@ -312,8 +391,10 @@ impl ScenarioRun {
             .saturating_add(from_cursor as u64);
         let end = self.pack.epochs.saturating_mul(n as u64);
         let to = from.saturating_add((max_shards as u64).max(1)).min(end);
-        if to <= from {
-            return self.progress();
+        // A finished run has nothing to step, but its file still needs
+        // every section.
+        if to <= from && file.is_none() {
+            return;
         }
         let (epoch, cursor) = (to / n as u64, (to % n as u64) as usize);
         // Register always-stuck wear sensors once, at the very start of the
@@ -332,13 +413,19 @@ impl ScenarioRun {
         }
         // Shard `s` has integrated `from_epoch + (s < from_cursor)` epochs
         // and ends the step at `epoch + (s < cursor)`. Only a step that
-        // wraps into a later epoch reaches the shards before `from_cursor`.
-        let lo = if epoch == from_epoch || (epoch == from_epoch + 1 && cursor == 0) {
-            from_cursor
+        // wraps into a later epoch reaches the shards before `from_cursor`,
+        // and only a step that writes a file takes the shards it does not
+        // reach.
+        let (lo, hi) = if file.is_some() {
+            (0, n)
+        } else if epoch == from_epoch {
+            (from_cursor, cursor)
+        } else if epoch == from_epoch + 1 && cursor == 0 {
+            (from_cursor, n)
         } else {
-            0
+            (0, n)
         };
-        let hi = if epoch == from_epoch { cursor } else { n };
+        let offsets = file.map(|_| self.section_offsets());
         let window = Window {
             pack: &self.pack,
             shards: n,
@@ -349,14 +436,25 @@ impl ScenarioRun {
         };
         let quarantined = &self.degraded.quarantined;
         let logs = dh_exec::par_chunks_mut(&mut self.shards[lo..hi], 1, |i, chunk| {
-            let s = lo + i;
+            let (s, shard) = (lo + i, &mut chunk[0]);
             let epochs =
                 from_epoch + 1 + u64::from(s < from_cursor)..=epoch + u64::from(s < cursor);
             // A quarantined shard stays frozen: no work, no faults.
-            if epochs.is_empty() || quarantined.iter().any(|q| q.shard == s as u64) {
-                return ShardLog::default();
+            let log = if epochs.is_empty() || quarantined.iter().any(|q| q.shard == s as u64) {
+                ShardLog::default()
+            } else {
+                SAVED.with_borrow_mut(|saved| window.step_shard(&mut shard.store, s, epochs, saved))
+            };
+            // A shard that panicked or was rejected has its state restored
+            // by now, so its section holds its last good state.
+            if let (Some(file), Some(offsets)) = (file, &offsets) {
+                SECTION.with_borrow_mut(|buf| {
+                    buf.clear();
+                    shard.encode_section(buf);
+                    file.write_at(buf, offsets[s]);
+                });
             }
-            SAVED.with_borrow_mut(|saved| window.step_shard(&mut chunk[0].store, s, epochs, saved))
+            log
         });
         let mut failures = Vec::new();
         for log in logs {
@@ -382,7 +480,6 @@ impl ScenarioRun {
         }
         self.epoch = epoch;
         self.shard_cursor = cursor;
-        self.progress()
     }
 
     /// Aggregates the current state into per-group reports plus the
@@ -451,6 +548,51 @@ impl ScenarioRun {
         let mut buf = Vec::new();
         self.encode_into(&mut buf);
         buf
+    }
+
+    /// Appends the `DHSP` header: magic, version, pack fingerprint,
+    /// position and shard count.
+    fn encode_header(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(MAGIC);
+        let shards = self.shards.len() as u64;
+        let cursor = self.shard_cursor as u64;
+        put_u64s(buf, &[VERSION, self.pack_fp, self.epoch, cursor, shards]);
+    }
+
+    /// The byte offset of every shard's section, then that of the
+    /// degraded section after them.
+    fn section_offsets(&self) -> Vec<u64> {
+        let mut offsets = Vec::with_capacity(self.shards.len() + 1);
+        let mut at = HEADER_LEN;
+        for shard in &self.shards {
+            offsets.push(at);
+            at += shard.section_len();
+        }
+        offsets.push(at);
+        offsets
+    }
+
+    /// Writes what a step's window leaves out of the checkpoint file: the
+    /// header, the degraded section and the checksum of the whole file,
+    /// folded from the live columns.
+    fn write_frame(&self, file: &CheckpointFile) {
+        let mut head = Vec::with_capacity(HEADER_LEN as usize);
+        self.encode_header(&mut head);
+        let mut tail = Vec::new();
+        self.degraded.encode(&mut tail);
+        let mut sum = Checksum::new();
+        sum.update(&head);
+        for shard in &self.shards {
+            shard.fold_section(&mut sum);
+        }
+        sum.update(&tail);
+        put_u64(&mut tail, sum.finish());
+        file.write_at(&head, 0);
+        let end = self
+            .section_offsets()
+            .pop()
+            .expect("one offset past the shards");
+        file.write_at(&tail, end);
     }
 
     /// Rebuilds a run from a pack and checkpoint bytes, verifying the
@@ -615,45 +757,34 @@ pub fn run_pack_supervised(
     let shards = usize::try_from(every)
         .unwrap_or(usize::MAX)
         .saturating_mul(dh_exec::max_threads());
-    let step = |run: &mut ScenarioRun| run.step_supervised(shards, plan, retry).done;
-    drive(&mut run, step, Some(store), plan, || false, |_| {})?;
-    Ok((run.report(), run.degraded))
+    let step = |run: &mut ScenarioRun, file: Option<&CheckpointFile>| {
+        run.step_into(shards, plan, retry, file).done
+    };
+    // The report reads only state, which the writes' disk incidents never
+    // touch, so it is taken while the last generation lands.
+    let mut report = None;
+    let take_report = |run: &ScenarioRun| {
+        if run.progress().done {
+            report = Some(run.report());
+        }
+    };
+    drive(&mut run, step, Some(store), plan, || false, take_report)?;
+    let report = report.unwrap_or_else(|| run.report());
+    Ok((report, run.degraded))
 }
 
 impl Checkpoint for ScenarioRun {
     /// [`ScenarioRun::encode_checkpoint`] into a caller-owned buffer
-    /// (cleared first), so a run's checkpoint cadence reuses one
-    /// allocation. The buffer grows once, to the exact file size.
+    /// (cleared first). The buffer grows once, to the exact file size.
     fn encode_into(&self, buf: &mut Vec<u8>) {
         let mut degraded = Vec::new();
         self.degraded.encode(&mut degraded);
-        // Magic, five header words, three words per shard plus its
-        // columns, the degraded section, the checksum.
-        let state_words: usize = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (cols, failed) = shard.store.state();
-                3 + cols.iter().map(|col| col.len()).sum::<usize>() + failed.len()
-            })
-            .sum();
+        let sections: u64 = self.shards.iter().map(Shard::section_len).sum();
         buf.clear();
-        buf.reserve_exact(MAGIC.len() + 8 * (5 + state_words) + degraded.len() + 8);
-        buf.extend_from_slice(MAGIC);
-        put_u64(buf, VERSION);
-        put_u64(buf, self.pack_fp);
-        put_u64(buf, self.epoch);
-        put_u64(buf, self.shard_cursor as u64);
-        put_u64(buf, self.shards.len() as u64);
+        buf.reserve_exact((HEADER_LEN + sections) as usize + degraded.len() + 8);
+        self.encode_header(buf);
         for shard in &self.shards {
-            put_u64(buf, shard.group as u64);
-            put_u64(buf, shard.lo);
-            put_u64(buf, shard.store.len() as u64);
-            let (cols, failed) = shard.store.state();
-            for col in cols {
-                put_f64s(buf, col);
-            }
-            put_u64s(buf, failed);
+            shard.encode_section(buf);
         }
         buf.extend_from_slice(&degraded);
         let sum = checksum(buf);
@@ -1022,7 +1153,7 @@ mod tests {
     #[test]
     fn a_real_kernel_panic_quarantines_its_shard_and_the_run_completes() {
         for broken in ONE_SHARD_PER_MODEL {
-            let degraded = sabotaged_run(broken, VictimStore::truncate_rates);
+            let degraded = sabotaged_run(broken, VictimStore::truncate_variation);
             assert_eq!(degraded.quarantined.len(), 1, "{degraded:?}");
             let failure = &degraded.quarantined[0];
             assert_eq!((failure.shard, failure.attempts), (broken as u64, 2));
@@ -1171,7 +1302,7 @@ mod tests {
         let retry = RetryPolicy::immediate(1);
         let (report, _) = run_pack_supervised(pack.clone(), None, &retry, None).unwrap();
         assert_eq!(run_pack(pack.clone()).unwrap(), report);
-        BROKEN_SHARD.set(Some((3, VictimStore::truncate_rates)));
+        BROKEN_SHARD.set(Some((3, VictimStore::truncate_variation)));
         let outcome = run_pack(pack);
         BROKEN_SHARD.set(None);
         let Err(ScenarioError::Degraded(degraded)) = outcome else {
@@ -1269,7 +1400,7 @@ mod tests {
         let p = plan("disk-full=1", 5);
         let write = |p: &FaultPlan, index| {
             store
-                .write_bytes(&mut run.encode_checkpoint(), Some(p), index)
+                .write_bytes(&run.encode_checkpoint(), Some(p), index)
                 .unwrap()
         };
         let outcome = write(&p, 0);
@@ -1298,6 +1429,118 @@ mod tests {
         let found = ScenarioRun::resume_from_store(pack, &store).unwrap();
         let fallbacks = &found.degraded.checkpoint_fallbacks;
         assert_eq!(fallbacks.len(), 1, "{fallbacks:?}");
+    }
+
+    /// Drives `run` to its end, `shards` shard-epochs a step under the
+    /// fault plan `spec` (none when empty), writing into a fresh store that
+    /// keeps every generation. Returns the generations on disk, newest
+    /// first, and those `encode_checkpoint` after every step and the
+    /// plan's damage in memory give; requires no temp file to be left.
+    fn landed_and_expected(
+        mut run: ScenarioRun,
+        shards: usize,
+        spec: &str,
+        retry: &RetryPolicy,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let dir = TempDir::new("scenario-ckpt-landed");
+        let keep = 64;
+        let store = ScenarioCheckpointStore::new(dir.join("s.dhsp"), keep);
+        let p = (!spec.is_empty()).then(|| plan(spec, 13));
+        let mut encoded = Vec::new();
+        let step = |run: &mut ScenarioRun, file: Option<&CheckpointFile>| {
+            run.step_into(shards, p.as_ref(), retry, file).done
+        };
+        let on_step = |run: &ScenarioRun| encoded.push(run.encode_checkpoint());
+        assert!(drive(&mut run, step, Some(&store), p.as_ref(), || false, on_step).unwrap());
+        let landed: Vec<Vec<u8>> = (0..keep)
+            .map_while(|g| std::fs::read(store.generation_path(g)).ok())
+            .collect();
+        let files = std::fs::read_dir(&*dir).unwrap().count();
+        assert_eq!(files, landed.len(), "{spec}: a temp file was left behind");
+        let expected = dh_fault::expected_generations(p.as_ref(), encoded, keep);
+        (landed, expected)
+    }
+
+    #[test]
+    fn landed_generations_are_the_encoded_bytes_with_the_plans_damage() {
+        let retry = RetryPolicy::immediate(4);
+        let mut empty = small_pack();
+        empty.blocks.clear();
+        // Mid-epoch windows (2 of 5 shards, 4 of 6), whole epochs, a step
+        // across two epoch ends, and a pack with no shards.
+        let runs = [
+            (small_pack(), 2),
+            (small_pack(), 5),
+            (mixed_pack(), 4),
+            (mixed_pack(), 13),
+            (empty, 1),
+        ];
+        for spec in [
+            "",
+            "ckpt-flip=2",
+            "ckpt-truncate=3",
+            "disk-torn=2",
+            "disk-full=0.4",
+            "disk-fsync=0.4",
+            "disk-slow=5",
+            "panic=0.3,poison=0.1,ckpt-flip=3,disk-torn=4",
+        ] {
+            for (pack, shards) in &runs {
+                let run = ScenarioRun::new(pack.clone());
+                let (landed, expected) = landed_and_expected(run, *shards, spec, &retry);
+                assert!(!landed.is_empty(), "{spec}, {shards} shards a step");
+                assert!(landed == expected, "{spec}, {shards} shards a step");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shard_that_fails_in_a_window_writes_its_restored_state() {
+        let retry = RetryPolicy::immediate(2);
+        let pack = mixed_pack();
+        for broken in ONE_SHARD_PER_MODEL {
+            // A real kernel panic in every attempt: the shard is
+            // quarantined in its first window, among retried panics.
+            BROKEN_SHARD.set(Some((broken, VictimStore::truncate_variation)));
+            let fresh = state_bits(&ScenarioRun::new(pack.clone()));
+            let landed = [("", 4), ("panic=0.3", 5)].map(|(spec, shards)| {
+                let run = ScenarioRun::new(pack.clone());
+                let (landed, expected) = landed_and_expected(run, shards, spec, &retry);
+                assert!(landed == expected, "shard {broken}, {spec}");
+                landed
+            });
+            BROKEN_SHARD.set(None);
+            for generations in landed {
+                let runs = generations
+                    .iter()
+                    .map(|bytes| ScenarioRun::decode_checkpoint(pack.clone(), bytes).unwrap());
+                for run in runs {
+                    assert_eq!(state_bits(&run)[broken], fresh[broken], "shard {broken}");
+                }
+                // The newest generation, at the run's end, records it.
+                let last = ScenarioRun::decode_checkpoint(pack.clone(), &generations[0]).unwrap();
+                let quarantined = &last.degraded.quarantined;
+                assert!(quarantined.iter().any(|q| q.shard == broken as u64));
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_section_write_is_the_runs_io_error_not_a_panic() {
+        // The first write's temp file is the full device: every section
+        // write into it fails with ENOSPC, on the workers and the caller.
+        let dir = TempDir::new("scenario-ckpt-write-error");
+        let store = ScenarioCheckpointStore::new(dir.join("s.dhsp"), 2);
+        std::os::unix::fs::symlink("/dev/full", store.temp_path(0)).unwrap();
+        let retry = RetryPolicy::immediate(1);
+        let outcome = run_pack_supervised(mixed_pack(), None, &retry, Some((&store, 1)));
+        let Err(ScenarioError::Io { path, why }) = outcome else {
+            panic!("{:?}", outcome.map(|(report, _)| report.fingerprint));
+        };
+        assert_eq!(path, store.temp_path(0).display().to_string(), "{why}");
+        assert!(!store.base_path().exists());
+        assert_eq!(std::fs::read_dir(&*dir).unwrap().count(), 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! Both job kinds run through [`dh_fault::drive`], the loop the library
 //! and the CLI use: the step is a closure over the engine's own
-//! `step_supervised`, and the daemon's concerns are the other callbacks,
-//! a cancel check before every step and a progress event after it. A job
+//! `step_into`, which also fills the write's temp file when the job has
+//! a store, and the daemon's concerns are the other callbacks, a cancel
+//! check before every step and a progress event after it. A job
 //! that is killed and resubmitted resumes from disk and lands on a report
 //! byte-identical to an uninterrupted run.
 
@@ -22,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dh_exec::RetryPolicy;
-use dh_fault::{drive, CheckpointStore, DegradedReport, FaultPlan, Run};
+use dh_fault::{drive, CheckpointFile, CheckpointStore, DegradedReport, FaultPlan, Run};
 use dh_fleet::{FleetConfig, FleetRun};
 use dh_scenario::{ScenarioPack, ScenarioRegistry, ScenarioRun};
 
@@ -739,7 +740,7 @@ impl Runner<'_> {
         );
         if !self.drive(
             &mut run,
-            |run, shards| run.step_supervised(shards, self.plan, self.retry),
+            |run, shards, file| run.step_into(shards, self.plan, self.retry, file),
             |run| (run.cursor(), progress_event(job, run)),
         )? {
             return Ok(None);
@@ -792,9 +793,9 @@ impl Runner<'_> {
                 run.degraded.checkpoint_fallbacks.len(),
             ),
         );
-        let step = |run: &mut ScenarioRun, shards: u64| {
+        let step = |run: &mut ScenarioRun, shards: u64, file: Option<&CheckpointFile>| {
             let shards = usize::try_from(shards).unwrap_or(usize::MAX);
-            run.step_supervised(shards, self.plan, self.retry).done
+            run.step_into(shards, self.plan, self.retry, file).done
         };
         if !self.drive(&mut run, step, |run| {
             (shards_done(run), scenario_progress_event(job, run))
@@ -827,7 +828,7 @@ impl Runner<'_> {
     fn drive<R: Run>(
         &self,
         run: &mut R,
-        mut step: impl FnMut(&mut R, u64) -> bool,
+        mut step: impl FnMut(&mut R, u64, Option<&CheckpointFile>) -> bool,
         progress: impl Fn(&R) -> (u64, String),
     ) -> Result<bool, String> {
         let (job, settings) = (self.job, self.settings);
@@ -837,7 +838,7 @@ impl Runner<'_> {
         };
         let finished = drive(
             run,
-            |run| step(run, shards),
+            |run, file| step(run, shards, file),
             self.store,
             self.plan,
             || job.cancel_requested(),
