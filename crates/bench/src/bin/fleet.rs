@@ -56,7 +56,6 @@ usage: fleet [flags]
   --shard-size N        chips per shard (multiple of --group;
                         default: sized from --devices and the worker count)
   --seed N              root seed                        (default 7)
-  --threads N           worker threads (0 = all cores)   (default 0)
   --checkpoint PATH     resume from / checkpoint to PATH (resumes from the
                         newest of --keep generations that validates)
   --checkpoint-every N  writes: one per N shards folded; in scenario mode,
@@ -73,12 +72,12 @@ usage: fleet [flags]
   --scenario-dir DIR    extra pack files (*.json) joining the registry
   --epochs N            override the pack's epoch count (scenario mode)
   --list-scenarios      print the scenario registry and exit
+The worker count is DH_NUM_THREADS (unset or 0: all cores).
 ";
 
 struct Args {
     config: FleetConfig,
     shard_size_given: bool,
-    threads: Option<usize>,
     checkpoint: Option<std::path::PathBuf>,
     checkpoint_every: u64,
     inject: Option<String>,
@@ -208,7 +207,6 @@ fn parse_args() -> Result<Args, String> {
         ..FleetConfig::default()
     };
     let mut shard_size_given = false;
-    let mut threads = None;
     let mut checkpoint = None;
     let mut checkpoint_every = 8;
     let mut inject = None;
@@ -259,10 +257,6 @@ fn parse_args() -> Result<Args, String> {
                 shard_size_given = true;
             }
             "--seed" => config.seed = value.parse().map_err(|e| bad(&e))?,
-            "--threads" => {
-                let n: usize = value.parse().map_err(|e| bad(&e))?;
-                threads = Some(n);
-            }
             "--checkpoint" => checkpoint = Some(value.into()),
             "--checkpoint-every" => {
                 checkpoint_every = value.parse().map_err(|e| bad(&e))?;
@@ -283,7 +277,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         config,
         shard_size_given,
-        threads,
         checkpoint,
         checkpoint_every,
         inject,
@@ -416,11 +409,6 @@ fn main() -> ExitCode {
             return ExitCode::from(u8::from(!why.is_empty()) * 2);
         }
     };
-    match args.threads {
-        Some(0) | None => dh_exec::set_max_threads(None),
-        Some(n) => dh_exec::set_max_threads(Some(n)),
-    }
-
     let mut out = Out::default();
     let code = if args.list_scenarios {
         list_scenarios(&mut out, &args)
@@ -440,7 +428,7 @@ fn run_fleet(out: &mut Out, args: &Args) -> ExitCode {
         // Size shards from the population and worker count (about four
         // shards per worker, capped for cache residency). The report is
         // shard-size invariant, but a checkpoint's cursor is not: pass an
-        // explicit --shard-size when resuming across a --threads change.
+        // explicit --shard-size when resuming across a DH_NUM_THREADS change.
         config.shard_size = config.auto_shard_size(dh_exec::max_threads());
     }
     // Reject bad numeric input at the CLI boundary with the field named,

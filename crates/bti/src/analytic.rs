@@ -231,20 +231,6 @@ impl AnalyticBtiModel {
         &self.permanent
     }
 
-    /// Replaces the stress law (builder-style).
-    #[must_use]
-    pub fn with_stress_law(mut self, law: StressLaw) -> Self {
-        self.stress_law = law;
-        self
-    }
-
-    /// Replaces the permanent-component parameters (builder-style).
-    #[must_use]
-    pub fn with_permanent_params(mut self, params: PermanentParams) -> Self {
-        self.permanent = params;
-        self
-    }
-
     /// The recovery acceleration factor θ(V, T) for a condition.
     pub fn theta(&self, condition: RecoveryCondition) -> f64 {
         self.relaxation.acceleration.factor(condition)
@@ -325,15 +311,6 @@ impl AnalyticBtiModel {
         .exp();
         let unrecoverable = p_total * (hard + (1.0 - hard) * soft_remaining);
         Fraction::clamped(r_univ.min(1.0 - unrecoverable))
-    }
-
-    /// The asymptotic (infinite-recovery-time) recovery fraction at the
-    /// deepest recovery condition — everything except the hardened permanent
-    /// component.
-    pub fn asymptotic_recovery(&self, stress_time: Seconds) -> Fraction {
-        let p_total = self.permanent_fraction(stress_time).value();
-        let hard = self.hardened_share(stress_time).value();
-        Fraction::clamped(1.0 - p_total * hard)
     }
 }
 

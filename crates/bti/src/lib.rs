@@ -56,6 +56,7 @@ pub mod cet;
 pub mod condition;
 pub mod device;
 pub mod error;
+mod memo;
 pub mod schedule;
 pub mod variability;
 pub mod wear;

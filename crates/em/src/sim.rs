@@ -52,11 +52,6 @@ pub enum WireEnd {
     Anode,
 }
 
-impl WireEnd {
-    /// Both ends, cathode first.
-    pub const BOTH: [Self; 2] = [Self::Cathode, Self::Anode];
-}
-
 impl fmt::Display for WireEnd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -18,9 +18,9 @@
 //!    one fixed chunk) at a time from an atomic counter, so free workers
 //!    always pull the next pending item.
 //!
-//! The [`Memo`] cache rounds this out: expensive fitted artifacts (the
-//! CET emission-CDF knot fit, most prominently) are computed once per
-//! distinct key and shared behind an [`std::sync::Arc`].
+//! Shard supervision rounds this out: [`run_attempts`] retries a
+//! panicking item under a [`RetryPolicy`], and [`par_map_fold_supervised`]
+//! folds what the attempts return, quarantining items that never succeed.
 //!
 //! Every parallel call runs on its calling thread plus helpers from one
 //! lazily started, process-wide pool of parked threads, so a call costs a
@@ -30,15 +30,13 @@
 
 #![warn(missing_docs)]
 
-mod memo;
 mod pool;
 mod supervise;
 mod workers;
 
-pub use memo::{Memo, MEMO_DEFAULT_CAPACITY};
 pub use pool::{
-    max_threads, par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_indexed,
-    par_map_seeded, par_try_map, set_max_threads,
+    max_threads, par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_seeded,
+    set_max_threads,
 };
 pub use supervise::{
     par_map_fold_supervised, run_attempts, RetryPolicy, ShardError, SupervisedOutcome,

@@ -10,7 +10,7 @@
 //! own panic payload once every participant has stopped.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
@@ -79,15 +79,12 @@ static CHUNKS_PER_WORKER: dh_obs::HistogramCell =
 
 /// Runs `f` over `0..n` on `threads` participants that self-schedule from
 /// one atomic counter, returning the `(index, value)` pairs in no
-/// particular order. Hand-out stops early once a value satisfies `halt`;
-/// the indices handed out always form a prefix of `0..n`, and every one
-/// of them is in the result.
+/// particular order.
 fn self_scheduled<U, F>(
     n: usize,
     threads: usize,
     shares: &dh_obs::HistogramCell,
     f: F,
-    halt: fn(&U) -> bool,
 ) -> Vec<(usize, U)>
 where
     U: Send,
@@ -95,20 +92,15 @@ where
 {
     let fair_share = n.div_ceil(threads);
     let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     let tagged = Mutex::new(Vec::with_capacity(n));
     let work = &|| {
         let mut local = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
+        loop {
             let index = next.fetch_add(1, Ordering::Relaxed);
             if index >= n {
                 break;
             }
-            let value = f(index);
-            if halt(&value) {
-                stop.store(true, Ordering::Relaxed);
-            }
-            local.push((index, value));
+            local.push((index, f(index)));
         }
         observe_worker_share(shares, local.len(), fair_share);
         tagged
@@ -140,7 +132,7 @@ fn assemble<U>(n: usize, tagged: Vec<(usize, U)>) -> Vec<U> {
 
 /// Maps `f` over `0..n` in parallel; `out[i] == f(i)` exactly as in the
 /// serial loop, at any thread count.
-pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
+pub(crate) fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -151,13 +143,14 @@ where
         observe_worker_share(&ITEMS_PER_WORKER, n, n);
         return (0..n).map(f).collect();
     }
-    assemble(
-        n,
-        self_scheduled(n, workers, &ITEMS_PER_WORKER, f, |_| false),
-    )
+    assemble(n, self_scheduled(n, workers, &ITEMS_PER_WORKER, f))
 }
 
 /// Parallel map over a slice; `out[i] == f(&items[i])`.
+///
+/// Every item runs and the results come back in index order, so a
+/// fallible map collects into a `Result` with the error of the
+/// **lowest-index** failing item, the same in every run.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -245,7 +238,7 @@ impl<U> Drop for StopOnUnwind<'_, U> {
 /// `fold(fold(init, 0, f(0)), 1, f(1)) …` exactly as the serial loop
 /// would produce it, at any thread count.
 ///
-/// Unlike [`par_map_indexed`] the mapped values are never collected into
+/// Unlike [`par_map`] the mapped values are never collected into
 /// a `Vec`: the caller holds only the out-of-order window (typically a
 /// few items, at worst the items produced while the slowest item blocks
 /// the fold). This is the streaming-aggregation primitive the fleet
@@ -372,47 +365,6 @@ where
     workers::call(workers, &helper, caller)
 }
 
-/// Fallible parallel map: `Ok(out)` with `out[i] == f(&items[i])?`, or
-/// the error of the **lowest-index** failing item (deterministic even
-/// though workers race).
-///
-/// Work hand-out stops after the first observed error; because the
-/// popped items always form a prefix of the index range, the
-/// lowest-index error among completed items is the same in every run.
-pub fn par_try_map<T, U, E, F>(items: &[T], f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    let n = items.len();
-    let workers = worker_count(n);
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut tagged = self_scheduled(
-        n,
-        workers,
-        &ITEMS_PER_WORKER,
-        |i| f(&items[i]),
-        Result::is_err,
-    );
-    tagged.sort_by_key(|(index, _)| *index);
-    let mut out = Vec::with_capacity(n);
-    for (index, result) in tagged {
-        match result {
-            Ok(value) => {
-                debug_assert_eq!(index, out.len(), "hole before item {index}");
-                out.push(value);
-            }
-            Err(error) => return Err(error),
-        }
-    }
-    assert_eq!(out.len(), n, "parallel map lost items without an error");
-    Ok(out)
-}
-
 /// Runs `f` over fixed-size chunks of `items` in parallel, returning the
 /// per-chunk results **in chunk order**.
 ///
@@ -438,16 +390,10 @@ where
     }
     let queue: Mutex<Vec<Option<&mut [T]>>> =
         Mutex::new(items.chunks_mut(chunk_size).map(Some).collect());
-    let tagged = self_scheduled(
-        n_chunks,
-        workers,
-        &CHUNKS_PER_WORKER,
-        |index| {
-            let chunk = take_chunk(&queue, index);
-            f(index, chunk)
-        },
-        |_| false,
-    );
+    let tagged = self_scheduled(n_chunks, workers, &CHUNKS_PER_WORKER, |index| {
+        let chunk = take_chunk(&queue, index);
+        f(index, chunk)
+    });
     assemble(n_chunks, tagged)
 }
 
@@ -495,16 +441,10 @@ where
             .map(Some)
             .collect(),
     );
-    let tagged = self_scheduled(
-        n_chunks,
-        workers,
-        &CHUNKS_PER_WORKER,
-        |index| {
-            let (chunk_a, chunk_b) = take_chunk(&queue, index);
-            f(index, chunk_a, chunk_b)
-        },
-        |_| false,
-    );
+    let tagged = self_scheduled(n_chunks, workers, &CHUNKS_PER_WORKER, |index| {
+        let (chunk_a, chunk_b) = take_chunk(&queue, index);
+        f(index, chunk_a, chunk_b)
+    });
     assemble(n_chunks, tagged)
 }
 
@@ -635,9 +575,12 @@ mod tests {
         for threads in [1, 4] {
             set_max_threads(Some(threads));
             let result: Result<Vec<usize>, usize> =
-                par_try_map(&items, |&i| if i == 13 || i == 57 { Err(i) } else { Ok(i) });
+                par_map(&items, |&i| if i == 13 || i == 57 { Err(i) } else { Ok(i) })
+                    .into_iter()
+                    .collect();
             assert_eq!(result.unwrap_err(), 13);
-            let ok: Result<Vec<usize>, usize> = par_try_map(&items, |&i| Ok(i * 2));
+            let ok: Result<Vec<usize>, usize> =
+                par_map(&items, |&i| Ok(i * 2)).into_iter().collect();
             assert_eq!(ok.unwrap(), items.iter().map(|i| i * 2).collect::<Vec<_>>());
         }
         set_max_threads(None);
@@ -777,20 +720,10 @@ mod tests {
         let _guard = override_guard();
         let _restore = RestoreThreads;
         set_max_threads(Some(2));
-        let calls: [(&str, Box<PanickingCall>); 5] = [
+        let calls: [(&str, Box<PanickingCall>); 4] = [
             (
                 "par_map_indexed",
                 Box::new(|| drop(par_map_indexed(2, exploding_item()))),
-            ),
-            (
-                "par_try_map",
-                Box::new(|| {
-                    let item = exploding_item();
-                    let _ = par_try_map(&[0usize, 1], |&i| {
-                        item(i);
-                        Ok::<_, ()>(())
-                    });
-                }),
             ),
             (
                 "par_chunks_mut",

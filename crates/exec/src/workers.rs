@@ -219,10 +219,10 @@ pub(crate) fn helpers_started() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::override_guard;
+    use crate::pool::{override_guard, par_map_indexed};
     use crate::{
         par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_fold_supervised,
-        par_map_indexed, par_try_map, set_max_threads, RetryPolicy,
+        set_max_threads, RetryPolicy,
     };
     use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Barrier;
@@ -355,10 +355,6 @@ mod tests {
         let caller = std::thread::current().id();
         let here = || assert_eq!(std::thread::current().id(), caller);
         par_map_indexed(64, |_| here());
-        let _ = par_try_map(&[0u8; 64], |_| {
-            here();
-            Ok::<_, ()>(())
-        });
         par_chunks_mut(&mut [0u8; 64], 4, |_, _| here());
         par_chunks_mut2(&mut [0u8; 64], &mut [0u8; 64], 4, |_, _, _| here());
         par_map_fold(64, |_| here(), (), |(), _, ()| here());

@@ -15,10 +15,10 @@
 //! * the first segment is the owning crate without the `dh-` prefix
 //!   (`exec`, `bti`, `em`, `thermal`, `sched`);
 //! * the leaf is snake_case and counts *events* for counters
-//!   (`exec.memo.hits`) or carries a unit suffix for histograms
-//!   (`bti.cet.step_seconds`, `thermal.settle.gs_iterations`);
+//!   (`bti.cet.calibration_fits`) or carries a unit suffix for histograms
+//!   (`bti.cet.step_seconds`, `thermal.settle.iterations_per_solve`);
 //! * per-policy scheduler metrics interpose the policy name:
-//!   `sched.periodic-deep.transitions_bti_ar`.
+//!   `sched.periodic-deep.transitions_to_bti_ar`.
 //!
 //! # Example
 //!
@@ -141,10 +141,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Free-form identity labels by name (who/what this process is
-    /// currently measuring — e.g. the running scenario pack), set via
-    /// [`label`]. Last write per name wins.
-    pub labels: BTreeMap<String, String>,
 }
 
 impl Snapshot {
@@ -171,16 +167,9 @@ impl Snapshot {
             .sum()
     }
 
-    /// The label `name`, if set.
-    #[must_use]
-    pub fn label(&self, name: &str) -> Option<&str> {
-        self.labels.get(name).map(String::as_str)
-    }
-
     /// Renders the snapshot as a deterministic JSON object:
     /// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
-    /// mean, p50, p99, buckets: [[upper, count], ...]}, ...},
-    /// "labels": {...}}`.
+    /// mean, p50, p99, buckets: [[upper, count], ...]}, ...}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\": {");
@@ -214,34 +203,9 @@ impl Snapshot {
             }
             out.push_str("]}");
         }
-        out.push_str("}, \"labels\": {");
-        for (i, (name, value)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": \"{}\"", json_escape(value)));
-        }
         out.push_str("}}");
         out
     }
-}
-
-/// Minimal JSON string escaping for label values (metric names follow
-/// the dotted-lowercase convention and never need it).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A finite-f64-or-null JSON scalar (JSON has no Infinity/NaN).
@@ -296,7 +260,6 @@ fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 struct Registry {
     counters: BTreeMap<String, &'static CounterInner>,
     histograms: BTreeMap<String, &'static HistogramInner>,
-    labels: BTreeMap<String, String>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -411,13 +374,6 @@ pub fn span(name: &str) -> Span {
     }
 }
 
-/// Sets (or overwrites) the identity label `name` for subsequent
-/// snapshots — e.g. `label("scenario", "sram-decoder")` for the pack a
-/// daemon job integrates.
-pub fn label(name: &str, value: &str) {
-    lock().labels.insert(name.to_string(), value.to_string());
-}
-
 /// Copies every registered metric out of the registry.
 #[must_use]
 pub fn snapshot() -> Snapshot {
@@ -456,7 +412,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters,
         histograms,
-        labels: reg.labels.clone(),
     }
 }
 
@@ -564,24 +519,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_valid_shape_when_empty() {
         let snap = Snapshot::default();
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\": {}, \"histograms\": {}, \"labels\": {}}"
-        );
-    }
-
-    #[test]
-    fn label_json_is_escaped() {
-        let mut snap = Snapshot::default();
-        snap.labels
-            .insert("scenario".into(), "a\"b\\c\nd".to_string());
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\": {}, \"histograms\": {}, \
-             \"labels\": {\"scenario\": \"a\\\"b\\\\c\\nd\"}}"
-        );
-        assert_eq!(snap.label("scenario"), Some("a\"b\\c\nd"));
-        assert_eq!(snap.label("missing"), None);
+        assert_eq!(snap.to_json(), "{\"counters\": {}, \"histograms\": {}}");
     }
 
     #[test]
@@ -662,15 +600,6 @@ mod tests {
         assert!(counter("obs.test.macro_counter").get() >= 2);
         histogram!("obs.test.macro_hist").record(2.0);
         assert!(histogram("obs.test.macro_hist").count() >= 1);
-    }
-
-    #[test]
-    fn labels_snapshot_with_last_write_winning() {
-        label("obs.test.label", "one");
-        label("obs.test.label", "two");
-        let snap = snapshot();
-        assert_eq!(snap.label("obs.test.label"), Some("two"));
-        assert!(snap.to_json().contains("\"obs.test.label\": \"two\""));
     }
 
     #[test]

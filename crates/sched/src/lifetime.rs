@@ -114,6 +114,7 @@ pub fn run_lifetime(
         }
     }
 
+    publish(policy.name(), system.metrics());
     let final_em = system.worst_em_damage();
     let projected =
         (final_em.value() > 0.0).then(|| Seconds::new(system.time().value() / final_em.value()));
@@ -128,6 +129,25 @@ pub fn run_lifetime(
         throughput_loss: Fraction::clamped(displaced / demanded.max(1e-300)),
         metrics: system.metrics().clone(),
     })
+}
+
+/// Adds one lifetime's scheduler counts to the registry's
+/// `sched.{policy}.*` counters, so a snapshot can compare the policies
+/// one process ran.
+fn publish(policy: &str, metrics: &MetricsReport) {
+    for (leaf, count) in [
+        ("epochs", metrics.epochs),
+        ("transitions_to_normal", metrics.transitions_to_normal),
+        ("transitions_to_em_ar", metrics.transitions_to_em_ar),
+        ("transitions_to_bti_ar", metrics.transitions_to_bti_ar),
+        ("core_epochs_normal", metrics.epochs_normal),
+        ("core_epochs_em_ar", metrics.epochs_em_ar),
+        ("core_epochs_bti_ar", metrics.epochs_bti_ar),
+        ("sensor_faults_detected", metrics.sensor_faults_detected),
+        ("conservative_core_epochs", metrics.conservative_core_epochs),
+    ] {
+        dh_obs::counter(&format!("sched.{policy}.{leaf}")).add(count);
+    }
 }
 
 /// Runs the same lifetime under several policies (the Fig. 12(b)
@@ -167,7 +187,7 @@ pub struct SeedOutcome {
 /// Runs `seeds` independent lifetimes in parallel and returns each run's
 /// [`SeedOutcome`], in seed order.
 ///
-/// Seeds are handed out one at a time by [`dh_exec::par_try_map`]'s
+/// Seeds are handed out one at a time by [`dh_exec::par_map`]'s
 /// self-scheduling queue rather than pre-chunked: per-seed cost is
 /// heavily skewed (early-failing seeds finish fast), so static
 /// contiguous chunks leave most workers idle behind the unluckiest one.
@@ -183,13 +203,15 @@ pub fn monte_carlo_guardband(
     seeds: std::ops::Range<u64>,
 ) -> Result<Vec<SeedOutcome>, SchedError> {
     let seeds: Vec<u64> = seeds.collect();
-    dh_exec::par_try_map(&seeds, |&seed| {
+    dh_exec::par_map(&seeds, |&seed| {
         run_lifetime(config, policy, seed).map(|outcome| SeedOutcome {
             seed,
             guardband: outcome.required_guardband,
             outcome,
         })
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -350,6 +372,44 @@ mod tests {
         let none = run_lifetime(&config, Policy::NoRecovery, 3).unwrap();
         assert_eq!(none.metrics.bti_recovery_seconds, 0.0);
         assert_eq!(none.metrics.epochs_normal, none.metrics.core_epochs);
+    }
+
+    #[test]
+    fn each_lifetime_adds_its_counts_to_the_policy_counters_once() {
+        // No other test here runs a rotation lifetime, and a system
+        // stepped directly publishes nothing, so only the two lifetimes
+        // below move these counters.
+        let read = |leaf: &str| dh_obs::counter(&format!("sched.rotation.{leaf}")).get();
+        let leaves = [
+            "epochs",
+            "core_epochs_normal",
+            "core_epochs_bti_ar",
+            "transitions_to_bti_ar",
+        ];
+        let before = leaves.map(read);
+        let config = LifetimeConfig {
+            years: 0.05,
+            ..short()
+        };
+        let runs = [1, 2].map(|seed| {
+            run_lifetime(&config, Policy::rotation_default(), seed)
+                .unwrap()
+                .metrics
+        });
+        ManyCoreSystem::new(config.system.clone())
+            .unwrap()
+            .step(Policy::rotation_default())
+            .unwrap();
+        let totals = [
+            runs[0].epochs + runs[1].epochs,
+            runs[0].epochs_normal + runs[1].epochs_normal,
+            runs[0].epochs_bti_ar + runs[1].epochs_bti_ar,
+            runs[0].transitions_to_bti_ar + runs[1].transitions_to_bti_ar,
+        ];
+        assert!(totals[2] > 0, "rotation schedules deep recovery");
+        for ((leaf, before), total) in leaves.into_iter().zip(before).zip(totals) {
+            assert_eq!(read(leaf) - before, total, "sched.rotation.{leaf}");
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! Every [`crate::ManyCoreSystem`] accumulates a [`MetricsReport`]: the
 //! arithmetic is a handful of integer and float adds per core-epoch,
-//! invisible next to the BTI/EM/thermal models. The system also mirrors
-//! the per-epoch deltas into the global `dh-obs` registry under
+//! invisible next to the BTI/EM/thermal models. [`crate::run_lifetime`]
+//! adds each lifetime's counts to the global `dh-obs` registry once, under
 //! per-policy names (`sched.<policy>.<metric>`), so a metrics snapshot can
-//! compare policies that ran in the same process.
+//! compare policies that ran in the same process; a system stepped
+//! directly publishes nothing.
 
 use core::fmt;
 

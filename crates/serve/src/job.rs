@@ -214,18 +214,6 @@ impl Job {
         }
     }
 
-    /// Blocks until the job reaches a terminal state and returns it.
-    pub fn wait_terminal(&self) -> JobStatus {
-        let mut inner = lock(&self.inner);
-        while !inner.status.is_terminal() {
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        inner.status
-    }
-
     /// The job's status document (the `GET /jobs/{id}` body).
     pub fn status_json(&self) -> String {
         let inner = lock(&self.inner);
@@ -764,9 +752,6 @@ impl Runner<'_> {
     /// state the determinism tests pin.
     fn scenario(&self, pack: ScenarioPack) -> Result<Option<Finished>, String> {
         let job = self.job;
-        dh_obs::label("scenario", &pack.name);
-        dh_obs::label("scenario.blocks", &pack.blocks.len().to_string());
-        dh_obs::label("scenario.elements", &pack.total_elements().to_string());
         let opened = match self.store {
             Some(store) => ScenarioRun::resume_from_store(pack.clone(), store),
             None => Ok(ScenarioRun::new(pack.clone())),

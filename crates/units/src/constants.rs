@@ -26,9 +26,6 @@ pub const ROOM_TEMPERATURE_CELSIUS: f64 = 20.0;
 /// resistivity from the measured 35.76 Ω of the paper's test structure.
 pub const COPPER_RESISTIVITY_OHM_M: f64 = 1.72e-8;
 
-/// Temperature coefficient of resistance for copper, per kelvin.
-pub const COPPER_TEMP_COEFF_PER_K: f64 = 3.93e-3;
-
 /// Atomic volume of copper, in cubic metres.
 pub const COPPER_ATOMIC_VOLUME_M3: f64 = 1.18e-29;
 

@@ -457,16 +457,6 @@ impl Fraction {
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
     }
-
-    /// Creates a fraction from a percentage in `[0, 100]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantityError::FractionOutOfRange`] if `percent / 100` is
-    /// NaN or outside `[0, 1]`.
-    pub fn from_percent(percent: f64) -> Result<Self, QuantityError> {
-        Self::new(percent / 100.0)
-    }
 }
 
 impl fmt::Display for Fraction {

@@ -2,8 +2,9 @@
 //!
 //! The `dh-obs` registry is always compiled in, and one run must show the
 //! cross-crate story (scheduler modes, thermal solves, CET kernels,
-//! memoization) in it. The [`MetricsReport`] carried by every lifetime
-//! outcome is the per-run view of the same scheduler accounting.
+//! calibration) in it. The [`MetricsReport`] carried by every lifetime
+//! outcome is the per-run view of the same scheduler accounting, which
+//! `run_lifetime` adds to the registry once per lifetime.
 
 use deep_healing::prelude::*;
 
@@ -50,20 +51,26 @@ fn one_run_is_visible_across_every_layer_when_enabled() {
     for _ in 0..epochs {
         system.step(Policy::periodic_deep_default()).unwrap();
     }
+    let deep = run_lifetime(&short_lifetime(), Policy::periodic_deep_default(), 4).unwrap();
+    let lifetime = &deep.metrics;
 
     let snap = deep_healing::obs::snapshot();
-    // Scheduler: per-policy mode accounting mirrors the MetricsReport.
-    assert!(snap.counter("sched.periodic-deep.epochs") >= epochs);
-    assert!(snap.counter("sched.periodic-deep.transitions_to_bti_ar") >= 16);
-    assert!(snap.counter("sched.periodic-deep.core_epochs_bti_ar") >= epochs * 16);
+    // Scheduler: the lifetime added its MetricsReport to the per-policy
+    // counters.
+    assert!(lifetime.transitions_to_bti_ar >= 16 && lifetime.epochs_bti_ar >= 16);
+    assert!(snap.counter("sched.periodic-deep.epochs") >= lifetime.epochs);
+    assert!(
+        snap.counter("sched.periodic-deep.transitions_to_bti_ar") >= lifetime.transitions_to_bti_ar
+    );
+    assert!(snap.counter("sched.periodic-deep.core_epochs_bti_ar") >= lifetime.epochs_bti_ar);
     // Thermal: one LU settle per epoch.
     assert!(snap.counter("thermal.settle.lu_solves") >= epochs);
     // BTI: the trap monitor drives the CET kernels.
     assert!(snap.counter("bti.cet.stress_calls") >= epochs);
     assert!(snap.counter("bti.cet.sub_steps") >= epochs);
     assert!(snap.counter("bti.cet.traps_stressed") >= epochs * 400);
-    // Exec: calibrating the monitor went through the bounded memo.
-    assert!(snap.counter("exec.memo.hits") + snap.counter("exec.memo.misses") >= 1);
+    // BTI: the monitor's ensemble was fitted in this process.
+    assert!(snap.counter("bti.cet.calibration_fits") >= 1);
     // Timing histograms recorded real durations.
     let steps = snap
         .histogram("bti.cet.step_seconds")
