@@ -135,7 +135,7 @@ pub fn calibration_fit_runs() -> u64 {
 /// Calibrated knots of the emission-time CDF: `(log₁₀ τ_e, cumulative
 /// probability)` pairs, strictly increasing in both coordinates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EmissionCdf {
+struct EmissionCdf {
     knots: Vec<(f64, f64)>,
 }
 
@@ -594,11 +594,6 @@ impl TrapEnsemble {
         })
     }
 
-    /// The fitted emission-time CDF.
-    pub fn emission_cdf(&self) -> &EmissionCdf {
-        &self.cdf
-    }
-
     /// Number of traps.
     pub fn len(&self) -> usize {
         self.log_tau_e.len()
@@ -900,12 +895,12 @@ mod tests {
         let e = ensemble();
         let mut prev = f64::NEG_INFINITY;
         for i in 0..=100 {
-            let q = e.emission_cdf().quantile(i as f64 / 100.0);
+            let q = e.cdf.quantile(i as f64 / 100.0);
             assert!(q >= prev);
             prev = q;
         }
-        assert_eq!(e.emission_cdf().quantile(0.0), LOG_TAU_MIN);
-        assert_eq!(e.emission_cdf().quantile(1.0), LOG_TAU_MAX);
+        assert_eq!(e.cdf.quantile(0.0), LOG_TAU_MIN);
+        assert_eq!(e.cdf.quantile(1.0), LOG_TAU_MAX);
     }
 
     #[test]
@@ -926,7 +921,7 @@ mod tests {
             LOG_TAU_MAX
         };
         let e = ensemble();
-        let cdf = e.emission_cdf();
+        let cdf = &e.cdf;
         for i in 0..=10_000 {
             let p = i as f64 / 10_000.0;
             assert_eq!(
